@@ -811,12 +811,11 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         ])
     );
     println!(
-        "spill x{:.2} batch wall at the {:.0} MiB floor — identical output, {} pages written / {} read ({} absorbed in flight)",
+        "spill x{:.2} batch wall at the {:.0} MiB floor — identical output, {} pages written / {} read",
         spill_secs / batch_secs.max(1e-9),
         spill_budget as f64 / (1 << 20) as f64,
         spill_metrics.spill_pages_written,
         spill_metrics.spill_pages_read,
-        spill_metrics.spill_queue_hits,
     );
     for (budget, recall, clamps, window_ns) in &adaptive_steps {
         println!(

@@ -1267,6 +1267,35 @@ mod tests {
     }
 
     #[test]
+    fn budget_that_never_binds_spills_nothing() {
+        // The spill test's load as a v2 capture (dedup coverage grows
+        // with every connection), under a budget far above its state:
+        // no object may leave, so no spill bookkeeping is ever built.
+        let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
+        let mut cfg = CorrelatorConfig::new(access).with_memory_budget(16 << 20);
+        cfg.mem_sample_every = 8;
+        let mut sc = StreamingCorrelator::new(cfg).unwrap();
+        for i in 0..2_000u64 {
+            sc.push(
+                format!(
+                    "{} web httpd 7 7 RECEIVE 192.168.0.9:{}-10.0.0.1:80 100 seq=0",
+                    i * 1_000_000,
+                    5_000 + i,
+                )
+                .parse()
+                .unwrap(),
+            )
+            .unwrap();
+            let _ = sc.poll().unwrap();
+            assert_eq!(sc.spill_counters(), (0, 0));
+        }
+        let out = sc.finish().unwrap();
+        assert_eq!(out.unfinished.len(), 2_000);
+        assert_eq!(out.metrics.spill_pages_written, 0);
+        assert_eq!(out.metrics.spill_pages_read, 0);
+    }
+
+    #[test]
     fn adaptive_window_tracks_observed_latency() {
         // 2000 two-tier requests with ~2ms backend round trips: the
         // adaptive window must record RTT samples, recompute itself, and

@@ -1891,6 +1891,15 @@ mod tests {
         assert_eq!(worker, 5);
         assert_eq!(render(&out), render(&back));
         assert_eq!(out.metrics.wall, back.metrics.wall);
+        // A decoded CAG shares its hostname/program strings, as the
+        // original did: one allocation per distinct name, not per vertex.
+        for cag in &back.cags {
+            let first = &cag.vertices[0].ctx;
+            for v in cag.vertices.iter().map(|v| &v.ctx) {
+                assert!(v.hostname != first.hostname || Arc::ptr_eq(&v.hostname, &first.hostname));
+                assert!(v.program != first.program || Arc::ptr_eq(&v.program, &first.program));
+            }
+        }
     }
 
     #[test]

@@ -586,6 +586,11 @@ impl Engine {
             self.tag_count += cag.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
             self.unfinished.insert(id, cag);
             self.counters.spill_faults += 1;
+        } else if !self.unfinished.contains_key(&id) {
+            // A context's latest vertex is usually in a CAG that has
+            // finished or was drained; a touch recorded for it would
+            // never be removed.
+            return;
         }
         self.touch_cag(id);
     }
@@ -1471,6 +1476,43 @@ mod tests {
         // The httpd response RECEIVE has two parents.
         let recv = &cag.vertices[4];
         assert_eq!(recv.parent_count(), 2);
+    }
+
+    #[test]
+    fn lru_history_holds_only_resident_unfinished_cags() {
+        let mut e = Engine::default();
+        let file = SpillFile::create(&std::env::temp_dir()).unwrap();
+        e.enable_spill(Arc::new(file));
+        for i in 0..3_000u32 {
+            // The same two threads serve every request, so each BEGIN
+            // resolves a context whose latest vertex is in the previous,
+            // finished CAG.
+            two_tier_request(&mut e);
+            if i.is_multiple_of(50) {
+                // A request that never completes, paged out or not.
+                let (src, dst) = (format!("192.168.1.9:{}", 1024 + i), WEB_FRONT);
+                e.deliver(act(
+                    ActivityType::Begin,
+                    1_000,
+                    "web",
+                    "httpd",
+                    100 + i,
+                    &src,
+                    dst,
+                    1,
+                    0,
+                ));
+                if i.is_multiple_of(100) {
+                    assert!(e.spill_one());
+                }
+            }
+            if i.is_multiple_of(7) {
+                e.take_finished();
+            }
+            let history = e.spill.as_ref().unwrap().lru.len();
+            assert_eq!(history, e.unfinished_len(), "after request {i}");
+        }
+        assert_eq!(e.take_unfinished().len(), 60);
     }
 
     #[test]

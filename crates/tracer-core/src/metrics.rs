@@ -49,12 +49,12 @@ pub struct CorrelatorMetrics {
     pub spilled_dedup_entries: u64,
     /// Spilled coverage entries faulted back on a channel's next record.
     pub spill_dedup_faults: u64,
-    /// Pages the spill file's write-behind thread wrote to disk.
+    /// Pages written to the spill file.
     pub spill_pages_written: u64,
     /// Pages read back from the spill file on faults.
     pub spill_pages_read: u64,
-    /// Faults served from the write-behind queue before the disk caught
-    /// up (no read I/O).
+    /// Always 0 since spill I/O became synchronous (there is no queue);
+    /// kept because the benchmark and the PTDC metrics frame read it.
     pub spill_queue_hits: u64,
     /// Peak approximate resident bytes of ranker buffers + engine state
     /// (sampled once per candidate).

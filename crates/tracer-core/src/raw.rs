@@ -50,6 +50,9 @@
 //! [`dedup_retransmissions`] performs the same deduplication as a
 //! standalone pre-pass, on the same range logic.
 
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -59,7 +62,7 @@ use crate::intern::Interner;
 use crate::spill::codec;
 
 /// Direction of a raw kernel TCP activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RawOp {
     /// `tcp_sendmsg` — the logging node is the sender.
     Send,
@@ -505,6 +508,10 @@ struct CoverEntry {
     touch: u64,
 }
 
+/// `(touch, key)`: orders like the spill tier's victim rule — coldest
+/// first, ties on the channel/op key (`Send` before `Receive`).
+type ColdItem = Reverse<(u64, (Channel, RawOp))>;
+
 /// What the range-aware ingest decided for one record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestDecision {
@@ -539,6 +546,18 @@ pub struct RangeDedup {
     cover: crate::fasthash::FxHashMap<(Channel, RawOp), CoverEntry>,
     /// Logical clock behind `CoverEntry::touch`.
     ticks: u64,
+    /// Out-of-order ranges held over all of `cover`, kept in step with
+    /// it so [`RangeDedup::approx_bytes`] is O(1).
+    ooo_ranges: usize,
+    /// Coldness index behind [`RangeDedup::take_coldest_entry`]: a
+    /// min-heap of `(touch, key)`, in the order the spill tier picks
+    /// victims. `None` until the first request, so a
+    /// run that never spills coverage builds and maintains nothing.
+    /// From then on every resident entry has an item whose `touch` is
+    /// at most the entry's own; touching an entry does not update its
+    /// item — a popped item that lags its entry is pushed back at the
+    /// entry's current `touch`, one that matches no entry is dropped.
+    coldest: Option<BinaryHeap<ColdItem>>,
     /// Records seen carrying a `seq=` attribute.
     pub v2_records: u64,
     /// Records dropped by offset arithmetic (subset of all drops).
@@ -577,9 +596,18 @@ impl RangeDedup {
             Some(seq) => {
                 self.v2_records += 1;
                 self.ticks += 1;
-                let entry = self.cover.entry((channel, op)).or_default();
+                let entry = match self.cover.entry((channel, op)) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        if let Some(heap) = &mut self.coldest {
+                            heap.push(Reverse((self.ticks, (channel, op))));
+                        }
+                        e.insert(CoverEntry::default())
+                    }
+                };
                 entry.touch = self.ticks;
                 let cover = &mut entry.set;
+                let held = cover.ooo.len();
                 if seq > cover.max_end() {
                     // A seq above every byte seen so far means the
                     // sniffer missed the records for the span in
@@ -588,6 +616,7 @@ impl RangeDedup {
                     self.seq_gaps += 1;
                 }
                 let fresh = cover.insert(seq, size.max(1));
+                self.ooo_ranges = self.ooo_ranges + cover.ooo.len() - held;
                 if fresh == 0 {
                     self.seq_dedup_ranges += 1;
                     return IngestDecision::Drop;
@@ -621,19 +650,21 @@ impl RangeDedup {
     /// record after resumption may then count a spurious `seq_gaps` —
     /// the same evidence-loss tradeoff the claim eviction makes).
     pub fn evict_channel(&mut self, channel: Channel) {
-        self.cover.remove(&(channel, RawOp::Send));
-        self.cover.remove(&(channel, RawOp::Receive));
+        for op in [RawOp::Send, RawOp::Receive] {
+            if let Some(e) = self.cover.remove(&(channel, op)) {
+                self.ooo_ranges -= e.set.ooo.len();
+            }
+        }
     }
 
-    /// Approximate resident bytes of the coverage state.
+    /// Approximate resident bytes of the coverage state (the coldness
+    /// index, 24 bytes per entry once coverage has spilled, is not
+    /// counted). O(1): the correlator reads this in its budget loop and
+    /// `pt serve` on every ingested batch.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.cover.len() * (size_of::<(Channel, RawOp)>() + size_of::<CoverEntry>())
-            + self
-                .cover
-                .values()
-                .map(|r| r.set.ooo.len() * size_of::<(u64, u64)>())
-                .sum::<usize>()
+            + self.ooo_ranges * size_of::<(u64, u64)>()
     }
 
     /// Number of resident coverage entries (directed channels tracked).
@@ -647,21 +678,19 @@ impl RangeDedup {
     /// [`RangeDedup::restore_entry`] before the channel's next record is
     /// observationally identical to never having spilled.
     pub fn take_coldest_entry(&mut self) -> Option<((Channel, RawOp), Vec<u8>)> {
-        fn sort_key(ch: &Channel, op: RawOp) -> (u32, u16, u32, u16, u8) {
-            (
-                u32::from(ch.src.ip),
-                ch.src.port,
-                u32::from(ch.dst.ip),
-                ch.dst.port,
-                matches!(op, RawOp::Receive) as u8,
-            )
-        }
-        let key = *self
-            .cover
-            .iter()
-            .min_by_key(|((ch, op), e)| (e.touch, sort_key(ch, *op)))
-            .map(|(k, _)| k)?;
-        let e = self.cover.remove(&key).expect("key just enumerated");
+        let cover = &mut self.cover;
+        let heap = self
+            .coldest
+            .get_or_insert_with(|| cover.iter().map(|(&k, e)| Reverse((e.touch, k))).collect());
+        let (key, e) = loop {
+            let Reverse((touch, key)) = heap.pop()?;
+            match cover.entry(key) {
+                Entry::Occupied(e) if e.get().touch == touch => break e.remove_entry(),
+                Entry::Occupied(e) => heap.push(Reverse((e.get().touch, key))),
+                Entry::Vacant(_) => {}
+            }
+        };
+        self.ooo_ranges -= e.set.ooo.len();
         let mut buf = Vec::new();
         codec::put_u64(&mut buf, e.touch);
         codec::put_u64(&mut buf, e.set.hwm);
@@ -686,13 +715,17 @@ impl RangeDedup {
             let l = d.u64();
             ooo.insert(o, l);
         }
-        self.cover.insert(
-            key,
-            CoverEntry {
-                set: RangeSet { hwm, ooo },
-                touch,
-            },
-        );
+        self.ooo_ranges += ooo.len();
+        if let Some(heap) = &mut self.coldest {
+            heap.push(Reverse((touch, key)));
+        }
+        let entry = CoverEntry {
+            set: RangeSet { hwm, ooo },
+            touch,
+        };
+        if let Some(old) = self.cover.insert(key, entry) {
+            self.ooo_ranges -= old.set.ooo.len();
+        }
     }
 }
 
@@ -891,6 +924,112 @@ mod tests {
             IngestDecision::Admit(50)
         );
         assert_eq!(d.seq_gaps, 1);
+    }
+
+    /// The linear victim scan `take_coldest_entry` used before it had an
+    /// index: the reference the index must agree with.
+    fn coldest_by_scan(d: &RangeDedup) -> Option<(Channel, RawOp)> {
+        fn sort_key(ch: &Channel, op: RawOp) -> (u32, u16, u32, u16, u8) {
+            (
+                u32::from(ch.src.ip),
+                ch.src.port,
+                u32::from(ch.dst.ip),
+                ch.dst.port,
+                matches!(op, RawOp::Receive) as u8,
+            )
+        }
+        d.cover
+            .iter()
+            .min_by_key(|((ch, op), e)| (e.touch, sort_key(ch, *op)))
+            .map(|(k, _)| *k)
+    }
+
+    /// The walk over every channel `approx_bytes` used to make.
+    fn bytes_by_walk(d: &RangeDedup) -> usize {
+        use std::mem::size_of;
+        d.cover.len() * (size_of::<(Channel, RawOp)>() + size_of::<CoverEntry>())
+            + d.cover
+                .values()
+                .map(|r| r.set.ooo.len() * size_of::<(u64, u64)>())
+                .sum::<usize>()
+    }
+
+    proptest::proptest! {
+        /// Over random decide / take / restore / evict sequences the
+        /// indexed `take_coldest_entry` picks the victims the linear
+        /// scan picks, in the same order, and the running byte figure
+        /// equals the walk after every step.
+        #[test]
+        fn coldness_index_and_byte_count_match_the_linear_reference(
+            ops in proptest::collection::vec((0u8..10, 0u8..12, 0u64..3000, 1u64..500), 1..300),
+        ) {
+            let key_of = |c: u8| {
+                let ch = Channel::new(
+                    EndpointV4 { ip: [10, 0, 0, 1 + c / 4].into(), port: 80 },
+                    EndpointV4 { ip: [10, 0, 0, 9].into(), port: 5000 + (c / 2) as u16 },
+                );
+                (ch, if c % 2 == 1 { RawOp::Receive } else { RawOp::Send })
+            };
+            let mut d = RangeDedup::new();
+            let mut spilled: Vec<((Channel, RawOp), Vec<u8>)> = Vec::new();
+            let take = |d: &mut RangeDedup, spilled: &mut Vec<_>| {
+                let want = coldest_by_scan(d);
+                let got = d.take_coldest_entry();
+                assert_eq!(got.as_ref().map(|(k, _)| *k), want);
+                spilled.extend(got);
+                want.is_some()
+            };
+            for (kind, c, seq, size) in ops {
+                let key = key_of(c);
+                match kind {
+                    // A record; its spilled coverage faults back first,
+                    // as in `StreamingCorrelator::push` (now and then
+                    // not, so that a later restore replaces an entry).
+                    0..=4 => {
+                        let at = spilled.iter().position(|(k, _)| *k == key);
+                        if let Some(i) = at.filter(|_| seq % 8 != 0) {
+                            let (k, bytes) = spilled.swap_remove(i);
+                            d.restore_entry(k, &bytes);
+                        }
+                        d.decide_parts(key.0, key.1, Some(seq), size, false);
+                    }
+                    5..=7 => {
+                        take(&mut d, &mut spilled);
+                    }
+                    8 if !spilled.is_empty() => {
+                        let (k, bytes) = spilled.swap_remove(seq as usize % spilled.len());
+                        d.restore_entry(k, &bytes);
+                    }
+                    _ => d.evict_channel(key.0),
+                }
+                assert_eq!(d.approx_bytes(), bytes_by_walk(&d));
+            }
+            while take(&mut d, &mut spilled) {
+                assert_eq!(d.approx_bytes(), bytes_by_walk(&d));
+            }
+            assert_eq!(d.approx_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn coldness_index_is_not_built_before_the_first_spill_request() {
+        let ep = |port| EndpointV4 {
+            ip: [10, 0, 0, 1].into(),
+            port,
+        };
+        let mut d = RangeDedup::new();
+        for i in 0..100u16 {
+            d.decide_parts(
+                Channel::new(ep(80), ep(5000 + i)),
+                RawOp::Send,
+                Some(0),
+                10,
+                false,
+            );
+        }
+        assert!(d.coldest.is_none());
+        assert!(d.take_coldest_entry().is_some());
+        assert_eq!(d.coldest.as_ref().map(BinaryHeap::len), Some(99));
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //!   ([`PageExtent`]); a free-list of extents (coalescing on free)
 //!   recycles space, so a long-running `pt serve` reuses pages instead
 //!   of growing the file without bound.
-//! * **Write-behind** — `put` enqueues the write to a dedicated I/O
-//!   thread and returns immediately; the object is held in an in-flight
-//!   table until the write completes, and `get` serves from that table
-//!   when the disk has not caught up (counted as a queue hit). Spilling
-//!   therefore never blocks the correlation hot path on disk latency —
-//!   only *faults* pay it.
+//! * **Synchronous positional I/O** — `put` writes the object at its
+//!   extent's offset (`write_all_at`) and drops the buffer; `get` reads
+//!   it back (`read_exact_at`). No thread and no queue: a spilled
+//!   object's memory is released the moment it spills, and the write
+//!   normally lands in the page cache (≈ 1 µs), which is less than a
+//!   hand-off to another thread costs.
 //! * **Victim selection** — which object to spill is the caller's
 //!   policy; the engine uses LRU-K (K = 2) access history over
 //!   unfinished CAGs with objects touched since the last sampling
@@ -33,13 +33,10 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-
-use crate::fasthash::FxHashMap;
+use std::sync::Mutex;
 
 /// Spill page size in bytes. Small enough that a typical unfinished CAG
 /// (a dozen vertices) wastes little slack, large enough that extents
@@ -69,22 +66,18 @@ pub struct SpillFileStats {
     pub objects_out: u64,
     /// Objects read back (faults).
     pub objects_in: u64,
-    /// Pages written by the I/O thread.
+    /// Pages written to the spill file.
     pub pages_written: u64,
-    /// Pages read from disk on faults.
+    /// Pages read back from the spill file on faults.
     pub pages_read: u64,
-    /// Faults served from the write-behind queue before the disk
-    /// caught up (no read I/O needed).
+    /// Always 0: there is no write-behind queue to serve a fault from.
+    /// The field stays because the benchmark and the PTDC metrics frame
+    /// read it.
     pub queue_hits: u64,
     /// Serialized bytes spilled out.
     pub bytes_out: u64,
     /// Serialized bytes faulted back.
     pub bytes_in: u64,
-}
-
-enum IoMsg {
-    Write { offset: u64, data: Arc<[u8]> },
-    Shutdown,
 }
 
 /// Extent allocator: free extents keyed by start page, coalesced on
@@ -116,6 +109,18 @@ impl ExtentAlloc {
     }
 
     fn free(&mut self, start: u64, pages: u64) {
+        // An extent that is not allocated (`get` consumed it already)
+        // is left alone: inserting it again would hand its pages out
+        // twice.
+        let end = start + pages;
+        let overlaps_free = self
+            .free
+            .range(..end)
+            .next_back()
+            .is_some_and(|(&s, &n)| s + n > start);
+        if end > self.next_page || overlaps_free {
+            return;
+        }
         let mut start = start;
         let mut pages = pages;
         // Coalesce with the predecessor…
@@ -140,27 +145,26 @@ impl ExtentAlloc {
     }
 }
 
-/// A temp-file page store with a write-behind I/O thread. See the
-/// module docs for the design; create one per correlator instance (the
-/// sharded pipeline gives each worker its own — one spill namespace per
-/// shard).
+/// What a [`SpillFile`] mutates: the extent allocator and the counters,
+/// behind one lock.
+#[derive(Debug, Default)]
+struct SpillInner {
+    alloc: ExtentAlloc,
+    stats: SpillFileStats,
+}
+
+/// A temp-file page store. See the module docs for the design; create
+/// one per correlator instance (the sharded pipeline gives each worker
+/// its own — one spill namespace per shard).
+///
+/// A failed read or write of the file panics with the file's path and
+/// the OS error: the object behind it is live correlator state, and
+/// carrying on without it would silently change the output.
 #[derive(Debug)]
 pub struct SpillFile {
     path: PathBuf,
-    /// Reader handle (the I/O thread owns its own clone).
-    reader: Mutex<File>,
-    tx: Mutex<Option<SyncSender<IoMsg>>>,
-    io: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Writes enqueued but not yet on disk, keyed by byte offset.
-    inflight: Mutex<FxHashMap<u64, Arc<[u8]>>>,
-    alloc: Mutex<ExtentAlloc>,
-    objects_out: AtomicU64,
-    objects_in: AtomicU64,
-    pages_written: Arc<AtomicU64>,
-    pages_read: AtomicU64,
-    queue_hits: AtomicU64,
-    bytes_out: AtomicU64,
-    bytes_in: AtomicU64,
+    file: File,
+    inner: Mutex<SpillInner>,
 }
 
 /// Process-wide counter making spill filenames unique across
@@ -168,8 +172,8 @@ pub struct SpillFile {
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl SpillFile {
-    /// Creates a spill file in `dir` and starts the write-behind I/O
-    /// thread. The file is removed when the last reference drops.
+    /// Creates a spill file in `dir`. The file is removed when the last
+    /// reference drops.
     ///
     /// # Errors
     ///
@@ -187,49 +191,11 @@ impl SpillFile {
             .read(true)
             .write(true)
             .open(&path)?;
-        let mut writer = file.try_clone()?;
-        let (tx, rx): (SyncSender<IoMsg>, Receiver<IoMsg>) = std::sync::mpsc::sync_channel(256);
-        let pages_written = Arc::new(AtomicU64::new(0));
-        let sf = SpillFile {
+        Ok(SpillFile {
             path,
-            reader: Mutex::new(file),
-            tx: Mutex::new(Some(tx)),
-            io: Mutex::new(None),
-            inflight: Mutex::new(FxHashMap::default()),
-            alloc: Mutex::new(ExtentAlloc::default()),
-            objects_out: AtomicU64::new(0),
-            objects_in: AtomicU64::new(0),
-            pages_written: Arc::clone(&pages_written),
-            pages_read: AtomicU64::new(0),
-            queue_hits: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-        };
-        let handle = std::thread::Builder::new()
-            .name("pt-spill-io".into())
-            .spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        IoMsg::Write { offset, data } => {
-                            // Write fully before the in-flight entry is
-                            // released by `put`'s completion contract:
-                            // a fault either sees the in-flight bytes or
-                            // finds them on disk, never a torn page.
-                            if writer.seek(SeekFrom::Start(offset)).is_ok() {
-                                let _ = writer.write_all(&data);
-                            }
-                            pages_written.fetch_add(
-                                data.len().div_ceil(PAGE_SIZE as usize) as u64,
-                                Ordering::Relaxed,
-                            );
-                        }
-                        IoMsg::Shutdown => break,
-                    }
-                }
-            })
-            .expect("spawn spill I/O thread");
-        *sf.io.lock().unwrap() = Some(handle);
-        Ok(sf)
+            file,
+            inner: Mutex::default(),
+        })
     }
 
     /// The spill file's path (diagnostics and the serve drain sweep).
@@ -237,26 +203,23 @@ impl SpillFile {
         &self.path
     }
 
-    /// Spills one serialized object, returning its extent. The write
-    /// happens behind the caller's back on the I/O thread; until it
-    /// lands, faults are served from the in-flight table.
+    fn inner(&self) -> std::sync::MutexGuard<'_, SpillInner> {
+        self.inner.lock().expect("spill file lock poisoned")
+    }
+
+    /// Spills one serialized object, returning its extent. The bytes are
+    /// in the file (or the page cache) when this returns.
     pub fn put(&self, bytes: Vec<u8>) -> PageExtent {
-        let len = bytes.len() as u32;
+        let len = u32::try_from(bytes.len()).expect("spill object under 4 GiB");
         let pages = (bytes.len() as u64).div_ceil(PAGE_SIZE).max(1);
-        let page = self.alloc.lock().unwrap().alloc(pages);
-        let offset = page * PAGE_SIZE;
-        let data: Arc<[u8]> = bytes.into();
-        self.inflight
-            .lock()
-            .unwrap()
-            .insert(offset, Arc::clone(&data));
-        self.objects_out.fetch_add(1, Ordering::Relaxed);
-        self.bytes_out.fetch_add(len as u64, Ordering::Relaxed);
-        // Enqueue; on a full queue this blocks until the I/O thread
-        // drains (bounded write-behind, not unbounded buffering).
-        if let Some(tx) = self.tx.lock().unwrap().as_ref() {
-            let _ = tx.send(IoMsg::Write { offset, data });
+        let mut inner = self.inner();
+        let page = inner.alloc.alloc(pages);
+        if let Err(e) = self.file.write_all_at(&bytes, page * PAGE_SIZE) {
+            panic!("write spill file {}: {e}", self.path.display());
         }
+        inner.stats.objects_out += 1;
+        inner.stats.bytes_out += len as u64;
+        inner.stats.pages_written += pages;
         PageExtent {
             page,
             pages: pages as u32,
@@ -267,63 +230,33 @@ impl SpillFile {
     /// Faults one object back, consuming its extent (the pages return
     /// to the free list).
     pub fn get(&self, extent: PageExtent) -> Vec<u8> {
-        let offset = extent.page * PAGE_SIZE;
-        self.objects_in.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in
-            .fetch_add(extent.len as u64, Ordering::Relaxed);
-        // In-flight first: the disk may not have caught up. The entry
-        // stays in the table until explicitly trimmed — removal here
-        // would race the I/O thread's pending write.
-        let hit = self.inflight.lock().unwrap().get(&offset).cloned();
-        let out = if let Some(data) = hit {
-            self.queue_hits.fetch_add(1, Ordering::Relaxed);
-            data[..extent.len as usize].to_vec()
-        } else {
-            let mut buf = vec![0u8; extent.len as usize];
-            let mut f = self.reader.lock().unwrap();
-            f.seek(SeekFrom::Start(offset)).expect("seek spill file");
-            f.read_exact(&mut buf).expect("read spill extent");
-            self.pages_read
-                .fetch_add(extent.pages as u64, Ordering::Relaxed);
-            buf
-        };
-        self.free(extent);
-        out
+        let mut buf = vec![0u8; extent.len as usize];
+        if let Err(e) = self.file.read_exact_at(&mut buf, extent.page * PAGE_SIZE) {
+            panic!("read spill file {}: {e}", self.path.display());
+        }
+        let mut inner = self.inner();
+        inner.stats.objects_in += 1;
+        inner.stats.bytes_in += extent.len as u64;
+        inner.stats.pages_read += extent.pages as u64;
+        inner.alloc.free(extent.page, extent.pages as u64);
+        buf
     }
 
     /// Returns an extent's pages to the free list without reading it
-    /// (the object was dropped, e.g. an evicted spilled CAG).
+    /// (the object was dropped, e.g. an evicted spilled CAG). Freeing an
+    /// extent that `get` already consumed does nothing.
     pub fn free(&self, extent: PageExtent) {
-        let offset = extent.page * PAGE_SIZE;
-        self.inflight.lock().unwrap().remove(&offset);
-        self.alloc
-            .lock()
-            .unwrap()
-            .free(extent.page, extent.pages as u64);
+        self.inner().alloc.free(extent.page, extent.pages as u64);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> SpillFileStats {
-        SpillFileStats {
-            objects_out: self.objects_out.load(Ordering::Relaxed),
-            objects_in: self.objects_in.load(Ordering::Relaxed),
-            pages_written: self.pages_written.load(Ordering::Relaxed),
-            pages_read: self.pages_read.load(Ordering::Relaxed),
-            queue_hits: self.queue_hits.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-        }
+        self.inner().stats
     }
 }
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
-        if let Some(tx) = self.tx.lock().unwrap().take() {
-            let _ = tx.send(IoMsg::Shutdown);
-        }
-        if let Some(h) = self.io.lock().unwrap().take() {
-            let _ = h.join();
-        }
         let _ = std::fs::remove_file(&self.path);
     }
 }
@@ -387,7 +320,10 @@ pub(crate) fn decode_cag(bytes: &[u8]) -> crate::cag::Cag {
 /// Cursor-based counterpart of [`decode_cag`]: the encoding is
 /// self-delimiting, so several CAGs can be concatenated in one buffer
 /// (the distributed wire protocol's Output frames do exactly that).
+/// Hostname and program strings are shared within the decoded CAG, as
+/// they were before it was encoded.
 pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
+    let mut names = crate::intern::Interner::new();
     let id = d.u64();
     let finished = d.u8() != 0;
     let n = d.u32() as usize;
@@ -396,8 +332,8 @@ pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
         let ty = activity_type_from_code(d.u8());
         let ts = crate::activity::LocalTime(d.u64());
         let ts_last = crate::activity::LocalTime(d.u64());
-        let hostname = d.str().to_owned();
-        let program = d.str().to_owned();
+        let hostname = names.intern(d.str());
+        let program = names.intern(d.str());
         let pid = d.u32();
         let tid = d.u32();
         let channel = codec::get_channel(d);
@@ -576,16 +512,45 @@ mod tests {
     }
 
     #[test]
-    fn reads_before_writeback_are_served_from_the_queue() {
-        // put() then immediate get() must return the bytes even if the
-        // I/O thread has not written them yet; the queue-hit counter
-        // proves at least the accounting path exists (the race itself
-        // cannot be forced deterministically).
+    fn every_fault_is_a_file_round_trip() {
         let sf = SpillFile::create(&std::env::temp_dir()).unwrap();
         for i in 0..64u8 {
             let e = sf.put(vec![i; 2000]);
+            // The bytes are in the file, not in a table beside it.
+            let mut on_disk = vec![0u8; 2000];
+            File::open(sf.path())
+                .unwrap()
+                .read_exact_at(&mut on_disk, e.page * PAGE_SIZE)
+                .unwrap();
+            assert_eq!(on_disk, vec![i; 2000]);
             assert_eq!(sf.get(e), vec![i; 2000]);
         }
+        let st = sf.stats();
+        assert_eq!(st.pages_written, 128);
+        assert_eq!(st.pages_read, 128);
+        assert_eq!(st.queue_hits, 0);
+    }
+
+    #[test]
+    fn free_after_get_is_harmless() {
+        let sf = SpillFile::create(&std::env::temp_dir()).unwrap();
+        let extents: Vec<_> = (0..8u8).map(|i| sf.put(vec![i; 1500])).collect();
+        let kept = sf.put(vec![9; 700]);
+        for e in &extents {
+            sf.get(*e);
+        }
+        // `get` consumed these; freeing them again must not hand their
+        // pages out twice, nor the pages of a live extent.
+        for e in extents {
+            sf.free(e);
+        }
+        let a = sf.put(vec![1; 3000]);
+        let b = sf.put(vec![2; 3000]);
+        let c = sf.put(vec![3; 16 * 1024]);
+        assert_eq!(sf.get(kept), vec![9; 700]);
+        assert_eq!(sf.get(a), vec![1; 3000]);
+        assert_eq!(sf.get(b), vec![2; 3000]);
+        assert_eq!(sf.get(c), vec![3; 16 * 1024]);
     }
 
     #[test]
@@ -616,5 +581,11 @@ mod tests {
         assert_eq!(a.next_page, 1);
         a.free(0, 1);
         assert_eq!(a.next_page, 0);
+        // Freeing what is already free changes nothing.
+        a.free(0, 1);
+        assert_eq!(a.alloc(3), 0);
+        a.free(1, 1);
+        a.free(1, 1);
+        assert_eq!((a.alloc(1), a.alloc(2)), (1, 3));
     }
 }

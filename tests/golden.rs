@@ -696,6 +696,54 @@ fn golden_spill_faults_occur_without_recall_loss() {
     );
 }
 
+/// "Same victims" in tier-1, not only in the benchmark: under budgets
+/// that bind partly (between the 32 KiB where everything spillable
+/// spills and the 96 KiB where nothing does) `bulk_mix_drop` pages out
+/// and faults back exactly the objects the linear-scan spill tier did —
+/// `(spilled_cags, spilled_dedup_entries, spill_faults,
+/// spill_dedup_faults)` read on that commit. A different coldness order
+/// or byte figure moves these counts. The incremental feed polls
+/// between pushes, so coverage of live channels spills and faults back.
+#[test]
+fn golden_spill_victim_counts_are_pinned() {
+    let log_path = golden_dir().join("bulk_mix_drop.log");
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let directive = parse_directive(&text, &log_path);
+    let base = PipelineConfig::new(directive.access).with_window(directive.window);
+    let counts = |m: &CorrelatorMetrics| {
+        (
+            m.engine.spilled_cags,
+            m.spilled_dedup_entries,
+            m.engine.spill_faults,
+            m.spill_dedup_faults,
+        )
+    };
+    let batch = Pipeline::new(base.clone().with_memory_budget(64 << 10))
+        .unwrap()
+        .run(Source::path(&log_path))
+        .unwrap();
+    assert_eq!(counts(&batch.metrics), (43, 539, 43, 0));
+
+    let mut session = Pipeline::new(base.with_memory_budget(48 << 10).with_mode(Mode::Streaming))
+        .unwrap()
+        .session()
+        .unwrap();
+    for (i, rec) in parse_log(&text).unwrap().into_iter().enumerate() {
+        session.push(rec).unwrap();
+        if i.is_multiple_of(64) {
+            session.poll().unwrap();
+        }
+    }
+    let streamed = session.finish().unwrap();
+    assert_eq!(counts(&streamed.metrics), (61, 682, 62, 58));
+    // Every fault is a read from the spill file; nothing is served
+    // from memory the budget was supposed to have released.
+    for m in [&batch.metrics, &streamed.metrics] {
+        assert_eq!(m.spill_queue_hits, 0);
+        assert!(m.spill_pages_read >= m.engine.spill_faults + m.spill_dedup_faults);
+    }
+}
+
 /// The harness must actually be able to fail: perturbing a single
 /// vertex size in a correlation result changes the canonical rendering.
 #[test]
