@@ -145,19 +145,17 @@ fn main() {
         }
     }
     if json {
-        // Regression gate against the *checked-in* baseline: a
-        // sharded-speedup drop > 20% fails CI — and leaves the
+        // Regression gates against the *checked-in* baseline: a gated
+        // ratio moving > 20% the wrong way fails CI — and leaves the
         // committed file untouched, so a rerun cannot ratchet the
         // regressed number into the baseline.
-        let gates = [
-            check_sharded_regression(&base, "BENCH_baseline.json"),
-            check_ingest_regression(&base, "BENCH_baseline.json"),
-            check_binary_regression(&base, "BENCH_baseline.json"),
-            check_serve_regression(&base, "BENCH_baseline.json"),
-            check_spill_regression(&base, "BENCH_baseline.json"),
-            check_dist_regression(&base, "BENCH_baseline.json"),
-        ];
-        if let Some(msg) = gates.into_iter().filter_map(Result::err).next() {
+        let committed = std::fs::read_to_string("BENCH_baseline.json").unwrap_or_default();
+        // Every gate runs (and logs) before the first failure is reported.
+        let gates: Vec<_> = GATES
+            .iter()
+            .map(|g| check_gate(&base, &committed, g))
+            .collect();
+        if let Some(msg) = gates.into_iter().find_map(Result::err) {
             eprintln!("BENCH REGRESSION: {msg}");
             eprintln!("baseline file left unchanged");
             eprintln!("\ntotal wall time: {:?}", t0.elapsed());
@@ -168,204 +166,95 @@ fn main() {
     eprintln!("\ntotal wall time: {:?}", t0.elapsed());
 }
 
-/// Guards sharded throughput against regressions: compares the
-/// freshly measured `scale.sharded_speedup` (sharded vs batch in the
-/// *same run*, so machine speed and runner noise largely cancel)
-/// against the committed baseline file; errors when it regressed more
-/// than 20%. Core count does not cancel, but the committed baseline
-/// is recorded on a single-core container — the floor for the
-/// pipeline's work-reduction win — so multi-core runners only gain
-/// (reader/worker overlap) and the gate stays conservative. Missing
-/// files/keys (first run, partial experiment lists) pass silently.
-fn check_sharded_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == "scale.sharded_speedup") else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.sharded_speedup\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.sharded_speedup {current:.2}x fell more than 20% below the \
-             committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "sharded throughput gate: measured {current:.2}x batch vs committed {committed:.2}x — ok"
-    );
-    Ok(())
+/// A ratio the `--json` run gates against the committed baseline. Both
+/// sides of every ratio are measured in the same run, so machine speed
+/// and runner noise largely cancel; a move of more than 20% in the bad
+/// direction fails the run.
+struct Gate {
+    key: &'static str,
+    what: &'static str,
+    higher_is_better: bool,
 }
 
-/// Guards the parallel ingest front-end the same way: the measured
-/// ingest-vs-batch throughput ratio (same run, so machine speed
-/// cancels) must stay within 20% of the committed
-/// `scale.ingest_vs_batch`. Missing files/keys pass silently.
-fn check_ingest_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == "scale.ingest_vs_batch") else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.ingest_vs_batch\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.ingest_vs_batch {current:.2}x fell more than 20% below the \
-             committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "ingest throughput gate: measured {current:.2}x batch vs committed {committed:.2}x — ok"
-    );
-    Ok(())
-}
+/// Batch correlation is the yardstick of the first two and of the
+/// spill ratio: it is the steadiest number a run produces on a host
+/// whose second CPU comes and goes (±2% over three runs, where the
+/// sequential parse — the other candidate — moved ±20%). The price is
+/// that a PR which speeds batch up moves all three and must re-bless
+/// the file, saying so. Core count does not cancel in the threaded
+/// legs, but the committed baseline is recorded on a single-core
+/// container, so multi-core runners only gain and the gates stay
+/// conservative. Recall of the spill tier and content of the
+/// distributed run need no gate: the scale run asserts them outright.
+const GATES: [Gate; 6] = [
+    Gate {
+        key: "scale.sharded_speedup",
+        what: "sharded vs batch correlation",
+        higher_is_better: true,
+    },
+    Gate {
+        key: "scale.ingest_vs_batch",
+        what: "parallel scan vs batch correlation",
+        higher_is_better: true,
+    },
+    Gate {
+        key: "scale.binary_vs_text_ingest",
+        what: "PTBIN decode vs parallel text scan",
+        higher_is_better: true,
+    },
+    Gate {
+        key: "scale.serve_recall",
+        what: "fault-injected serve soak recall",
+        higher_is_better: true,
+    },
+    Gate {
+        key: "scale.spill_vs_batch_wall",
+        what: "spill at the tightest budget vs unbounded batch wall",
+        higher_is_better: false,
+    },
+    Gate {
+        key: "scale.dist_vs_sharded_wall",
+        what: "distributed vs sharded wall",
+        higher_is_better: false,
+    },
+];
 
-/// Guards the PTBIN decode path the same way: the measured
-/// binary-vs-text ingest ratio (same run, same corpus, so machine
-/// speed cancels) must stay within 20% of the committed
-/// `scale.binary_vs_text_ingest`. Missing files/keys pass silently.
-fn check_binary_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base
-        .0
-        .iter()
-        .find(|(k, _)| k == "scale.binary_vs_text_ingest")
-    else {
+/// Checks one gate. A key missing from this run (partial experiment
+/// list) or from the committed file (first run) passes silently.
+fn check_gate(base: &Baseline, committed: &str, gate: &Gate) -> Result<(), String> {
+    let Gate {
+        key,
+        what,
+        higher_is_better,
+    } = *gate;
+    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == key) else {
         return Ok(());
     };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
+    let quoted = format!("\"{key}\"");
+    let Some(committed) = committed
         .lines()
-        .find(|l| l.contains("\"scale.binary_vs_text_ingest\""))
+        .find(|l| l.contains(&quoted))
         .and_then(|l| l.split(':').nth(1))
         .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
     else {
         return Ok(());
     };
-    if current < committed * 0.8 {
+    let regressed = if higher_is_better {
+        current < committed * 0.8
+    } else {
+        current > committed * 1.2
+    };
+    if regressed {
+        let moved = if higher_is_better {
+            "fell more than 20% below"
+        } else {
+            "grew more than 20% over"
+        };
         return Err(format!(
-            "scale.binary_vs_text_ingest {current:.2}x fell more than 20% below \
-             the committed baseline {committed:.2}x"
+            "{key} ({what}) {current:.3} {moved} the committed baseline {committed:.3}"
         ));
     }
-    eprintln!("binary ingest gate: measured {current:.2}x text vs committed {committed:.2}x — ok");
-    Ok(())
-}
-
-/// Guards the online daemon's recall in the fault-injected soak: the
-/// freshly measured `scale.serve_recall` must stay within 20% of the
-/// committed baseline. Missing files/keys pass silently.
-fn check_serve_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == "scale.serve_recall") else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.serve_recall\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current < committed * 0.8 {
-        return Err(format!(
-            "scale.serve_recall {current:.4} fell more than 20% below the \
-             committed baseline {committed:.4}"
-        ));
-    }
-    eprintln!("serve soak gate: measured recall {current:.4} vs committed {committed:.4} — ok");
-    Ok(())
-}
-
-/// Guards the spill tier's overhead: the measured spill-vs-batch wall
-/// ratio at the tightest budget (same run, same corpus, so machine
-/// speed cancels) must not grow more than 20% over the committed
-/// `scale.spill_vs_batch_wall`. Recall needs no gate — the scale run
-/// asserts byte-identity outright. Missing files/keys pass silently.
-fn check_spill_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base
-        .0
-        .iter()
-        .find(|(k, _)| k == "scale.spill_vs_batch_wall")
-    else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.spill_vs_batch_wall\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current > committed * 1.2 {
-        return Err(format!(
-            "scale.spill_vs_batch_wall {current:.2}x grew more than 20% over the \
-             committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "spill overhead gate: measured {current:.2}x batch vs committed {committed:.2}x — ok"
-    );
-    Ok(())
-}
-
-/// Guards the distributed cluster's overhead: the measured
-/// distributed-vs-sharded wall ratio (same run, same corpus, so
-/// machine speed cancels) must not grow more than 20% over the
-/// committed `scale.dist_vs_sharded_wall`. Correctness needs no gate —
-/// the scale run asserts identical CAG content outright. Missing
-/// files/keys pass silently.
-fn check_dist_regression(base: &Baseline, path: &str) -> Result<(), String> {
-    let Some(&(_, current)) = base
-        .0
-        .iter()
-        .find(|(k, _)| k == "scale.dist_vs_sharded_wall")
-    else {
-        return Ok(());
-    };
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Some(committed) = text
-        .lines()
-        .find(|l| l.contains("\"scale.dist_vs_sharded_wall\""))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    if current > committed * 1.2 {
-        return Err(format!(
-            "scale.dist_vs_sharded_wall {current:.2}x grew more than 20% over \
-             the committed baseline {committed:.2}x"
-        ));
-    }
-    eprintln!(
-        "distributed overhead gate: measured {current:.2}x sharded vs committed {committed:.2}x — ok"
-    );
+    eprintln!("gate {key} ({what}): measured {current:.3} vs committed {committed:.3} — ok");
     Ok(())
 }
 
@@ -558,15 +447,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     let ingest_rps = records as f64 / ingest_par_secs.max(1e-9);
     let binary_rps = records as f64 / binary_dec_secs.max(1e-9);
     let batch_rps = records as f64 / batch_secs.max(1e-9);
-    // The scanner must never be the pipeline's bottleneck: the target
-    // is >= 5x the batch correlation rate (trivially cleared on real
-    // multi-core hardware; close on a contended one-core container).
-    if ingest_rps < 5.0 * batch_rps {
-        eprintln!(
-            "WARNING: parallel ingest at {ingest_rps:.0} rec/s fell below 5x the \
-             batch correlation rate {batch_rps:.0} rec/s on this run"
-        );
-    }
 
     // (b) Streaming under an 8 MiB budget (well above the ~2 MiB
     // natural working set: the budget must bound, not distort).
@@ -929,7 +809,7 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
 /// asserts the tier-1 floors (≥ 0.99; ≥ 0.95 at 1% loss and at 2%
 /// capture drop) so CI smoke runs fail on any regression. Throughput
 /// lands under the `scale.*` baseline keys (informational; the
-/// regression gate stays on `scale.sharded_speedup` alone).
+/// regression gates are the [`GATES`] of the scale and serve runs).
 /// Tag-free variant of [`cag_fingerprints`]: the live daemon re-parses
 /// records from disk, which strips the in-memory ground-truth tags, so
 /// live output is compared to the offline reference on every vertex

@@ -26,7 +26,11 @@
 //!   all; after optionally extending the fetch window
 //!   ([`RankerOptions::fetch_boost`]) the ranker discards it, which is
 //!   exactly the paper's `is_noise` predicate (no match in `mmap`, no
-//!   match in the ranker buffer).
+//!   match in the ranker buffer). Once every queue is closed the
+//!   predicate is decidable in O(1) — no pending send in the engine, no
+//!   SEND on the channel anywhere in the remaining input — and is
+//!   decided *before* the swap search; while a queue is open the SEND
+//!   may still arrive, so the ranker searches, then waits.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::mem::size_of;
@@ -812,23 +816,24 @@ impl Ranker {
                 self.counters.candidates += 1;
                 return RankStep::Candidate(self.pop(qi));
             }
-            // Stuck: every head is an unmatched RECEIVE.
-            if self.opts.swap && swap_budget > 0 && self.try_swap(oracle) {
+            // Stuck: every head is an unmatched RECEIVE. Could the winner
+            // ever match? Only if the engine holds a partial pending for
+            // its channel or a SEND on its channel still exists somewhere
+            // in the input.
+            let h = self.queues[qi].head().expect("the winner is a head");
+            let winner_has_pending = oracle.has_any_pending(h);
+            let winner_matchable = winner_has_pending || self.send_index.contains_key(&h.channel);
+            // Once every queue is closed the input is complete, so an
+            // unmatchable winner is decided now: no swap can surface a
+            // SEND that does not exist, and searching first costs a scan
+            // and a promotion per deliverable activity buffered behind it.
+            let decided = !winner_matchable && self.queues.iter().all(|q| q.closed);
+            if !decided && self.opts.swap && swap_budget > 0 && self.try_swap(oracle) {
                 swap_budget -= 1;
                 continue;
             }
-            // Could the winner ever match? Only if the engine holds a
-            // partial pending for its channel or a SEND on its channel
-            // still exists somewhere in the input. If so, extend the
-            // window until that send surfaces; if not, it is noise and
-            // boosting would be wasted work.
-            let (winner_matchable, winner_has_pending) = match self.queues[qi].head() {
-                Some(h) => (
-                    oracle.has_any_pending(h) || self.send_index.contains_key(&h.channel),
-                    oracle.has_any_pending(h),
-                ),
-                None => (false, false),
-            };
+            // A matchable winner: extend the window until its send
+            // surfaces. For noise, boosting would be wasted work.
             if winner_matchable && self.boost_fetch() {
                 continue;
             }
@@ -853,7 +858,7 @@ impl Ranker {
                 return RankStep::Candidate(victim);
             }
             // is_noise: no match in mmap (Rule 1 failed) and no match in
-            // the ranker buffer (try_swap found none).
+            // the ranker (no SEND on the channel, or try_swap found none).
             if self.opts.noise_discard {
                 self.counters.noise_discards += 1;
                 return RankStep::Noise(victim);
@@ -1539,6 +1544,212 @@ mod tests {
             RankStep::Candidate(a) => assert_eq!(a.ty, ActivityType::Receive),
             o => panic!("{o:?}"),
         }
+    }
+
+    /// Two queues stuck on unmatched RECEIVEs: `a`'s head (the Rule-2
+    /// winner, lowest timestamp) is from an untraced peer — no SEND on
+    /// its channel anywhere — with a BEGIN of another thread behind it.
+    fn noise_blocks_begin(opts: RankerOptions, close_b: bool) -> Ranker {
+        let mut r = Ranker::new(opts);
+        r.push(act_tid(
+            ActivityType::Receive,
+            10,
+            "a",
+            1,
+            "8.8.8.8:1",
+            "10.0.0.1:9",
+        ));
+        r.push(act_tid(
+            ActivityType::Begin,
+            11,
+            "a",
+            2,
+            "9.9.9.9:1",
+            "10.0.0.1:80",
+        ));
+        r.push(act_tid(
+            ActivityType::Receive,
+            20,
+            "b",
+            3,
+            "8.8.4.4:1",
+            "10.0.0.2:9",
+        ));
+        r.close_host("a");
+        if close_b {
+            r.close_host("b");
+        }
+        r
+    }
+
+    fn step_types(steps: &[RankStep]) -> Vec<(&'static str, Option<ActivityType>)> {
+        steps
+            .iter()
+            .map(|s| match s {
+                RankStep::Candidate(a) => ("candidate", Some(a.ty)),
+                RankStep::Noise(a) => ("noise", Some(a.ty)),
+                RankStep::NeedInput => ("need-input", None),
+                RankStep::Exhausted => ("exhausted", None),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn closed_input_decides_noise_before_the_swap_search() {
+        let mut r = noise_blocks_begin(RankerOptions::default(), true);
+        let steps = drain(&mut r, &NoOracle);
+        // A search-first ranker promotes the BEGIN over the blocker
+        // (1 swap) and delivers it ahead of the discard.
+        assert_eq!(
+            step_types(&steps),
+            [
+                ("noise", Some(ActivityType::Receive)),
+                ("candidate", Some(ActivityType::Begin)),
+                ("noise", Some(ActivityType::Receive)),
+                ("exhausted", None),
+            ]
+        );
+        assert_eq!(r.counters().swaps, 0);
+        assert_eq!(r.counters().noise_discards, 2);
+    }
+
+    #[test]
+    fn open_queue_keeps_the_swap_search_and_never_discards() {
+        // The SEND may still arrive on `b`: nothing is decidable, so the
+        // BEGIN is promoted and delivered and the ranker then waits.
+        let mut r = noise_blocks_begin(RankerOptions::default(), false);
+        let steps = drain(&mut r, &NoOracle);
+        assert_eq!(
+            step_types(&steps),
+            [
+                ("candidate", Some(ActivityType::Begin)),
+                ("need-input", None),
+            ]
+        );
+        assert_eq!(r.counters().swaps, 1);
+        assert_eq!(r.counters().noise_discards, 0);
+    }
+
+    #[test]
+    fn noise_discard_off_delivers_the_decided_receive_by_rule2() {
+        let opts = RankerOptions {
+            noise_discard: false,
+            ..RankerOptions::default()
+        };
+        let mut r = noise_blocks_begin(opts, true);
+        match r.rank(&NoOracle) {
+            RankStep::Candidate(a) => {
+                assert_eq!(
+                    (a.ty, a.ts),
+                    (ActivityType::Receive, LocalTime::from_nanos(10))
+                );
+            }
+            o => panic!("{o:?}"),
+        }
+        assert_eq!(r.counters().rule2, 1);
+        assert_eq!(r.counters().swaps, 0);
+    }
+
+    #[test]
+    fn staged_send_keeps_a_blocked_receive_out_of_the_noise_path() {
+        // `a`'s head waits on a SEND staged 50 ms behind `b`'s noise
+        // head, beyond the 1 ms window: closed queues or not, it is
+        // matchable, so it is boosted in and swapped up as before.
+        let streams = vec![
+            (
+                Arc::from("a"),
+                vec![act_tid(
+                    ActivityType::Receive,
+                    10,
+                    "a",
+                    1,
+                    "10.0.0.2:7",
+                    "10.0.0.1:6",
+                )],
+            ),
+            (
+                Arc::from("b"),
+                vec![
+                    act_tid(
+                        ActivityType::Receive,
+                        20,
+                        "b",
+                        20,
+                        "8.8.8.8:1",
+                        "10.0.0.2:9",
+                    ),
+                    act_tid(
+                        ActivityType::Send,
+                        50_000_000,
+                        "b",
+                        21,
+                        "10.0.0.2:7",
+                        "10.0.0.1:6",
+                    ),
+                ],
+            ),
+        ];
+        let opts = RankerOptions {
+            window: Nanos::from_millis(1),
+            ..RankerOptions::default()
+        };
+        let mut r = Ranker::from_streams(opts, streams);
+        let mut sent: std::collections::HashSet<Channel> = Default::default();
+        let mut steps = Vec::new();
+        loop {
+            let step = r.rank(&SetOracle(sent.clone()));
+            if let RankStep::Candidate(a) = &step {
+                if a.ty == ActivityType::Send {
+                    sent.insert(a.channel);
+                }
+            }
+            let done = step == RankStep::Exhausted;
+            steps.push(step);
+            if done {
+                break;
+            }
+        }
+        assert_eq!(
+            step_types(&steps),
+            [
+                ("candidate", Some(ActivityType::Send)),
+                ("candidate", Some(ActivityType::Receive)),
+                ("noise", Some(ActivityType::Receive)),
+                ("exhausted", None),
+            ]
+        );
+        assert!(r.counters().fetch_boosts > 0);
+        assert_eq!(r.counters().swaps, 1);
+        assert_eq!(r.counters().rule1, 1);
+    }
+
+    #[test]
+    fn partial_pending_is_force_delivered_not_discarded() {
+        // The engine holds a send on the channel that cannot cover the
+        // receive (its other segments were lost).
+        struct Partial;
+        impl MatchOracle for Partial {
+            fn rule1_matches(&self, _a: &Activity) -> bool {
+                false
+            }
+            fn has_any_pending(&self, _a: &Activity) -> bool {
+                true
+            }
+        }
+        let mut r = noise_blocks_begin(RankerOptions::default(), true);
+        // Matchable, so the search still runs first (the BEGIN).
+        let steps = drain(&mut r, &Partial);
+        assert_eq!(
+            step_types(&steps),
+            [
+                ("candidate", Some(ActivityType::Begin)),
+                ("candidate", Some(ActivityType::Receive)),
+                ("candidate", Some(ActivityType::Receive)),
+                ("exhausted", None),
+            ]
+        );
+        assert_eq!(r.counters().forced_deliveries, 2);
+        assert_eq!(r.counters().noise_discards, 0);
     }
 
     #[test]

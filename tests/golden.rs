@@ -744,6 +744,25 @@ fn golden_spill_victim_counts_are_pinned() {
     }
 }
 
+/// Deciding `is_noise` before the swap search must discard the same
+/// RECEIVEs and hand the engine the same candidates as searching first
+/// did — only the search goes. The counts are the ones the
+/// search-first ranker produced on this corpus (it crossed 824 slots
+/// to get there).
+#[test]
+fn golden_noise_decision_counts_are_pinned() {
+    let log_path = golden_dir().join("sim_c6_s6_seed42_noise.log");
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    let directive = parse_directive(&text, &log_path);
+    let out = Pipeline::new(PipelineConfig::new(directive.access).with_window(directive.window))
+        .unwrap()
+        .run(Source::path(&log_path))
+        .unwrap();
+    let r = &out.metrics.ranker;
+    assert_eq!((r.noise_discards, r.candidates), (850, 1745));
+    assert!(r.swaps < 824, "swaps {}", r.swaps);
+}
+
 /// The harness must actually be able to fail: perturbing a single
 /// vertex size in a correlation result changes the canonical rendering.
 #[test]

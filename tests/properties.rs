@@ -692,6 +692,49 @@ fn batch_equals_sharded_bytes_on_gap_damaged_corpora_for_100_seeds() {
     }
 }
 
+/// The same byte equality along a noise axis: ssh + untraced-MySQL
+/// rates × sliding windows from 2 ms to 10 s × seeds. The sharded
+/// reader never runs the ranker — it drops a RECEIVE whose channel has
+/// no SEND as an orphan at routing time — so it is the independent
+/// oracle for "discarding these RECEIVEs at the stuck point, before the
+/// swap search, changes no output byte", including the order in which
+/// the deliverable activities behind them reach the engine.
+#[test]
+fn batch_equals_sharded_bytes_under_noise_for_every_window() {
+    for (ssh, mysql) in [(20.0, 40.0), (0.0, 200.0), (150.0, 15.0)] {
+        for window_ms in [2u64, 10, 500, 10_000] {
+            for seed in 0u64..4 {
+                let mut cfg = rubis::ExperimentConfig::quick(5, 4);
+                cfg.seed = seed
+                    .wrapping_mul(0x9e3779b97f4a7c15)
+                    .wrapping_add(window_ms);
+                cfg.noise = rubis::NoiseSpec {
+                    ssh_msgs_per_sec: ssh,
+                    mysql_msgs_per_sec: mysql,
+                };
+                let out = rubis::run(cfg);
+                let config = out.correlator_config(Nanos::from_millis(window_ms));
+                let shards = 1 + (seed % 4) as usize;
+                let batch = run_mode(&config, Mode::Batch, out.records.clone());
+                let sharded = run_mode(&config, Mode::Sharded(shards), out.records);
+                let case = format!(
+                    "ssh {ssh} mysql {mysql} window {window_ms} ms seed {seed} shards {shards}"
+                );
+                assert!(batch.metrics.ranker.noise_discards > 0, "{case}: no noise");
+                assert_eq!(
+                    batch.metrics.ranker.noise_discards, sharded.metrics.ranker.noise_discards,
+                    "{case}: discard counts diverged"
+                );
+                assert_eq!(
+                    format!("{:?}{:?}", batch.cags, batch.unfinished),
+                    format!("{:?}{:?}", sharded.cags, sharded.unfinished),
+                    "{case}: batch and sharded bytes diverged"
+                );
+            }
+        }
+    }
+}
+
 /// The tentpole's dedup re-expression, pinned on the lossy corpus
 /// (`lossy_p01`'s scenario family captured through the v2 sniffer
 /// lane): deduplicating by `seq=` range arithmetic produces output
