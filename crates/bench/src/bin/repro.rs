@@ -291,11 +291,10 @@ fn cag_fingerprints(cags: &[Cag]) -> Vec<String> {
 
 /// The paper-scale streaming stress run (ROADMAP north star): a ≥10⁶
 /// record session correlated (a) in batch, (b) through the streaming
-/// path under an explicit memory budget, (c) with the adaptive window,
-/// (d) under a deliberately starved budget to demonstrate counted
-/// eviction, and (e) through the sharded parallel pipeline, whose CAG
-/// content must equal the batch path's and whose throughput must beat
-/// it. Panics if accuracy degrades, the budget is exceeded, or the
+/// path under an explicit memory budget, (c) with the adaptive window
+/// and (e) through the sharded parallel pipeline, whose CAG content
+/// must equal the batch path's and whose throughput must beat it; (f)
+/// and (g) walk the spill and adaptive-window budget curves. Panics if accuracy degrades, the budget is exceeded, or the
 /// scenario shrinks below 10⁶ records — the CI scale smoke runs
 /// exactly this.
 fn scale_stream(base: &mut Baseline, shards: usize) {
@@ -477,7 +476,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         "streaming peak {} bytes exceeds the {BUDGET} byte budget",
         fin.metrics.peak_bytes
     );
-    assert_eq!(fin.metrics.engine.budget_evicted_cags, 0);
     let sacc = out.truth.evaluate(&cags);
     assert!(sacc.is_perfect(), "streaming accuracy regression: {sacc:?}");
 
@@ -493,35 +491,11 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     assert!(aacc.is_perfect(), "adaptive accuracy regression: {aacc:?}");
     assert!(acorr.metrics.ranker.window_updates > 0);
 
-    // (d) Starved budget under the legacy shed policy: evictions must
-    // be counted, never silent, and the resident set must still respect
-    // the budget at sampling points.
-    let (tight, _) = out
-        .correlate_with(
-            out.correlator_config(Nanos::from_millis(10))
-                .with_memory_budget(1 << 20)
-                .with_shed_on_budget(),
-        )
-        .expect("valid config");
-    assert!(
-        tight.metrics.engine.budget_evicted_cags > 0,
-        "a 1 MiB shed budget must force evictions"
-    );
-    // Even starved below the working set, the resident state stays near
-    // the budget: sheddable state is evicted and the ranker's buffer
-    // cap backstops stuck-state window boosts. What remains is the
-    // unsheddable floor (unsealed finished paths + live contexts).
-    assert!(
-        tight.metrics.peak_bytes <= 2 << 20,
-        "starved-budget peak {} bytes should stay near the 1 MiB budget",
-        tight.metrics.peak_bytes
-    );
-
-    // (f) The spill tier (the budget default): shrink the budget and
-    // walk the budget-vs-recall-vs-latency curve. Unlike shedding,
-    // spilling only changes residency — every step must stay
-    // byte-identical to the unbounded batch run (recall 1.00), and the
-    // tightest step must have actually paged state out and back.
+    // (f) The spill tier: shrink the budget and walk the
+    // budget-vs-recall-vs-latency curve. Spilling only changes
+    // residency — every step must stay byte-identical to the unbounded
+    // batch run (recall 1.00), and the tightest step must have actually
+    // paged state out and back.
     let batch_prints = cag_fingerprints(&corr.cags);
     let mut spill_curve = Vec::new();
     for budget in [8 << 20, 4 << 20, 2 << 20, 1 << 20usize] {
@@ -542,7 +516,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
             batch_prints,
             "spill at {budget} B budget diverged from the unbounded batch run"
         );
-        assert_eq!(sp.metrics.engine.budget_evicted_cags, 0);
         let spilled = sp.metrics.engine.spilled_cags
             + sp.metrics.engine.spilled_orphans
             + sp.metrics.spilled_dedup_entries;
@@ -591,45 +564,29 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
 
     println!(
         "{}",
-        header(&["mode", "records", "corr_s", "rec/s", "peak_MB", "evicted"])
+        header(&["mode", "records", "corr_s", "rec/s", "peak_MB"])
     );
     let mb = |b: usize| b as f64 / 1e6;
     let sharded_label = format!("sharded_x{shards}");
-    for (mode, secs, peak, evicted) in [
-        ("batch", batch_secs, corr.metrics.peak_bytes, 0u64),
-        ("stream_8MiB", stream_secs, fin.metrics.peak_bytes, 0),
-        ("adaptive", adaptive_secs, acorr.metrics.peak_bytes, 0),
+    for (mode, secs, peak) in [
+        ("batch", batch_secs, corr.metrics.peak_bytes),
+        ("stream_8MiB", stream_secs, fin.metrics.peak_bytes),
+        ("adaptive", adaptive_secs, acorr.metrics.peak_bytes),
         (
             sharded_label.as_str(),
             sharded_secs,
             sharded.metrics.peak_bytes,
-            0,
         ),
-        (
-            "shed_1MiB",
-            f64::NAN,
-            tight.metrics.peak_bytes,
-            tight.metrics.engine.budget_evicted_cags,
-        ),
-        ("spill_1MiB", spill_secs, spill_metrics.peak_bytes, 0),
+        ("spill_1MiB", spill_secs, spill_metrics.peak_bytes),
     ] {
         println!(
             "{}",
             row(&[
                 mode.to_string(),
                 records.to_string(),
-                if secs.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{secs:.3}")
-                },
-                if secs.is_nan() {
-                    "-".into()
-                } else {
-                    format!("{:.0}", records as f64 / secs)
-                },
+                format!("{secs:.3}"),
+                format!("{:.0}", records as f64 / secs),
                 format!("{:.2}", mb(peak)),
-                evicted.to_string(),
             ])
         );
     }
@@ -726,10 +683,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     base.rec(
         "scale.adaptive_window_updates",
         acorr.metrics.ranker.window_updates as f64,
-    );
-    base.rec(
-        "scale.tight_budget_evicted_cags",
-        tight.metrics.engine.budget_evicted_cags as f64,
     );
     base.rec("scale.spill_budget_bytes", spill_budget as f64);
     base.rec("scale.spill_corr_secs", spill_secs);

@@ -56,25 +56,18 @@ pub struct CorrelatorConfig {
     /// Explicit resident-memory budget in bytes for the correlation
     /// state (window buffers + engine maps, per `approx_bytes`). When
     /// exceeded at a sampling point, cold state is paged out to the
-    /// spill tier (the default — recall is unaffected, see
-    /// [`CorrelatorConfig::spill_dir`]) or, under
-    /// [`CorrelatorConfig::shed_on_budget`], the stalest unfinished
-    /// CAGs are deterministically evicted until the state fits again;
-    /// both are surfaced in [`crate::engine::EngineCounters`]. `None`
-    /// disables budget enforcement.
+    /// spill tier (recall is unaffected, see
+    /// [`CorrelatorConfig::spill_dir`]), surfaced in
+    /// [`crate::engine::EngineCounters`]. `None` disables budget
+    /// enforcement.
     pub memory_budget: Option<usize>,
     /// Directory for the spill tier's temp file (deleted on drop).
     /// `None` uses the platform temp directory. Only consulted when a
-    /// memory budget is set and `shed_on_budget` is off — the spill
-    /// tier pages cold unfinished CAGs, orphan chains and range-dedup
-    /// coverage to disk and faults them back on touch, so a budgeted
-    /// run stays byte-identical to an unbounded one.
+    /// memory budget is set — the spill tier pages cold unfinished
+    /// CAGs, orphan chains and range-dedup coverage to disk and faults
+    /// them back on touch, so a budgeted run stays byte-identical to an
+    /// unbounded one.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Revert to the pre-spill budget policy: shed (drop) the stalest
-    /// state instead of spilling it. Bounds memory without any disk
-    /// I/O, at the cost of recall — every shed CAG is a request the
-    /// trace forgets.
-    pub shed_on_budget: bool,
     /// Sealing-latency bound (SLO) for streaming consumers: a finished
     /// CAG normally leaves the engine only once its context moves on
     /// (so trailing END chunks can still amend it), which under
@@ -111,15 +104,6 @@ pub struct CorrelatorConfig {
     /// `with_lane_settle_depth(0)`) parks indefinitely, the pre-serve
     /// finish-only behavior.
     pub lane_settle_depth: Option<u64>,
-    /// Sharded mode only: ship orphan-chain records (noise chatter the
-    /// batch engine absorbs into never-emitted orphan chains) to the
-    /// workers instead of dropping them reader-side. Dropping them —
-    /// the default — keeps them off the worker hot path and counts
-    /// them in [`crate::metrics::CorrelatorMetrics::orphan_dropped`];
-    /// enabling parity restores per-worker engine counters (orphan
-    /// merges, unmatched receives) identical to a single-shard run at
-    /// the cost of shipping noise.
-    pub orphan_parity: bool,
 }
 
 /// Default [`CorrelatorConfig::channel_idle_horizon`]: a channel whose
@@ -148,11 +132,9 @@ impl CorrelatorConfig {
             mem_sample_every: 64,
             memory_budget: None,
             spill_dir: None,
-            shed_on_budget: false,
             max_seal_lag: None,
             channel_idle_horizon: Some(DEFAULT_CHANNEL_IDLE_HORIZON),
             lane_settle_depth: Some(DEFAULT_LANE_SETTLE_DEPTH),
-            orphan_parity: false,
         }
     }
 
@@ -188,13 +170,6 @@ impl CorrelatorConfig {
         self
     }
 
-    /// Sheds state under budget pressure instead of spilling it (see
-    /// [`CorrelatorConfig::shed_on_budget`]).
-    pub fn with_shed_on_budget(mut self) -> Self {
-        self.shed_on_budget = true;
-        self
-    }
-
     /// Bounds the sealing latency of finished CAGs to `lag` delivered
     /// candidates (see [`CorrelatorConfig::max_seal_lag`]).
     pub fn with_max_seal_lag(mut self, lag: u64) -> Self {
@@ -215,14 +190,6 @@ impl CorrelatorConfig {
     /// [`CorrelatorConfig::lane_settle_depth`]).
     pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
         self.lane_settle_depth = (depth != 0).then_some(depth);
-        self
-    }
-
-    /// Ships sharded orphan-chain records to the workers instead of
-    /// dropping them reader-side (see
-    /// [`CorrelatorConfig::orphan_parity`]).
-    pub fn with_orphan_parity(mut self) -> Self {
-        self.orphan_parity = true;
         self
     }
 
@@ -307,7 +274,7 @@ pub struct CorrelationOutput {
 impl CorrelationOutput {
     /// Renumbers and reorders CAGs into the canonical root order the
     /// sharded merge uses (sort key: root BEGIN timestamp, context,
-    /// channel, size, vertex count — see `ShardedCorrelator::merge`).
+    /// channel, size, vertex count — see `ReaderCore::merge`).
     ///
     /// [`Pipeline::run`](crate::pipeline::Pipeline::run) applies this
     /// to batch and streaming results so every mode emits the same
@@ -331,7 +298,7 @@ pub(crate) struct Correlator {
 
 /// Renumbers and reorders batch CAGs into the canonical root order the
 /// sharded merge uses (sort key: root BEGIN timestamp, context,
-/// channel, size, vertex count — see `ShardedCorrelator::merge`). On
+/// channel, size, vertex count — see `ReaderCore::merge`). On
 /// well-ordered corpora the engine already seals in root order and this
 /// is the identity; on gap-damaged corpora lost records shuffle
 /// BEGIN-delivery order, and without canonicalization batch ids and
@@ -464,8 +431,8 @@ pub(crate) struct StreamingCorrelator {
     /// arithmetic, v1 `retrans` marker fallback.
     range_dedup: RangeDedup,
     metrics: CorrelatorMetrics,
-    /// Spill tier backing file (present iff a memory budget is set and
-    /// shedding was not requested); shared with the engine.
+    /// Spill tier backing file (present iff a memory budget is set);
+    /// shared with the engine.
     spill_file: Option<Arc<crate::spill::SpillFile>>,
     /// Range-dedup coverage entries currently paged out, by key.
     spilled_dedup: crate::fasthash::FxHashMap<
@@ -489,8 +456,6 @@ pub(crate) struct StreamingCorrelator {
     /// Context count after the last budget-pressure context GC, so the
     /// O(contexts) sweep only reruns once enough new entries piled up.
     last_prune_contexts: usize,
-    /// `PT_BUDGET_DEBUG` was set: trace budget pressure to stderr.
-    debug_budget: bool,
     /// Set by `finish`; all further calls return `TraceError::Finished`.
     finished: bool,
 }
@@ -530,24 +495,14 @@ impl StreamingCorrelator {
     }
 
     fn build(config: CorrelatorConfig) -> Result<Self, TraceError> {
-        let mut ranker_opts = config.ranker;
-        let spill_mode = config.memory_budget.is_some() && !config.shed_on_budget;
-        // In shedding mode the budget backstops the window buffers too:
-        // stuck-state boosts must not fetch past it. In spill mode the
-        // ranker stays uncapped — capping it would change candidate
-        // selection, and the whole point of spilling is that a budgeted
-        // run makes exactly the decisions an unbounded run makes.
-        if ranker_opts.buffer_cap_bytes.is_none() && !spill_mode {
-            ranker_opts.buffer_cap_bytes = config.memory_budget;
-        }
-        let mut ranker = Ranker::new(ranker_opts);
+        let mut ranker = Ranker::new(config.ranker);
         // Under the adaptive policy the budget additionally caps the
         // window itself — window buffers cannot spill, so their ceiling
         // must scale with what the budget can hold.
         ranker.set_adaptive_budget(config.memory_budget);
         let mut engine = Engine::new(config.engine.clone());
         let mut spill_file = None;
-        if spill_mode {
+        if config.memory_budget.is_some() {
             let dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             let file = Arc::new(crate::spill::SpillFile::create(&dir).map_err(|e| {
                 TraceError::config(format!(
@@ -576,7 +531,6 @@ impl StreamingCorrelator {
             ready: Vec::new(),
             direct: false,
             last_prune_contexts: 0,
-            debug_budget: std::env::var_os("PT_BUDGET_DEBUG").is_some(),
             finished: false,
         })
     }
@@ -739,26 +693,15 @@ impl StreamingCorrelator {
             self.last_prune_contexts = self.engine.context_count();
         }
         if let Some(budget) = self.memory_budget {
-            if self.engine.spill_enabled() {
-                self.spill_to_budget(budget);
-            } else {
-                self.shed_to_budget(budget);
-            }
+            self.spill_to_budget(budget);
         }
         let cur = self.ranker.approx_bytes() + self.engine.approx_bytes();
-        if self.debug_budget && cur > self.metrics.peak_bytes {
-            eprintln!(
-                "peak -> {cur} (ranker={} engine={:?})",
-                self.ranker.approx_bytes(),
-                self.engine.approx_breakdown()
-            );
-        }
         self.metrics.peak_bytes = self.metrics.peak_bytes.max(cur);
     }
 
-    /// Budget enforcement, spill flavor: page cold state out (unfinished
-    /// CAGs, orphan chains, then range-dedup coverage) until resident
-    /// state fits. Nothing is dropped — output stays byte-identical to
+    /// Budget enforcement: page cold state out (unfinished CAGs, orphan
+    /// chains, then range-dedup coverage) until resident state fits.
+    /// Nothing is dropped — output stays byte-identical to
     /// an unbounded run; only faults pay latency.
     fn spill_to_budget(&mut self, budget: usize) {
         while self.ranker.approx_bytes()
@@ -777,14 +720,6 @@ impl StreamingCorrelator {
             if self.engine.context_count() >= self.last_prune_contexts + Self::CMAP_GC_GROWTH {
                 self.engine.prune_stale_contexts();
                 self.last_prune_contexts = self.engine.context_count();
-            }
-            if self.debug_budget {
-                eprintln!(
-                    "over budget after spill: ranker={} engine={:?} dedup={}",
-                    self.ranker.approx_bytes(),
-                    self.engine.approx_breakdown(),
-                    self.range_dedup.approx_bytes()
-                );
             }
             break;
         }
@@ -806,32 +741,6 @@ impl StreamingCorrelator {
         self.spilled_dedup.insert(key, ext);
         self.metrics.spilled_dedup_entries += 1;
         true
-    }
-
-    /// Budget enforcement, shedding flavor (`--shed-on-budget`): drop
-    /// the stalest state until resident state fits.
-    fn shed_to_budget(&mut self, budget: usize) {
-        while self.ranker.approx_bytes() + self.engine.approx_bytes() > budget {
-            // Deterministic shedding: stalest unfinished CAG, then
-            // oldest orphans/pendings; counted, never silent.
-            if !self.engine.shed_one() {
-                // Nothing evictable left; reclaim dead context-map
-                // entries, but only once enough piled up since the
-                // last sweep (the sweep is O(contexts)).
-                if self.engine.context_count() >= self.last_prune_contexts + Self::CMAP_GC_GROWTH {
-                    self.engine.prune_stale_contexts();
-                    self.last_prune_contexts = self.engine.context_count();
-                }
-                if self.debug_budget {
-                    eprintln!(
-                        "over budget after shed: ranker={} engine={:?}",
-                        self.ranker.approx_bytes(),
-                        self.engine.approx_breakdown()
-                    );
-                }
-                break;
-            }
-        }
     }
 
     /// Current approximate resident bytes (window buffers + engine
@@ -886,12 +795,7 @@ impl StreamingCorrelator {
         metrics.wall = self.started.elapsed();
         metrics.final_bytes = self.ranker.approx_bytes() + self.engine.approx_bytes();
         metrics.peak_bytes = metrics.peak_bytes.max(metrics.final_bytes);
-        // Deformed paths = those still open at end of input plus those
-        // the memory budget evicted along the way (the evicted ones are
-        // dropped, not returned — holding them would defeat the budget
-        // — but they must not vanish from the count).
-        metrics.cags_unfinished =
-            unfinished.len() as u64 + self.engine.counters().budget_evicted_cags;
+        metrics.cags_unfinished = unfinished.len() as u64;
         metrics.ranker = *self.ranker.counters();
         metrics.engine = *self.engine.counters();
         if let Some(file) = &self.spill_file {
@@ -1165,49 +1069,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_evicts_stalest_unfinished_cags() {
-        // Open many never-ending requests (BEGIN, no END): unfinished
-        // CAGs accumulate until the budget forces deterministic eviction
-        // of the oldest ones, surfaced in the engine counters. Uses the
-        // explicit shedding policy; the default pages out to the spill
-        // tier instead (covered by the spill tests below).
-        let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
-        let mut cfg = CorrelatorConfig::new(access)
-            .with_memory_budget(8 * 1024)
-            .with_shed_on_budget();
-        cfg.mem_sample_every = 8;
-        let mut sc = StreamingCorrelator::new(cfg).unwrap();
-        for i in 0..2_000u64 {
-            sc.push(
-                format!(
-                    "{} web httpd 7 7 RECEIVE 192.168.0.9:{}-10.0.0.1:80 100",
-                    i * 1_000_000,
-                    5_000 + (i % 50_000),
-                )
-                .parse()
-                .unwrap(),
-            )
-            .unwrap();
-            let _ = sc.poll().unwrap();
-        }
-        assert!(
-            sc.approx_bytes() <= 8 * 1024,
-            "resident {} bytes exceeds the 8 KiB budget",
-            sc.approx_bytes()
-        );
-        let out = sc.finish().unwrap();
-        assert!(
-            out.metrics.engine.budget_evicted_cags > 0,
-            "evictions must be surfaced in the counters: {:?}",
-            out.metrics.engine
-        );
-        assert!(out.metrics.peak_bytes <= 8 * 1024 + 4 * 1024);
-    }
-
-    #[test]
     fn without_budget_the_same_load_grows_past_it() {
-        // Sanity check for the test above: the eviction is what keeps
-        // the resident set under the budget.
+        // Sanity check for the spill test below: paging out is what
+        // keeps the resident set near the budget.
         let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
         let mut cfg = CorrelatorConfig::new(access);
         cfg.mem_sample_every = 8;
@@ -1225,17 +1089,17 @@ mod tests {
             .unwrap();
             let _ = sc.poll().unwrap();
         }
-        assert!(sc.approx_bytes() > 8 * 1024);
+        assert!(sc.approx_bytes() > 16 * 1024);
         let out = sc.finish().unwrap();
-        assert_eq!(out.metrics.engine.budget_evicted_cags, 0);
+        assert_eq!(out.metrics.engine.spilled_cags, 0);
     }
 
     #[test]
     fn spill_tier_bounds_memory_without_losing_recall() {
-        // Same never-ending load as the shedding test, but under the
-        // default budget policy: cold CAGs page out to the spill file
-        // instead of being dropped, and every one of them comes back as
-        // a deformed path at finish — bounded memory, recall 1.00.
+        // Many never-ending requests (BEGIN, no END) under a budget:
+        // cold CAGs page out to the spill file and every one of them
+        // comes back as a deformed path at finish — bounded memory,
+        // recall 1.00.
         let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
         let mut cfg = CorrelatorConfig::new(access).with_memory_budget(8 * 1024);
         cfg.mem_sample_every = 8;
@@ -1259,7 +1123,6 @@ mod tests {
             sc.approx_bytes()
         );
         let out = sc.finish().unwrap();
-        assert_eq!(out.metrics.engine.budget_evicted_cags, 0);
         assert!(out.metrics.engine.spilled_cags > 0, "nothing spilled");
         assert!(out.metrics.engine.spill_faults > 0, "nothing faulted");
         assert_eq!(out.unfinished.len(), 2_000, "spill must not cost recall");

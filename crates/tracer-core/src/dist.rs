@@ -1,5 +1,5 @@
-//! Multi-process distributed correlation: router peers over sockets
-//! with claim exchange and a canonical cluster merge.
+//! Multi-process distributed correlation: the routed front-end over
+//! router peers on sockets.
 //!
 //! [`Mode::Sharded`](crate::pipeline::Mode::Sharded) scales correlation
 //! to one machine's cores; this module scales it past one process. The
@@ -14,24 +14,25 @@
 //!  (the ONE sequential reader)        └ router N-1: …         ┘            merge
 //! ```
 //!
-//! * The **coordinator** runs the exact same reader-side front-end as
-//!   the sharded pipeline ([`ReaderCore`]): the sequential
-//!   [`SessionRouter`](crate::shard) assigns every activity to one of
-//!   `routers × workers_per_router` **global shards**, so a session
-//!   whose records straddle router inputs is owned by exactly one
-//!   worker — the session-assignment *claims* are what travels on the
-//!   wire, never raw unrouted records.
+//! * The **coordinator** is the sharded pipeline's own front-end
+//!   (`shard::RoutedCorrelator`) with a different `ShardSink`: the
+//!   sequential session router assigns every activity to one of
+//!   `routers × workers_per_router` **global shards**, and where the
+//!   thread sink hands a full batch to a channel, the `Cluster` sink
+//!   writes it as a Claim frame — the session-assignment *claims* are
+//!   what travels on the wire, never raw unrouted records, and they
+//!   leave as the routing pass produces them.
 //! * Each **router peer** (a spawned child process, a TCP-connected
 //!   remote `pt router --listen`, or an in-process thread) hosts a
-//!   block of `workers_per_router` shard workers and streams claim
-//!   batches into them exactly like the in-process sharded pipeline.
-//! * At end of input the coordinator collects every worker's
-//!   [`CorrelationOutput`] in global shard order and performs the
+//!   `WorkerBlock` of `workers_per_router` shard workers — the very
+//!   sink `Mode::Sharded` runs — and feeds it the claim batches.
+//! * At end of input the cluster collects every worker's
+//!   [`CorrelationOutput`] in global shard order for the front-end's
 //!   canonical merge (sort by CAG root, renumber) — so cluster output
 //!   is **byte-identical** to single-process `Mode::Sharded` with the
 //!   same total shard count, on every corpus and over every transport.
 //!
-//! ## Wire protocol
+//! ## Wire protocol (PTDC v2)
 //!
 //! Length-prefixed binary frames in PTBIN style (little-endian,
 //! length-prefixed strings, incremental interning):
@@ -59,27 +60,20 @@
 //! [`TraceError::Router`] carrying the exit status and stderr tail —
 //! never a hang: writes to a half-closed socket fail with broken-pipe
 //! (Rust ignores `SIGPIPE`), reads see EOF. Spawned children are
-//! killed and reaped on coordinator drop, and per-router spill
-//! directories are removed after the drain.
+//! killed and reaped, and per-router spill directories removed, when
+//! the cluster drops — after the drain, or on any error before it.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use crate::correlator::{CorrelationOutput, CorrelatorConfig, StreamingCorrelator};
+use crate::correlator::{CorrelationOutput, CorrelatorConfig};
 use crate::error::TraceError;
-use crate::raw::{parse_log_iter, RawRecord, RawRecordRef};
-use crate::shard::{run_worker, worker_config, ReaderCore, ShardMsg, MAX_SHARDS};
-
-/// Activities per Claim frame batch — matches the sharded pipeline's
-/// channel batching so a worker sees identical batch boundaries.
-const BATCH_RECORDS: usize = 4_096;
-
-/// Bounded worker-channel capacity inside a router peer, in batches.
-const CHANNEL_BATCHES: usize = 8;
+use crate::shard::{
+    worker_config, RoutedCorrelator, ShardMsg, ShardSink, WorkerBlock, BATCH_RECORDS, MAX_SHARDS,
+};
 
 /// Bounded in-process duplex pipe capacity, in write chunks.
 const PIPE_CHUNKS: usize = 64;
@@ -132,7 +126,7 @@ pub(crate) mod wire {
     use crate::spill::{decode_cag_from, encode_cag};
 
     pub const MAGIC: u32 = 0x5054_4443; // "PTDC"
-    pub const VERSION: u32 = 1;
+    pub const VERSION: u32 = 2;
 
     pub const FRAME_HELLO: u8 = 1;
     pub const FRAME_CLAIM: u8 = 2;
@@ -384,11 +378,9 @@ pub(crate) mod wire {
             mem_sample_every,
             memory_budget,
             spill_dir,
-            shed_on_budget,
             max_seal_lag,
             channel_idle_horizon,
             lane_settle_depth,
-            orphan_parity,
         } = cfg;
         let ports: Vec<u16> = access.frontend_ports().collect();
         put_u32(buf, ports.len() as u32);
@@ -406,7 +398,6 @@ pub(crate) mod wire {
             swap,
             fetch_boost,
             noise_discard,
-            buffer_cap_bytes,
         } = ranker;
         put_u64(buf, window.0);
         match *window_policy {
@@ -421,7 +412,6 @@ pub(crate) mod wire {
         put_u8(buf, *swap as u8);
         put_u32(buf, *fetch_boost);
         put_u8(buf, *noise_discard as u8);
-        put_opt_u64(buf, buffer_cap_bytes.map(|v| v as u64));
         let EngineOptions {
             merge_segments,
             thread_reuse_check,
@@ -445,11 +435,9 @@ pub(crate) mod wire {
             }
             None => put_u8(buf, 0),
         }
-        put_u8(buf, *shed_on_budget as u8);
         put_opt_u64(buf, *max_seal_lag);
         put_opt_u64(buf, *channel_idle_horizon);
         put_opt_u64(buf, *lane_settle_depth);
-        put_u8(buf, *orphan_parity as u8);
     }
 
     pub fn get_config(d: &mut Dec<'_>) -> CorrelatorConfig {
@@ -474,7 +462,6 @@ pub(crate) mod wire {
         cfg.ranker.swap = d.u8() != 0;
         cfg.ranker.fetch_boost = d.u32();
         cfg.ranker.noise_discard = d.u8() != 0;
-        cfg.ranker.buffer_cap_bytes = get_opt_u64(d).map(|v| v as usize);
         cfg.engine.merge_segments = d.u8() != 0;
         cfg.engine.thread_reuse_check = d.u8() != 0;
         cfg.engine.amend_finished = d.u8() != 0;
@@ -484,11 +471,9 @@ pub(crate) mod wire {
         cfg.mem_sample_every = d.u64();
         cfg.memory_budget = get_opt_u64(d).map(|v| v as usize);
         cfg.spill_dir = (d.u8() != 0).then(|| PathBuf::from(d.str()));
-        cfg.shed_on_budget = d.u8() != 0;
         cfg.max_seal_lag = get_opt_u64(d);
         cfg.channel_idle_horizon = get_opt_u64(d);
         cfg.lane_settle_depth = get_opt_u64(d);
-        cfg.orphan_parity = d.u8() != 0;
         cfg
     }
 
@@ -565,8 +550,6 @@ pub(crate) mod wire {
             evicted_pendings,
             evicted_orphans,
             abandoned_cags,
-            budget_evicted_cags,
-            budget_evicted_vertices,
             pruned_contexts,
             forced_seals,
             gap_retired_pendings,
@@ -591,8 +574,6 @@ pub(crate) mod wire {
             *evicted_pendings,
             *evicted_orphans,
             *abandoned_cags,
-            *budget_evicted_cags,
-            *budget_evicted_vertices,
             *pruned_contexts,
             *forced_seals,
             *gap_retired_pendings,
@@ -622,8 +603,6 @@ pub(crate) mod wire {
             evicted_pendings: d.u64(),
             evicted_orphans: d.u64(),
             abandoned_cags: d.u64(),
-            budget_evicted_cags: d.u64(),
-            budget_evicted_vertices: d.u64(),
             pruned_contexts: d.u64(),
             forced_seals: d.u64(),
             gap_retired_pendings: d.u64(),
@@ -872,7 +851,7 @@ fn serve_inner<R: Read, W: Write>(
             wire::VERSION
         )));
     }
-    let router_index = d.u32();
+    d.u32(); // the router's index: only the coordinator's errors name it
     let workers = d.u32() as usize;
     if workers == 0 || workers > MAX_SHARDS {
         return Err(proto(format!("worker count {workers} out of range")));
@@ -884,15 +863,7 @@ fn serve_inner<R: Read, W: Write>(
         })?;
     }
 
-    let mut txs = Vec::with_capacity(workers);
-    let mut handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let sc = StreamingCorrelator::direct_for_activities(cfg.clone())?;
-        let (tx, rx): (SyncSender<Vec<ShardMsg>>, Receiver<Vec<ShardMsg>>) =
-            sync_channel(CHANNEL_BATCHES);
-        txs.push(tx);
-        handles.push(std::thread::spawn(move || run_worker(sc, rx)));
-    }
+    let mut block = WorkerBlock::spawn(&cfg, workers)?;
 
     // Claim stream until Finish.
     let mut dec = wire::StrDec::default();
@@ -904,11 +875,20 @@ fn serve_inner<R: Read, W: Write>(
             wire::FRAME_CLAIM => {
                 let mut d = crate::spill::codec::Dec::new(&buf);
                 let worker = d.u32() as usize;
-                if worker >= txs.len() {
-                    return Err(proto(format!("claim for worker {worker} of {}", txs.len())));
+                if worker >= workers {
+                    return Err(proto(format!("claim for worker {worker} of {workers}")));
                 }
                 let count = d.u32() as usize;
-                let mut batch = Vec::with_capacity(count);
+                // Every encoded message takes at least one byte: a
+                // count its own frame cannot hold is a lie, and must
+                // not size an allocation.
+                if count > buf.len() {
+                    return Err(proto(format!(
+                        "claim of {count} messages in a {}-byte frame",
+                        buf.len()
+                    )));
+                }
+                let mut batch = Vec::with_capacity(count.min(BATCH_RECORDS));
                 for _ in 0..count {
                     batch.push(
                         wire::get_msg(&mut d, &mut dec)
@@ -918,23 +898,16 @@ fn serve_inner<R: Read, W: Write>(
                 if !d.is_empty() {
                     return Err(proto("trailing bytes in claim frame".into()));
                 }
-                txs[worker]
-                    .send(batch)
-                    .map_err(|_| TraceError::config("router worker terminated unexpectedly"))?;
+                block.send(worker, batch)?;
             }
             wire::FRAME_FINISH => break,
             ty => return Err(proto(format!("unexpected frame type {ty} in claim stream"))),
         }
     }
 
-    // Drain: hang up worker channels, join, ship outputs in local
-    // worker order (the coordinator relies on it for the global shard
-    // order of the canonical merge).
-    drop(txs);
-    for (i, handle) in handles.into_iter().enumerate() {
-        let out = handle
-            .join()
-            .map_err(|_| TraceError::config("router worker panicked"))??;
+    // Drain: ship outputs in local worker order (the coordinator
+    // relies on it for the global shard order of the canonical merge).
+    for (i, out) in block.collect()?.into_iter().enumerate() {
         fw.send(wire::FRAME_OUTPUT, |buf| {
             wire::put_output(buf, i as u32, &out);
         })
@@ -948,7 +921,6 @@ fn serve_inner<R: Read, W: Write>(
     if let Some(dir) = &cfg.spill_dir {
         crate::spill::sweep_process_spill_files(dir);
     }
-    let _ = router_index;
     Ok(())
 }
 
@@ -1003,6 +975,8 @@ enum PeerKind {
 struct Peer {
     writer: wire::FrameWriter<Box<dyn Write + Send>>,
     reader: io::BufReader<Box<dyn Read + Send>>,
+    /// This connection's claim string table.
+    enc: wire::StrEnc,
     kind: PeerKind,
     /// Set once this peer's failure has been diagnosed (avoid
     /// double-reaping in Drop).
@@ -1045,98 +1019,66 @@ impl Peer {
     }
 }
 
-/// The distributed correlation coordinator — the engine behind
-/// [`Mode::Distributed`](crate::pipeline::Mode::Distributed); callers
-/// reach it through [`crate::pipeline::Pipeline`]. See the module docs
-/// for the architecture and the byte-identity contract.
-pub(crate) struct DistCorrelator {
-    core: ReaderCore,
+/// The distributed pipeline — the engine behind
+/// [`Mode::Distributed`](crate::pipeline::Mode::Distributed): the
+/// routed front-end over a [`Cluster`] of `routers` peers. The topology
+/// must already be validated ([`crate::pipeline::PipelineConfig::validate`]).
+///
+/// # Errors
+///
+/// Returns a [`TraceError::Router`] when a peer cannot be reached.
+pub(crate) fn distributed(
+    config: &CorrelatorConfig,
+    routers: usize,
+    workers_per_router: usize,
+    transport: &RouterTransport,
+) -> Result<RoutedCorrelator, TraceError> {
+    let wpr = workers_per_router.max(1);
+    // Workers get the same budget split as Mode::Sharded(total) — a
+    // precondition of byte-identical spill behavior.
+    let total = routers * wpr;
+    let cluster = Cluster::connect(&worker_config(config, total), routers, wpr, transport)?;
+    Ok(RoutedCorrelator::new(config, total, Box::new(cluster)))
+}
+
+/// The PTDC sink: global shard `s` lives on router `s / wpr` as local
+/// worker `s % wpr` (contiguous blocks), so collecting peer by peer IS
+/// global shard order. Owns the peers, their string tables and the
+/// per-router spill directories; dropping it — on any path, including a
+/// failed [`Cluster::connect`] — kills and reaps what it started and
+/// removes what it created.
+struct Cluster {
     peers: Vec<Peer>,
     workers_per_router: usize,
-    /// Per-global-shard batch under construction.
-    pending: Vec<Vec<ShardMsg>>,
-    /// Per-peer claim string tables.
-    encs: Vec<wire::StrEnc>,
-    /// Per-router spill subdirectories this coordinator created (and
-    /// removes after the drain).
+    /// Per-router spill subdirectories this coordinator created.
     spill_dirs: Vec<PathBuf>,
-    started: Instant,
-    finished: bool,
 }
 
-impl std::fmt::Debug for DistCorrelator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistCorrelator")
-            .field("routers", &self.peers.len())
-            .field("workers_per_router", &self.workers_per_router)
-            .field("finished", &self.finished)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DistCorrelator {
-    /// Connects `routers` router peers of `workers_per_router` workers
-    /// each over `transport` and sends their Hello frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error for an invalid config or topology
-    /// and a [`TraceError::Router`] when a peer cannot be reached.
-    pub fn new(
-        config: CorrelatorConfig,
+impl Cluster {
+    /// Connects `routers` peers over `transport` and sends each its
+    /// Hello with `worker_cfg`.
+    fn connect(
+        worker_cfg: &CorrelatorConfig,
         routers: usize,
         workers_per_router: usize,
         transport: &RouterTransport,
     ) -> Result<Self, TraceError> {
-        config.validate()?;
-        let wpr = workers_per_router.max(1);
-        if routers == 0 {
-            return Err(TraceError::config(
-                "distributed mode needs at least 1 router",
-            ));
-        }
-        if routers > MAX_ROUTERS {
-            return Err(TraceError::config(format!(
-                "router count {routers} exceeds the maximum of {MAX_ROUTERS}"
-            )));
-        }
-        let total = routers * wpr;
-        if total > MAX_SHARDS {
-            return Err(TraceError::config(format!(
-                "{routers} routers x {wpr} workers = {total} shards exceeds the maximum of {MAX_SHARDS}"
-            )));
-        }
-        if let RouterTransport::Connect { addrs } = transport {
-            if addrs.len() != routers {
-                return Err(TraceError::config(format!(
-                    "{} router addresses for {routers} routers",
-                    addrs.len()
-                )));
-            }
-        }
-
-        // The one canonical reader over the global shard space: global
-        // shard s lives on router s / wpr as local worker s % wpr
-        // (contiguous blocks), so output collection order IS global
-        // shard order.
-        let core = ReaderCore::new(&config, total as u32);
-        // Workers get the same budget split as Mode::Sharded(total) —
-        // a precondition of byte-identical spill/shed behavior.
-        let wc = worker_config(&config, total);
-
         // Per-router spill namespace: router i pages into its own
         // subdirectory (named with the coordinator pid, so concurrent
-        // clusters sharing --spill-dir cannot collide), created here
-        // and removed after the drain.
-        let spill_base = wc
-            .memory_budget
-            .is_some()
-            .then(|| wc.spill_dir.clone().unwrap_or_else(std::env::temp_dir));
-        let mut spill_dirs = Vec::new();
-
-        let mut peers = Vec::with_capacity(routers);
+        // clusters sharing --spill-dir cannot collide).
+        let spill_base = worker_cfg.memory_budget.is_some().then(|| {
+            worker_cfg
+                .spill_dir
+                .clone()
+                .unwrap_or_else(std::env::temp_dir)
+        });
+        let mut cluster = Cluster {
+            peers: Vec::with_capacity(routers),
+            workers_per_router,
+            spill_dirs: Vec::new(),
+        };
         for i in 0..routers {
-            let mut rc = wc.clone();
+            let mut rc = worker_cfg.clone();
             if let Some(base) = &spill_base {
                 let dir = base.join(format!("pt-dist-{}-r{i}", std::process::id()));
                 std::fs::create_dir_all(&dir).map_err(|e| {
@@ -1145,61 +1087,33 @@ impl DistCorrelator {
                         dir.display()
                     ))
                 })?;
-                spill_dirs.push(dir.clone());
+                cluster.spill_dirs.push(dir.clone());
                 rc.spill_dir = Some(dir);
             }
-            let mut peer = connect_peer(transport, i)?;
+            cluster.peers.push(connect_peer(transport, i)?);
+            let peer = &mut cluster.peers[i];
             peer.writer
                 .send(wire::FRAME_HELLO, |buf| {
                     use crate::spill::codec::put_u32;
                     put_u32(buf, wire::MAGIC);
                     put_u32(buf, wire::VERSION);
                     put_u32(buf, i as u32);
-                    put_u32(buf, wpr as u32);
+                    put_u32(buf, workers_per_router as u32);
                     wire::put_config(buf, &rc);
                 })
                 .map_err(|e| peer.diagnose(i, &e))?;
-            peers.push(peer);
         }
-
-        Ok(DistCorrelator {
-            core,
-            peers,
-            workers_per_router: wpr,
-            pending: vec![Vec::with_capacity(BATCH_RECORDS); total],
-            encs: (0..routers).map(|_| wire::StrEnc::default()).collect(),
-            spill_dirs,
-            started: Instant::now(),
-            finished: false,
-        })
+        Ok(cluster)
     }
+}
 
-    fn guard(&self) -> Result<(), TraceError> {
-        if self.finished {
-            Err(TraceError::Finished)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Approximate resident bytes of the reader-side routing state and
-    /// undelivered claim batches (worker state is budgeted peer-side).
-    pub fn approx_router_bytes(&self) -> usize {
-        self.core.approx_bytes()
-            + self
-                .pending
-                .iter()
-                .map(|b| b.len() * std::mem::size_of::<ShardMsg>())
-                .sum::<usize>()
-    }
-
-    fn send_batch(&mut self, shard: usize) -> Result<(), TraceError> {
-        let batch = std::mem::replace(&mut self.pending[shard], Vec::with_capacity(BATCH_RECORDS));
+impl ShardSink for Cluster {
+    fn send(&mut self, shard: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError> {
         let router = shard / self.workers_per_router;
         let worker = (shard % self.workers_per_router) as u32;
-        let enc = &mut self.encs[router];
         let peer = &mut self.peers[router];
-        peer.writer
+        let Peer { writer, enc, .. } = peer;
+        writer
             .send(wire::FRAME_CLAIM, |buf| {
                 use crate::spill::codec::put_u32;
                 put_u32(buf, worker);
@@ -1211,126 +1125,33 @@ impl DistCorrelator {
             .map_err(|e| peer.diagnose(router, &e))
     }
 
-    fn pump_router(&mut self, final_input: bool) -> Result<(), TraceError> {
-        // The borrow checker cannot split `self` between the dispatch
-        // closure and `core`, so drain routable shards into a local
-        // ready-list first, then ship full batches.
-        let DistCorrelator { core, pending, .. } = self;
-        let mut full: Vec<usize> = Vec::new();
-        let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
-            let shard = shard as usize;
-            pending[shard].push(m);
-            if pending[shard].len() >= BATCH_RECORDS && !full.contains(&shard) {
-                full.push(shard);
-            }
-            Ok(())
-        };
-        core.pump(final_input, &mut dispatch)?;
-        // Ship in exact BATCH_RECORDS chunks — the same batch
-        // boundaries the in-process sharded dispatch produces.
-        for shard in full {
-            while self.pending[shard].len() >= BATCH_RECORDS {
-                let rest = self.pending[shard].split_off(BATCH_RECORDS);
-                self.send_batch(shard)?;
-                self.pending[shard] = rest;
-            }
-        }
-        Ok(())
-    }
-
-    /// Routes one owned raw record into the cluster; see
-    /// [`crate::shard::ShardedCorrelator::push`] for ordering rules.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`], or a
-    /// [`TraceError::Router`] when a peer died.
-    pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
-        self.guard()?;
-        self.core.ingest(rec);
-        self.pump_router(false)
-    }
-
-    /// Parses and routes one TCP_TRACE log line (zero-copy ingest).
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error for a malformed line, and
-    /// [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
-        self.guard()?;
-        let r = RawRecordRef::parse_line(line)?;
-        self.core.stage_ref(&r);
-        self.pump_router(false)
-    }
-
-    /// Zero-copy staging without routing (parallel ingest front-end).
-    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
-        self.core.stage_ref(r);
-    }
-
-    /// Flushes all partial claim batches to the routers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn flush(&mut self) -> Result<(), TraceError> {
-        self.guard()?;
-        for shard in 0..self.pending.len() {
-            if !self.pending[shard].is_empty() {
-                self.send_batch(shard)?;
-            }
-        }
-        for i in 0..self.peers.len() {
-            let peer = &mut self.peers[i];
+    fn flush(&mut self) -> Result<(), TraceError> {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             peer.writer.flush().map_err(|e| peer.diagnose(i, &e))?;
         }
         Ok(())
     }
 
-    /// Closes the cluster: drains the router, ships remaining claims,
-    /// sends `Finish` to every peer, collects all worker outputs in
-    /// global shard order and performs the canonical merge. The
-    /// coordinator is spent afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] when called twice and
-    /// [`TraceError::Router`] when a peer failed.
-    pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
-        self.guard()?;
-        self.pump_router(true)?;
-        for shard in 0..self.pending.len() {
-            if !self.pending[shard].is_empty() {
-                self.send_batch(shard)?;
-            }
-        }
-        self.finished = true;
-        for i in 0..self.peers.len() {
-            let peer = &mut self.peers[i];
+    /// Sends `Finish` to every peer and collects all worker outputs in
+    /// global shard order.
+    fn collect(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             let sent = peer
                 .writer
                 .send(wire::FRAME_FINISH, |_| {})
                 .and_then(|()| peer.writer.flush());
             sent.map_err(|e| peer.diagnose(i, &e))?;
         }
-        // Collect outputs peer by peer, in router order; within a
-        // peer, outputs arrive in local worker order — together that
-        // is global shard order, which the canonical merge requires.
+        // Peer by peer, in router order; within a peer, outputs arrive
+        // in local worker order.
         let mut outputs = Vec::with_capacity(self.peers.len() * self.workers_per_router);
         let mut buf = Vec::new();
-        for i in 0..self.peers.len() {
+        for (i, peer) in self.peers.iter_mut().enumerate() {
             for expected in 0..self.workers_per_router {
-                let peer = &mut self.peers[i];
-                let frame = wire::read_frame(&mut peer.reader, &mut buf);
-                let ty = match frame {
-                    Ok(Some(ty)) => ty,
-                    Ok(None) => {
-                        let e = io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed early");
-                        return Err(peer.diagnose(i, &e));
-                    }
-                    Err(e) => return Err(peer.diagnose(i, &e)),
-                };
+                let early = || io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed early");
+                let ty = wire::read_frame(&mut peer.reader, &mut buf)
+                    .and_then(|ty| ty.ok_or_else(early))
+                    .map_err(|e| peer.diagnose(i, &e))?;
                 match ty {
                     wire::FRAME_OUTPUT => {
                         let mut d = crate::spill::codec::Dec::new(&buf);
@@ -1346,7 +1167,7 @@ impl DistCorrelator {
                     wire::FRAME_ERROR => {
                         let mut d = crate::spill::codec::Dec::new(&buf);
                         let msg = d.str().to_owned();
-                        self.peers[i].failed = true;
+                        peer.failed = true;
                         return Err(TraceError::router(i, msg));
                     }
                     ty => {
@@ -1386,18 +1207,11 @@ impl DistCorrelator {
                 }
             }
         }
-        self.cleanup_spill_dirs();
-        Ok(self.core.merge(outputs, self.started))
-    }
-
-    fn cleanup_spill_dirs(&mut self) {
-        for dir in self.spill_dirs.drain(..) {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        Ok(outputs)
     }
 }
 
-impl Drop for DistCorrelator {
+impl Drop for Cluster {
     fn drop(&mut self) {
         // Hang up, kill and reap abandoned peers so nothing blocks or
         // leaks; then remove the per-router spill namespaces.
@@ -1410,6 +1224,7 @@ impl Drop for DistCorrelator {
                 reader,
                 kind,
                 failed,
+                ..
             } = peer;
             drop(writer);
             drop(reader);
@@ -1427,7 +1242,9 @@ impl Drop for DistCorrelator {
                 PeerKind::Tcp { .. } => {}
             }
         }
-        self.cleanup_spill_dirs();
+        for dir in self.spill_dirs.drain(..) {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -1441,6 +1258,7 @@ fn connect_peer(transport: &RouterTransport, index: usize) -> Result<Peer, Trace
             Ok(Peer {
                 writer: wire::FrameWriter::new(Box::new(coord_w)),
                 reader: io::BufReader::new(Box::new(coord_r) as Box<dyn Read + Send>),
+                enc: wire::StrEnc::default(),
                 kind: PeerKind::Thread(Some(handle)),
                 failed: false,
             })
@@ -1457,6 +1275,7 @@ fn connect_peer(transport: &RouterTransport, index: usize) -> Result<Peer, Trace
             Ok(Peer {
                 writer: wire::FrameWriter::new(Box::new(io::BufWriter::new(stream))),
                 reader: io::BufReader::new(Box::new(read_half) as Box<dyn Read + Send>),
+                enc: wire::StrEnc::default(),
                 kind: PeerKind::Tcp { addr: addr.clone() },
                 failed: false,
             })
@@ -1491,6 +1310,7 @@ fn spawn_child_peer(exe: &std::path::Path, index: usize) -> Result<Peer, TraceEr
     Ok(Peer {
         writer: wire::FrameWriter::new(Box::new(io::BufWriter::new(mine))),
         reader: io::BufReader::new(Box::new(read_half) as Box<dyn Read + Send>),
+        enc: wire::StrEnc::default(),
         kind: PeerKind::Child { child, stderr },
         failed: false,
     })
@@ -1514,114 +1334,18 @@ fn spawn_child_peer(exe: &std::path::Path, index: usize) -> Result<Peer, TraceEr
     Ok(Peer {
         writer: wire::FrameWriter::new(Box::new(io::BufWriter::new(stdin))),
         reader: io::BufReader::new(Box::new(stdout) as Box<dyn Read + Send>),
+        enc: wire::StrEnc::default(),
         kind: PeerKind::Child { child, stderr },
         failed: false,
     })
 }
 
-/// Batch convenience: correlates a complete record set through the
-/// distributed pipeline.
-///
-/// # Errors
-///
-/// Returns a configuration error for an invalid config/topology and
-/// [`TraceError::Router`] when a peer failed.
-pub(crate) fn correlate(
-    config: CorrelatorConfig,
-    routers: usize,
-    workers_per_router: usize,
-    transport: &RouterTransport,
-    records: Vec<RawRecord>,
-) -> Result<CorrelationOutput, TraceError> {
-    let mut dc = DistCorrelator::new(config, routers, workers_per_router, transport)?;
-    for rec in records {
-        dc.core.ingest(rec);
-    }
-    dc.finish()
-}
-
-/// Batch convenience over a TCP_TRACE text log (zero-copy ingest).
-///
-/// # Errors
-///
-/// Returns the first parse error, a configuration error, or
-/// [`TraceError::Router`] when a peer failed.
-pub(crate) fn correlate_text(
-    config: CorrelatorConfig,
-    routers: usize,
-    workers_per_router: usize,
-    transport: &RouterTransport,
-    text: &str,
-) -> Result<CorrelationOutput, TraceError> {
-    let mut dc = DistCorrelator::new(config, routers, workers_per_router, transport)?;
-    for r in parse_log_iter(text) {
-        dc.core.stage_ref(&r?);
-    }
-    dc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessPointSpec;
     use crate::activity::{Activity, ActivityType, Channel, ContextId, LocalTime, Nanos};
-    use crate::shard::ShardedCorrelator;
-
-    fn access() -> AccessPointSpec {
-        AccessPointSpec::new(
-            [80],
-            [
-                "10.0.0.1".parse().unwrap(),
-                "10.0.0.2".parse().unwrap(),
-                "10.0.0.3".parse().unwrap(),
-            ],
-        )
-    }
-
-    /// Interleaved three-tier requests from several clients plus
-    /// untraced-peer noise, enough sessions to spread across shards.
-    fn cluster_log(clients: usize) -> String {
-        let mut log = String::new();
-        for c in 0..clients as u64 {
-            let base = c * 250;
-            let port = 4001 + c;
-            let tid = 7 + c;
-            for line in [
-                format!(
-                    "{} web httpd 7 {tid} RECEIVE 192.168.0.9:{}-10.0.0.1:80 120",
-                    1000 + base,
-                    5000 + c
-                ),
-                format!(
-                    "{} web httpd 7 {tid} SEND 10.0.0.1:{port}-10.0.0.2:8009 64",
-                    2000 + base
-                ),
-                format!(
-                    "{} app java 9 {} RECEIVE 10.0.0.1:{port}-10.0.0.2:8009 64",
-                    500_900 + base,
-                    21 + c
-                ),
-                format!(
-                    "{} app java 9 {} SEND 10.0.0.2:8009-10.0.0.1:{port} 256",
-                    504_000 + base,
-                    21 + c
-                ),
-                format!(
-                    "{} web httpd 7 {tid} RECEIVE 10.0.0.2:8009-10.0.0.1:{port} 256",
-                    4500 + base
-                ),
-                format!(
-                    "{} web httpd 7 {tid} SEND 10.0.0.1:80-192.168.0.9:{} 512",
-                    5000 + base,
-                    5000 + c
-                ),
-            ] {
-                log.push_str(&line);
-                log.push('\n');
-            }
-        }
-        log
-    }
+    use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
+    use crate::shard::tests::{access, cluster_log, sharded};
 
     fn render(out: &CorrelationOutput) -> String {
         // Wall time is the one legitimately nondeterministic metric.
@@ -1630,9 +1354,28 @@ mod tests {
         format!("{:?}|{:?}|{m:?}", out.cags, out.unfinished)
     }
 
+    /// A whole-log run of the distributed pipeline.
+    fn correlate_text(
+        cfg: CorrelatorConfig,
+        routers: usize,
+        workers_per_router: usize,
+        transport: &RouterTransport,
+        text: &str,
+    ) -> CorrelationOutput {
+        let mode = Mode::Distributed {
+            routers,
+            workers_per_router,
+        };
+        let cfg = PipelineConfig::from(cfg).with_mode(mode);
+        Pipeline::new(cfg.with_router_transport(transport.clone()))
+            .unwrap()
+            .run(Source::text(text))
+            .unwrap()
+    }
+
     fn sharded_reference(shards: usize, text: &str) -> String {
         let cfg = CorrelatorConfig::new(access());
-        render(&ShardedCorrelator::correlate_text(cfg, shards, text).unwrap())
+        render(&sharded(cfg, shards, Source::text(text)))
     }
 
     #[test]
@@ -1640,7 +1383,7 @@ mod tests {
         let log = cluster_log(6);
         for (routers, wpr) in [(1, 1), (1, 4), (2, 2), (4, 1), (3, 2)] {
             let cfg = CorrelatorConfig::new(access());
-            let out = correlate_text(cfg, routers, wpr, &RouterTransport::InProcess, &log).unwrap();
+            let out = correlate_text(cfg, routers, wpr, &RouterTransport::InProcess, &log);
             assert_eq!(
                 render(&out),
                 sharded_reference(routers * wpr, &log),
@@ -1664,11 +1407,33 @@ mod tests {
             }));
         }
         let cfg = CorrelatorConfig::new(access());
-        let out = correlate_text(cfg, 2, 2, &RouterTransport::Connect { addrs }, &log).unwrap();
+        let out = correlate_text(cfg, 2, 2, &RouterTransport::Connect { addrs }, &log);
         assert_eq!(render(&out), sharded_reference(4, &log));
         for h in handles {
             h.join().unwrap().unwrap();
         }
+    }
+
+    /// Fails to build a budgeted one-router cluster over `transport`:
+    /// the error must name router 0, and the spill directory must be
+    /// left as empty as it was found.
+    fn fails_leaving_nothing_behind(tag: &str, transport: RouterTransport) {
+        let dir = std::env::temp_dir().join(format!("pt-dist-test-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = CorrelatorConfig::new(access())
+            .with_memory_budget(1 << 20)
+            .with_spill_dir(&dir);
+        let err = distributed(&cfg, 1, 1, &transport).expect_err("no router to reach");
+        assert!(
+            matches!(err, TraceError::Router { router: 0, .. }),
+            "{err:?}"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]
@@ -1678,13 +1443,7 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let cfg = CorrelatorConfig::new(access());
-        let err = DistCorrelator::new(cfg, 1, 1, &RouterTransport::Connect { addrs: vec![addr] })
-            .expect_err("connection must fail");
-        match err {
-            TraceError::Router { router: 0, .. } => {}
-            other => panic!("expected Router error, got {other:?}"),
-        }
+        fails_leaving_nothing_behind("dead-addr", RouterTransport::Connect { addrs: vec![addr] });
     }
 
     #[cfg(unix)]
@@ -1697,7 +1456,7 @@ mod tests {
         let transport = RouterTransport::Spawn {
             exe: PathBuf::from("/bin/false"),
         };
-        let err = match DistCorrelator::new(cfg, 1, 1, &transport) {
+        let err = match distributed(&cfg, 1, 1, &transport) {
             Err(e) => e,
             Ok(mut dc) => {
                 let mut last = dc.flush().err();
@@ -1720,15 +1479,62 @@ mod tests {
 
     #[test]
     fn spawn_with_missing_exe_fails_fast() {
-        let cfg = CorrelatorConfig::new(access());
-        let transport = RouterTransport::Spawn {
-            exe: PathBuf::from("/nonexistent/pt-router-binary"),
-        };
-        let err = DistCorrelator::new(cfg, 1, 1, &transport).expect_err("spawn must fail");
-        assert!(
-            matches!(err, TraceError::Router { router: 0, .. }),
-            "{err:?}"
-        );
+        let exe = PathBuf::from("/nonexistent/pt-router-binary");
+        fails_leaving_nothing_behind("missing-exe", RouterTransport::Spawn { exe });
+    }
+
+    /// A Hello frame for router 0 with one worker, as `version` sends it.
+    fn hello(version: u32) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        wire::FrameWriter::new(&mut bytes)
+            .send(wire::FRAME_HELLO, |buf| {
+                use crate::spill::codec::put_u32;
+                put_u32(buf, wire::MAGIC);
+                put_u32(buf, version);
+                put_u32(buf, 0);
+                put_u32(buf, 1);
+                wire::put_config(buf, &CorrelatorConfig::new(access()));
+            })
+            .unwrap();
+        bytes
+    }
+
+    #[test]
+    fn router_refuses_what_it_cannot_trust() {
+        // A v1 coordinator's config carries fields v2 dropped: refuse at
+        // the version word, before parsing it.
+        let v1 = hello(1);
+        // 13 bytes: a Claim for worker 0 announcing u32::MAX messages
+        // and carrying none. Sizing the batch by it aborts the process.
+        let mut hostile_claim = hello(wire::VERSION);
+        wire::FrameWriter::new(&mut hostile_claim)
+            .send(wire::FRAME_CLAIM, |buf| {
+                use crate::spill::codec::put_u32;
+                put_u32(buf, 0);
+                put_u32(buf, u32::MAX);
+            })
+            .unwrap();
+        for (bytes, want) in [
+            (
+                v1,
+                "router protocol: protocol version 1 (this router speaks 2)",
+            ),
+            (
+                hostile_claim,
+                "router protocol: claim of 4294967295 messages",
+            ),
+        ] {
+            let mut out = Vec::new();
+            let err = serve_router(&bytes[..], &mut out)
+                .expect_err(want)
+                .to_string();
+            assert!(err.contains(want), "{err}");
+            // The coordinator is told, in an Error frame.
+            let mut frame = Vec::new();
+            let ty = wire::read_frame(&mut &out[..], &mut frame).unwrap();
+            assert_eq!(ty, Some(wire::FRAME_ERROR), "{want}");
+            assert_eq!(crate::spill::codec::Dec::new(&frame).str(), err);
+        }
     }
 
     #[test]
@@ -1744,7 +1550,7 @@ mod tests {
         let mut cfg = CorrelatorConfig::new(access());
         cfg.memory_budget = Some(1); // force constant spilling
         cfg.spill_dir = Some(base.clone());
-        let out = correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log).unwrap();
+        let out = correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log);
         assert_eq!(out.cags.len(), 6);
 
         let leftovers: Vec<String> = std::fs::read_dir(&base)
@@ -1775,7 +1581,7 @@ mod tests {
         }
         let unbounded = {
             let cfg = CorrelatorConfig::new(access());
-            correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log).unwrap()
+            correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log)
         };
         let base =
             std::env::temp_dir().join(format!("pt-dist-test-spill-eq-{}", std::process::id()));
@@ -1783,7 +1589,7 @@ mod tests {
         cfg.memory_budget = Some(32 * 1024);
         cfg.mem_sample_every = 8;
         cfg.spill_dir = Some(base.clone());
-        let spilled = correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log).unwrap();
+        let spilled = correlate_text(cfg, 2, 2, &RouterTransport::InProcess, &log);
         assert_eq!(
             format!("{:?}|{:?}", unbounded.cags, unbounded.unfinished),
             format!("{:?}|{:?}", spilled.cags, spilled.unfinished)
@@ -1851,17 +1657,14 @@ mod tests {
         cfg.ranker.swap = false;
         cfg.ranker.fetch_boost = 9;
         cfg.ranker.noise_discard = false;
-        cfg.ranker.buffer_cap_bytes = Some(12_345);
         cfg.engine.merge_segments = false;
         cfg.engine.pending_cap = 77;
         cfg.mem_sample_every = 17;
         cfg.memory_budget = Some(1 << 22);
         cfg.spill_dir = Some(PathBuf::from("/tmp/pt-dist-wire-test"));
-        cfg.shed_on_budget = true;
         cfg.max_seal_lag = Some(33);
         cfg.channel_idle_horizon = Some(44);
         cfg.lane_settle_depth = Some(55);
-        cfg.orphan_parity = true;
 
         let mut buf = Vec::new();
         wire::put_config(&mut buf, &cfg);
@@ -1881,8 +1684,7 @@ mod tests {
     #[test]
     fn output_frame_roundtrips() {
         let log = cluster_log(3);
-        let cfg = CorrelatorConfig::new(access());
-        let out = ShardedCorrelator::correlate_text(cfg, 2, &log).unwrap();
+        let out = sharded(CorrelatorConfig::new(access()), 2, Source::text(&log));
         let mut buf = Vec::new();
         wire::put_output(&mut buf, 5, &out);
         let mut d = crate::spill::codec::Dec::new(&buf);
@@ -1935,7 +1737,7 @@ mod tests {
         // here we additionally pin the claim counts.
         let log = cluster_log(6);
         let cfg = CorrelatorConfig::new(access());
-        let out = correlate_text(cfg, 3, 1, &RouterTransport::InProcess, &log).unwrap();
+        let out = correlate_text(cfg, 3, 1, &RouterTransport::InProcess, &log);
         assert_eq!(out.cags.len(), 6);
         for cag in &out.cags {
             cag.validate().expect("valid CAG");

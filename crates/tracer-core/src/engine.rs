@@ -102,11 +102,6 @@ pub struct EngineCounters {
     pub evicted_orphans: u64,
     /// Unfinished CAGs abandoned by `unfinished_cap`.
     pub abandoned_cags: u64,
-    /// Stale unfinished CAGs evicted by the streaming correlator's
-    /// explicit memory budget (`with_memory_budget`).
-    pub budget_evicted_cags: u64,
-    /// Vertices dropped with those budget-evicted CAGs.
-    pub budget_evicted_vertices: u64,
     /// Dead `cmap` entries dropped by the context GC (budget pressure
     /// or the periodic no-budget sweep).
     pub pruned_contexts: u64,
@@ -120,8 +115,7 @@ pub struct EngineCounters {
     /// never match — without this they would byte-shift the FIFO.
     pub gap_retired_pendings: u64,
     /// Unfinished CAGs paged out to the spill file under memory-budget
-    /// pressure (the spill tier's replacement for `budget_evicted_cags`
-    /// — residency changes, recall does not).
+    /// pressure (residency changes, recall does not).
     pub spilled_cags: u64,
     /// Orphan vertices paged out to the spill file.
     pub spilled_orphans: u64,
@@ -152,8 +146,6 @@ impl EngineCounters {
             evicted_pendings,
             evicted_orphans,
             abandoned_cags,
-            budget_evicted_cags,
-            budget_evicted_vertices,
             pruned_contexts,
             forced_seals,
             gap_retired_pendings,
@@ -177,8 +169,6 @@ impl EngineCounters {
         self.evicted_pendings += evicted_pendings;
         self.evicted_orphans += evicted_orphans;
         self.abandoned_cags += abandoned_cags;
-        self.budget_evicted_cags += budget_evicted_cags;
-        self.budget_evicted_vertices += budget_evicted_vertices;
         self.pruned_contexts += pruned_contexts;
         self.forced_seals += forced_seals;
         self.gap_retired_pendings += gap_retired_pendings;
@@ -399,63 +389,10 @@ impl Engine {
         out
     }
 
-    /// Evicts the *stalest* unfinished CAG (the one opened longest ago)
-    /// under memory-budget pressure. The eviction is deterministic
-    /// (CAG ids are assigned in BEGIN delivery order) and counted in
-    /// [`EngineCounters::budget_evicted_cags`]; the streaming
-    /// correlator folds the count into `cags_unfinished`, but the path
-    /// itself is dropped — retaining it would defeat the budget.
-    /// Returns `None` when no CAG is under construction.
-    pub fn evict_stalest_unfinished(&mut self) -> Option<Cag> {
-        let (_, cag) = self.unfinished.pop_first()?;
-        self.vertex_count -= cag.vertices.len();
-        self.tag_count -= cag.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
-        self.counters.budget_evicted_cags += 1;
-        self.counters.budget_evicted_vertices += cag.vertices.len() as u64;
-        Some(cag)
-    }
-
-    /// Sheds one unit of evictable state under memory-budget pressure,
-    /// in deterministic priority order: the stalest unfinished CAG,
-    /// then the oldest orphan chain, then the oldest pending send.
-    /// Returns `false` when nothing evictable remains (the floor —
-    /// `cmap` and the window buffers — is not sheddable).
-    ///
-    /// Order rationale: unfinished CAGs go first because the budget
-    /// contract targets *stale* half-built paths (lost-activity
-    /// leftovers grow without bound under endless input); orphans and
-    /// pendings follow so a starved budget still converges instead of
-    /// the orphan pool absorbing the freed space. A `mmap_order` entry
-    /// whose pending was already consumed sheds nothing but still
-    /// returns `true`; the caller's loop terminates because the order
-    /// queue itself shrinks.
-    pub fn shed_one(&mut self) -> bool {
-        if self.evict_stalest_unfinished().is_some() {
-            return true;
-        }
-        if let Some((_, _)) = self.orphans.pop_first() {
-            self.counters.evicted_orphans += 1;
-            return true;
-        }
-        if let Some(ch) = self.mmap_order.pop_front() {
-            if let Some(q) = self.mmap.get_mut(&ch) {
-                if q.pop_front().is_some() {
-                    self.pending_count -= 1;
-                    self.counters.evicted_pendings += 1;
-                }
-                if q.is_empty() {
-                    self.mmap.remove(&ch);
-                }
-            }
-            return true;
-        }
-        false
-    }
-
     /// Enables the spill tier backed by `file`. Subsequent
-    /// [`Engine::spill_one`] calls page cold state out instead of the
-    /// caller shedding it; everything faults back on touch, so output
-    /// stays byte-identical to an unbounded run.
+    /// [`Engine::spill_one`] calls page cold state out; everything
+    /// faults back on touch, so output stays byte-identical to an
+    /// unbounded run.
     pub fn enable_spill(&mut self, file: Arc<SpillFile>) {
         self.spill = Some(Box::new(SpillState {
             file,
@@ -465,11 +402,6 @@ impl Engine {
             lru: FxHashMap::default(),
             pin_epoch: 0,
         }));
-    }
-
-    /// Whether the spill tier is enabled.
-    pub fn spill_enabled(&self) -> bool {
-        self.spill.is_some()
     }
 
     /// Number of unfinished CAGs currently paged out.

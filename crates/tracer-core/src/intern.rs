@@ -1,8 +1,9 @@
 //! String interning for the ingest hot path.
 //!
 //! A TCP_TRACE log repeats the same handful of hostnames and program
-//! names on every line; parsing each line into an owned [`RawRecord`]
-//! (or classifying it into an [`Activity`](crate::activity::Activity))
+//! names on every line; parsing each line into an owned
+//! [`RawRecord`](crate::raw::RawRecord) (or classifying it into an
+//! [`Activity`](crate::activity::Activity))
 //! naively allocates a fresh string per field per record. The
 //! [`Interner`] deduplicates those fields into shared `Arc<str>`s so
 //! the steady-state ingest path performs **zero string allocations per

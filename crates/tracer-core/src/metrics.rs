@@ -31,8 +31,7 @@ pub struct CorrelatorMetrics {
     /// Sharded mode only: orphan-chain records (noise chatter the batch
     /// engine would absorb into never-emitted orphan chains) dropped
     /// reader-side instead of being shipped to a worker. Zero in the
-    /// single-instance modes and under
-    /// [`crate::correlator::CorrelatorConfig::orphan_parity`].
+    /// single-instance modes.
     pub orphan_dropped: u64,
     /// Ranker counters (Rules 1/2, swaps, boosts, `is_noise` discards).
     pub ranker: RankerCounters,
@@ -41,9 +40,7 @@ pub struct CorrelatorMetrics {
     /// Completed causal paths output.
     pub cags_finished: u64,
     /// Deformed paths: still open at end of input (lost END
-    /// activities) plus any evicted mid-stream by the memory budget
-    /// (`engine.budget_evicted_cags`), which are counted here but not
-    /// returned — retaining them would defeat the budget.
+    /// activities).
     pub cags_unfinished: u64,
     /// Range-dedup coverage entries paged out by the spill tier.
     pub spilled_dedup_entries: u64,

@@ -16,8 +16,16 @@
 //!            ┌───────────────── Pipeline ─────────────────┐
 //! Source ──→ │ ingest (range dedup, classify, filter) ──→ │ ──→ CorrelationOutput
 //!            │   mode: Batch | Streaming | Sharded(n)     │
+//!            │         | Distributed { routers, .. }      │
 //!            └────────────────────────────────────────────┘
 //! ```
+//!
+//! [`Pipeline::run`] is two steps whatever the mode and source: the
+//! source resolves to owned records, borrowed text or a borrowed PTBIN
+//! buffer (a path source is one whole-buffer read), and then one of two
+//! consumers takes it — the single-instance modes as owned records, the
+//! routed modes staged zero-copy as borrowed refs — parsed sequentially
+//! or in parallel by `ingest_threads`, with the same record sequence.
 //!
 //! * [`Mode::Batch`] — the paper's offline evaluation setup: group per
 //!   node, sort by local time, drain through the streaming core. CAG
@@ -27,9 +35,13 @@
 //!   is byte-identical to `Batch` whenever ranking starts with the
 //!   input staged (pinned by the golden tests). For true online use,
 //!   open an incremental handle with [`Pipeline::session`].
-//! * [`Mode::Sharded`]`(n)` — the reader-side session router feeding
-//!   `n` worker threads, merged into canonical root order; output is
-//!   byte-identical for every shard count.
+//! * [`Mode::Sharded`]`(n)` — the routed front-end (the reader-side
+//!   session router, see [`crate::shard`]) feeding `n` worker threads,
+//!   merged into canonical root order; output is byte-identical for
+//!   every shard count.
+//! * [`Mode::Distributed`] — the same front-end feeding router peers
+//!   over PTDC (see [`crate::dist`]); output is byte-identical to
+//!   `Sharded` with the same total worker count.
 //!
 //! The old three entry-point types went through one release as
 //! deprecated shims and have been removed; the engines they named now
@@ -62,11 +74,11 @@ use crate::correlator::{
     CorrelationOutput, Correlator, CorrelatorConfig, EngineOptions, RankerOptions,
     StreamingCorrelator, WindowPolicy,
 };
-use crate::dist::{DistCorrelator, RouterTransport};
+use crate::dist::RouterTransport;
 use crate::error::TraceError;
 use crate::filter::FilterSet;
-use crate::raw::{parse_log, RawRecord};
-use crate::shard::ShardedCorrelator;
+use crate::raw::{parse_log, parse_log_iter, RawRecord};
+use crate::shard::RoutedCorrelator;
 
 /// How the pipeline executes a correlation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,12 +135,7 @@ impl PipelineConfig {
     /// A default (batch-mode) configuration for a service with the
     /// given access spec.
     pub fn new(access: AccessPointSpec) -> Self {
-        PipelineConfig {
-            correlator: CorrelatorConfig::new(access),
-            mode: Mode::Batch,
-            ingest_threads: 1,
-            router_transport: RouterTransport::default(),
-        }
+        CorrelatorConfig::new(access).into()
     }
 
     /// Sets the execution mode.
@@ -147,14 +154,6 @@ impl PipelineConfig {
     /// per core, `1` = sequential).
     pub fn with_ingest_threads(mut self, threads: usize) -> Self {
         self.ingest_threads = threads;
-        self
-    }
-
-    /// Ships sharded orphan-chain records to the workers instead of
-    /// dropping them reader-side (see
-    /// [`CorrelatorConfig::with_orphan_parity`]).
-    pub fn with_orphan_parity(mut self) -> Self {
-        self.correlator = self.correlator.with_orphan_parity();
         self
     }
 
@@ -187,13 +186,6 @@ impl PipelineConfig {
     /// [`CorrelatorConfig::spill_dir`]).
     pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.correlator = self.correlator.with_spill_dir(dir);
-        self
-    }
-
-    /// Sheds state under budget pressure instead of spilling it (see
-    /// [`CorrelatorConfig::shed_on_budget`]).
-    pub fn with_shed_on_budget(mut self) -> Self {
-        self.correlator = self.correlator.with_shed_on_budget();
         self
     }
 
@@ -417,173 +409,60 @@ impl Pipeline {
     /// Returns a parse error for malformed text sources and propagates
     /// configuration errors.
     pub fn run(&self, source: Source<'_>) -> Result<CorrelationOutput, TraceError> {
-        let cfg = self.config.correlator.clone();
-        let threads = self.config.ingest_threads;
-        // A binary source skips text parsing entirely: one whole-buffer
-        // read, fixed-width record decoding, done.
-        if let Source::BinaryPath(p) = &source {
-            let buf = crate::binfmt::read_binary_file(p)?;
-            return self.run_binary(&buf);
-        }
-        // A path source is one whole-buffer read; every mode then sees
-        // borrowed text and benefits from the parallel chunk scanner.
-        let owned;
-        let source = match source {
+        // A path source is one whole-buffer read; from here on a source
+        // is owned records, borrowed text or a borrowed PTBIN buffer.
+        let (text, binary);
+        let input = match source {
+            Source::Records(r) => Input::Records(r),
+            Source::Text(t) => Input::Text(t),
             Source::Path(p) => {
-                owned = crate::ingest::read_log_file(&p)?;
-                Source::Text(&owned)
+                text = crate::ingest::read_log_file(&p)?;
+                Input::Text(&text)
             }
-            s => s,
-        };
-        let parse_text = |t: &str| -> Result<Vec<RawRecord>, TraceError> {
-            if threads == 1 {
-                parse_log(t)
-            } else {
-                crate::ingest::parse_log_parallel(t, threads)
+            Source::BinaryPath(p) => {
+                binary = crate::binfmt::read_binary_file(&p)?;
+                Input::Binary(&binary)
             }
         };
-        match self.config.mode {
-            Mode::Batch => {
-                let records = match source {
-                    Source::Records(r) => r,
-                    Source::Text(t) => parse_text(t)?,
-                    _ => unreachable!("path sources resolve above"),
-                };
-                Correlator::new(cfg).correlate(records)
-            }
-            Mode::Streaming => {
-                let records = match source {
-                    Source::Records(r) => r,
-                    Source::Text(t) => parse_text(t)?,
-                    _ => unreachable!("path sources resolve above"),
-                };
-                let mut sc = StreamingCorrelator::new(cfg)?;
-                for rec in records {
-                    sc.push(rec)?;
-                }
-                let mut out = sc.finish()?;
-                // A full run returns everything at once, so the
-                // canonical cross-mode order applies here too; only
-                // incremental sessions keep emission order.
-                out.canonicalize();
-                Ok(out)
-            }
-            Mode::Sharded(n) => match source {
-                Source::Records(r) => ShardedCorrelator::correlate(cfg, n, r),
-                Source::Text(t) if threads != 1 => {
-                    // Parallel zero-copy ingest: the parsed slice is
-                    // byte-identical to `parse_log_iter`'s sequence, so
-                    // staging it record-by-record routes exactly like
-                    // `correlate_text`.
-                    let refs = crate::ingest::parse_refs_parallel(t, threads)?;
-                    let mut sc = ShardedCorrelator::new(cfg, n)?;
-                    for r in &refs {
-                        sc.stage_ref(r);
-                    }
-                    sc.finish()
-                }
-                Source::Text(t) => ShardedCorrelator::correlate_text(cfg, n, t),
-                _ => unreachable!("path sources resolve above"),
-            },
-            Mode::Distributed {
-                routers,
-                workers_per_router,
-            } => {
-                let transport = &self.config.router_transport;
-                match source {
-                    Source::Records(r) => {
-                        crate::dist::correlate(cfg, routers, workers_per_router, transport, r)
-                    }
-                    Source::Text(t) if threads != 1 => {
-                        let refs = crate::ingest::parse_refs_parallel(t, threads)?;
-                        let mut dc =
-                            DistCorrelator::new(cfg, routers, workers_per_router, transport)?;
-                        for r in &refs {
-                            dc.stage_ref(r);
-                        }
-                        dc.finish()
-                    }
-                    Source::Text(t) => {
-                        crate::dist::correlate_text(cfg, routers, workers_per_router, transport, t)
-                    }
-                    _ => unreachable!("path sources resolve above"),
-                }
-            }
+        let threads = self.config.ingest_threads;
+        if let Some(mut routed) = self.routed()? {
+            input.stage_into(&mut routed, threads)?;
+            return routed.finish();
         }
+        let records = input.into_records(threads)?;
+        let cfg = self.config.correlator.clone();
+        if self.config.mode == Mode::Batch {
+            return Correlator::new(cfg).correlate(records);
+        }
+        let mut sc = StreamingCorrelator::new(cfg)?;
+        for rec in records {
+            sc.push(rec)?;
+        }
+        let mut out = sc.finish()?;
+        // A full run returns everything at once, so the canonical
+        // cross-mode order applies here too; only incremental sessions
+        // keep emission order.
+        out.canonicalize();
+        Ok(out)
     }
 
-    /// Correlates a decoded PTBIN buffer. The decoded record sequence
-    /// is exactly what text parsing of the converted log would produce
-    /// (the format round-trips losslessly), so every mode's output is
-    /// byte-identical to the equivalent text run.
-    fn run_binary(&self, buf: &[u8]) -> Result<CorrelationOutput, TraceError> {
-        let cfg = self.config.correlator.clone();
-        let threads = self.config.ingest_threads;
-        let decode_owned = || -> Result<Vec<RawRecord>, TraceError> {
-            if threads == 1 {
-                crate::binfmt::decode_records(buf)
-            } else {
-                let refs = crate::binfmt::decode_refs_parallel(buf, threads)?;
-                let mut interner = crate::intern::Interner::new();
-                Ok(refs
-                    .iter()
-                    .map(|r| r.to_owned_interned(&mut interner))
-                    .collect())
-            }
-        };
-        match self.config.mode {
-            Mode::Batch => Correlator::new(cfg).correlate(decode_owned()?),
-            Mode::Streaming => {
-                let mut sc = StreamingCorrelator::new(cfg)?;
-                for rec in decode_owned()? {
-                    sc.push(rec)?;
-                }
-                let mut out = sc.finish()?;
-                out.canonicalize();
-                Ok(out)
-            }
-            Mode::Sharded(n) => {
-                // Zero-copy staging: the decoded refs borrow their
-                // strings straight from the file buffer, exactly like
-                // the sharded text reader borrows from the log text.
-                let mut sc = ShardedCorrelator::new(cfg, n)?;
-                if threads == 1 {
-                    let reader = crate::binfmt::Reader::new(buf)?;
-                    for r in reader.iter() {
-                        sc.stage_ref(&r?);
-                    }
-                } else {
-                    let refs = crate::binfmt::decode_refs_parallel(buf, threads)?;
-                    for r in &refs {
-                        sc.stage_ref(r);
-                    }
-                }
-                sc.finish()
-            }
+    /// The routed front-end of [`Mode::Sharded`] / [`Mode::Distributed`]
+    /// over its sink; `None` for the single-instance modes.
+    fn routed(&self) -> Result<Option<RoutedCorrelator>, TraceError> {
+        let cfg = &self.config.correlator;
+        Ok(Some(match self.config.mode {
+            Mode::Batch | Mode::Streaming => return Ok(None),
+            Mode::Sharded(n) => RoutedCorrelator::sharded(cfg, n)?,
             Mode::Distributed {
                 routers,
                 workers_per_router,
-            } => {
-                let mut dc = DistCorrelator::new(
-                    cfg,
-                    routers,
-                    workers_per_router,
-                    &self.config.router_transport,
-                )?;
-                if threads == 1 {
-                    let reader = crate::binfmt::Reader::new(buf)?;
-                    for r in reader.iter() {
-                        dc.stage_ref(&r?);
-                    }
-                } else {
-                    let refs = crate::binfmt::decode_refs_parallel(buf, threads)?;
-                    for r in &refs {
-                        dc.stage_ref(r);
-                    }
-                }
-                dc.finish()
-            }
-        }
+            } => crate::dist::distributed(
+                cfg,
+                routers,
+                workers_per_router,
+                &self.config.router_transport,
+            )?,
+        }))
     }
 
     /// Correlates pre-classified activity streams (one per host, each
@@ -613,30 +492,74 @@ impl Pipeline {
     ///
     /// Propagates configuration errors.
     pub fn session(&self) -> Result<PipelineSession, TraceError> {
-        let cfg = self.config.correlator.clone();
+        let cfg = || self.config.correlator.clone();
         Ok(PipelineSession {
-            inner: match self.config.mode {
-                Mode::Batch => {
-                    cfg.validate()?;
-                    SessionInner::Batch {
-                        config: cfg,
-                        buffered: Vec::new(),
-                        finished: false,
-                    }
-                }
-                Mode::Streaming => SessionInner::Streaming(StreamingCorrelator::new(cfg)?),
-                Mode::Sharded(n) => SessionInner::Sharded(ShardedCorrelator::new(cfg, n)?),
-                Mode::Distributed {
-                    routers,
-                    workers_per_router,
-                } => SessionInner::Dist(DistCorrelator::new(
-                    cfg,
-                    routers,
-                    workers_per_router,
-                    &self.config.router_transport,
-                )?),
+            inner: match self.routed()? {
+                Some(routed) => SessionInner::Routed(routed),
+                None if self.config.mode == Mode::Batch => SessionInner::Batch {
+                    config: cfg(),
+                    buffered: Some(Vec::new()),
+                },
+                None => SessionInner::Streaming(StreamingCorrelator::new(cfg())?),
             },
         })
+    }
+}
+
+/// A resolved [`Source`]: path sources are read, nothing is parsed yet
+/// (see the module docs for the two consumers).
+enum Input<'a> {
+    Records(Vec<RawRecord>),
+    Text(&'a str),
+    /// A PTBIN buffer. Its decoded record sequence is exactly what text
+    /// parsing of the converted log produces (the format round-trips
+    /// losslessly), so output is byte-identical to the text run.
+    Binary(&'a [u8]),
+}
+
+impl Input<'_> {
+    fn into_records(self, threads: usize) -> Result<Vec<RawRecord>, TraceError> {
+        match self {
+            Input::Records(r) => Ok(r),
+            Input::Text(t) if threads == 1 => parse_log(t),
+            Input::Text(t) => crate::ingest::parse_log_parallel(t, threads),
+            Input::Binary(b) if threads == 1 => crate::binfmt::decode_records(b),
+            Input::Binary(b) => {
+                let refs = crate::binfmt::decode_refs_parallel(b, threads)?;
+                let mut interner = crate::intern::Interner::new();
+                Ok(refs
+                    .iter()
+                    .map(|r| r.to_owned_interned(&mut interner))
+                    .collect())
+            }
+        }
+    }
+
+    /// Stages the whole input without routing yet. Zero-copy: refs
+    /// borrow their strings straight from the text or file buffer, and
+    /// the sequential parsers stream into the stage without an
+    /// intermediate `Vec`.
+    fn stage_into(self, routed: &mut RoutedCorrelator, threads: usize) -> Result<(), TraceError> {
+        match self {
+            Input::Records(records) => records.into_iter().for_each(|r| routed.stage(r)),
+            Input::Text(t) if threads == 1 => {
+                for r in parse_log_iter(t) {
+                    routed.stage_ref(&r?);
+                }
+            }
+            Input::Text(t) => crate::ingest::parse_refs_parallel(t, threads)?
+                .iter()
+                .for_each(|r| routed.stage_ref(r)),
+            Input::Binary(b) if threads == 1 => {
+                for r in crate::binfmt::Reader::new(b)?.iter() {
+                    routed.stage_ref(&r?);
+                }
+            }
+            Input::Binary(b) => crate::binfmt::decode_refs_parallel(b, threads)?
+                .iter()
+                .for_each(|r| routed.stage_ref(r)),
+        }
+        Ok(())
     }
 }
 
@@ -645,12 +568,11 @@ impl Pipeline {
 enum SessionInner {
     Batch {
         config: CorrelatorConfig,
-        buffered: Vec<RawRecord>,
-        finished: bool,
+        /// `None` once finished.
+        buffered: Option<Vec<RawRecord>>,
     },
     Streaming(StreamingCorrelator),
-    Sharded(ShardedCorrelator),
-    Dist(DistCorrelator),
+    Routed(RoutedCorrelator),
 }
 
 /// An incremental pipeline run opened by [`Pipeline::session`]. After
@@ -669,18 +591,12 @@ impl PipelineSession {
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
         match &mut self.inner {
-            SessionInner::Batch {
-                buffered, finished, ..
-            } => {
-                if *finished {
-                    return Err(TraceError::Finished);
-                }
-                buffered.push(rec);
+            SessionInner::Batch { buffered, .. } => {
+                buffered.as_mut().ok_or(TraceError::Finished)?.push(rec);
                 Ok(())
             }
             SessionInner::Streaming(sc) => sc.push(rec),
-            SessionInner::Sharded(sc) => sc.push(rec),
-            SessionInner::Dist(dc) => dc.push(rec),
+            SessionInner::Routed(rc) => rc.push(rec),
         }
     }
 
@@ -693,8 +609,7 @@ impl PipelineSession {
     /// [`TraceError::Finished`] after [`Self::finish`].
     pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
         match &mut self.inner {
-            SessionInner::Sharded(sc) => sc.push_line(line),
-            SessionInner::Dist(dc) => dc.push_line(line),
+            SessionInner::Routed(rc) => rc.push_line(line),
             _ => self.push(RawRecord::parse_line(line)?),
         }
     }
@@ -709,19 +624,13 @@ impl PipelineSession {
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn poll(&mut self) -> Result<Vec<Cag>, TraceError> {
         match &mut self.inner {
-            SessionInner::Batch { finished, .. } => {
-                if *finished {
-                    return Err(TraceError::Finished);
-                }
+            SessionInner::Batch { buffered, .. } => {
+                buffered.as_ref().ok_or(TraceError::Finished)?;
                 Ok(Vec::new())
             }
             SessionInner::Streaming(sc) => sc.poll(),
-            SessionInner::Sharded(sc) => {
-                sc.flush()?;
-                Ok(Vec::new())
-            }
-            SessionInner::Dist(dc) => {
-                dc.flush()?;
+            SessionInner::Routed(rc) => {
+                rc.flush()?;
                 Ok(Vec::new())
             }
         }
@@ -734,11 +643,10 @@ impl PipelineSession {
     pub fn approx_bytes(&self) -> usize {
         match &self.inner {
             SessionInner::Batch { buffered, .. } => {
-                buffered.len() * std::mem::size_of::<RawRecord>()
+                buffered.as_ref().map_or(0, Vec::len) * std::mem::size_of::<RawRecord>()
             }
             SessionInner::Streaming(sc) => sc.approx_bytes(),
-            SessionInner::Sharded(sc) => sc.approx_router_bytes(),
-            SessionInner::Dist(dc) => dc.approx_router_bytes(),
+            SessionInner::Routed(rc) => rc.approx_router_bytes(),
         }
     }
 
@@ -763,20 +671,12 @@ impl PipelineSession {
     /// Returns [`TraceError::Finished`] when called twice.
     pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
         match &mut self.inner {
-            SessionInner::Batch {
-                config,
-                buffered,
-                finished,
-            } => {
-                if *finished {
-                    return Err(TraceError::Finished);
-                }
-                *finished = true;
-                Correlator::new(config.clone()).correlate(std::mem::take(buffered))
+            SessionInner::Batch { config, buffered } => {
+                let records = buffered.take().ok_or(TraceError::Finished)?;
+                Correlator::new(config.clone()).correlate(records)
             }
             SessionInner::Streaming(sc) => sc.finish(),
-            SessionInner::Sharded(sc) => sc.finish(),
-            SessionInner::Dist(dc) => dc.finish(),
+            SessionInner::Routed(rc) => rc.finish(),
         }
     }
 }
@@ -784,17 +684,18 @@ impl PipelineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::tests::access;
 
-    fn access() -> AccessPointSpec {
-        AccessPointSpec::new(
-            [80],
-            [
-                "10.0.0.1".parse().unwrap(),
-                "10.0.0.2".parse().unwrap(),
-                "10.0.0.3".parse().unwrap(),
-            ],
-        )
-    }
+    /// Every execution mode, the routed ones over four shards.
+    const MODES: [Mode; 4] = [
+        Mode::Batch,
+        Mode::Streaming,
+        Mode::Sharded(2),
+        Mode::Distributed {
+            routers: 2,
+            workers_per_router: 2,
+        },
+    ];
 
     /// A full three-tier request (same fixture as the correlator
     /// tests).
@@ -819,15 +720,7 @@ mod tests {
 
     #[test]
     fn every_mode_correlates_the_three_tier_request() {
-        for mode in [
-            Mode::Batch,
-            Mode::Streaming,
-            Mode::Sharded(2),
-            Mode::Distributed {
-                routers: 2,
-                workers_per_router: 2,
-            },
-        ] {
+        for mode in MODES {
             let p = Pipeline::new(PipelineConfig::new(access()).with_mode(mode)).unwrap();
             let out = p.run(Source::text(three_tier_log())).unwrap();
             assert_eq!(out.cags.len(), 1, "{mode:?}");
@@ -867,16 +760,13 @@ mod tests {
             std::process::id()
         ));
         std::fs::write(&path, &bin).unwrap();
-        for mode in [
-            Mode::Batch,
-            Mode::Streaming,
-            Mode::Sharded(2),
-            Mode::Distributed {
-                routers: 2,
-                workers_per_router: 2,
-            },
-        ] {
-            for threads in [1, 3] {
+        let text_path = path.with_extension("log");
+        std::fs::write(&text_path, three_tier_log()).unwrap();
+        let records = parse_log(three_tier_log()).unwrap();
+        let batch = Pipeline::new(PipelineConfig::new(access())).unwrap();
+        let want = render(&batch.run(Source::text(three_tier_log())).unwrap());
+        for mode in MODES {
+            for threads in [1, 2, 3] {
                 let p = Pipeline::new(
                     PipelineConfig::new(access())
                         .with_mode(mode)
@@ -884,48 +774,61 @@ mod tests {
                 )
                 .unwrap();
                 let from_text = p.run(Source::text(three_tier_log())).unwrap();
-                let from_binary = p.run(Source::binary_path(&path)).unwrap();
-                assert_eq!(
-                    render(&from_text),
-                    render(&from_binary),
-                    "{mode:?} threads={threads}"
-                );
+                // Every source shape of the resolver, against the
+                // sequential text run.
+                for (shape, source) in [
+                    ("records", Source::records(records.clone())),
+                    ("path", Source::path(&text_path)),
+                    ("binary", Source::binary_path(&path)),
+                ] {
+                    assert_eq!(
+                        render(&p.run(source).unwrap()),
+                        render(&from_text),
+                        "{mode:?} threads={threads} {shape}"
+                    );
+                }
+                assert_eq!(render(&from_text), want, "{mode:?} threads={threads}");
             }
         }
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&text_path).ok();
     }
 
     #[test]
     fn sessions_reach_the_batch_output_in_every_mode() {
         let p = Pipeline::new(PipelineConfig::new(access())).unwrap();
         let want = render(&p.run(Source::text(three_tier_log())).unwrap());
-        for mode in [
-            Mode::Batch,
-            Mode::Streaming,
-            Mode::Sharded(2),
-            Mode::Distributed {
-                routers: 2,
-                workers_per_router: 2,
-            },
-        ] {
-            let p = Pipeline::new(PipelineConfig::new(access()).with_mode(mode)).unwrap();
-            let mut s = p.session().unwrap();
-            let mut cags = Vec::new();
-            for line in three_tier_log().lines() {
-                s.push_line(line.trim()).unwrap();
-                cags.extend(s.poll().unwrap());
-            }
-            let mut out = s.finish().unwrap();
-            cags.extend(std::mem::take(&mut out.cags));
-            assert_eq!(cags.len(), 1, "{mode:?}");
-            assert_eq!(out.metrics.records_in, 10, "{mode:?}");
-            if mode == Mode::Batch {
+        let records = parse_log(three_tier_log()).unwrap();
+        for mode in MODES {
+            // Sessions parse nothing themselves, so the thread count
+            // must not matter; lines and owned records must agree.
+            for (threads, by_line) in [(1, true), (2, true), (1, false), (2, false)] {
+                let p = Pipeline::new(
+                    PipelineConfig::new(access())
+                        .with_mode(mode)
+                        .with_ingest_threads(threads),
+                )
+                .unwrap();
+                let mut s = p.session().unwrap();
+                let mut cags = Vec::new();
+                for (line, rec) in three_tier_log().lines().zip(&records) {
+                    if by_line {
+                        s.push_line(line.trim()).unwrap();
+                    } else {
+                        s.push(rec.clone()).unwrap();
+                    }
+                    cags.extend(s.poll().unwrap());
+                }
+                let mut out = s.finish().unwrap();
+                cags.extend(std::mem::take(&mut out.cags));
+                assert_eq!(out.metrics.records_in, 10, "{mode:?}");
                 out.cags = cags;
-                assert_eq!(render(&out), want);
+                out.canonicalize();
+                assert_eq!(render(&out), want, "{mode:?} threads={threads}");
+                // Spent after finish, across all modes.
+                assert_eq!(s.poll(), Err(TraceError::Finished), "{mode:?}");
+                assert!(matches!(s.finish(), Err(TraceError::Finished)), "{mode:?}");
             }
-            // Spent after finish, across all modes.
-            assert_eq!(s.poll(), Err(TraceError::Finished), "{mode:?}");
-            assert!(matches!(s.finish(), Err(TraceError::Finished)), "{mode:?}");
         }
     }
 
@@ -970,11 +873,9 @@ mod tests {
             .with_window(Nanos::from_millis(5))
             .with_memory_budget(1 << 20)
             .with_spill_dir("/tmp/pt-spill-test")
-            .with_shed_on_budget()
             .with_max_seal_lag(64)
             .with_channel_idle_horizon(10_000)
             .with_lane_settle_depth(512)
-            .with_orphan_parity()
             .with_ingest_threads(4)
             .with_mode(Mode::Sharded(0));
         assert_eq!(cfg.correlator.ranker.window, Nanos::from_millis(5));
@@ -983,11 +884,9 @@ mod tests {
             cfg.correlator.spill_dir.as_deref(),
             Some(std::path::Path::new("/tmp/pt-spill-test"))
         );
-        assert!(cfg.correlator.shed_on_budget);
         assert_eq!(cfg.correlator.max_seal_lag, Some(64));
         assert_eq!(cfg.correlator.channel_idle_horizon, Some(10_000));
         assert_eq!(cfg.correlator.lane_settle_depth, Some(512));
-        assert!(cfg.correlator.orphan_parity);
         let off = PipelineConfig::new(access())
             .with_channel_idle_horizon(0)
             .with_lane_settle_depth(0);

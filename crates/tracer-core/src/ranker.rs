@@ -131,14 +131,6 @@ pub struct RankerOptions {
     /// Discard unmatched RECEIVEs (`is_noise`). When disabled they are
     /// delivered to the engine, which counts them as unmatched.
     pub noise_discard: bool,
-    /// Hard cap on the window buffers, in approximate bytes. Normally
-    /// `None` (the sliding window is the bound); the streaming
-    /// correlator sets it to the memory budget so stuck-state window
-    /// boosts cannot blow past the budget — refills then stop at the
-    /// cap (each queue always keeps a head, so the drain still makes
-    /// progress; blocked receives fall through to the noise/forced
-    /// paths instead of buffering without bound).
-    pub buffer_cap_bytes: Option<usize>,
 }
 
 impl Default for RankerOptions {
@@ -149,7 +141,6 @@ impl Default for RankerOptions {
             swap: true,
             fetch_boost: 16,
             noise_discard: true,
-            buffer_cap_bytes: None,
         }
     }
 }
@@ -255,8 +246,7 @@ pub enum RankStep {
 const SEQ_BASE: u64 = 1 << 40;
 
 /// Approximate resident bytes per buffered activity (the `(seq,
-/// Activity)` slot plus, for sends, the per-channel index entry);
-/// shared by `approx_bytes` and the buffer byte cap.
+/// Activity)` slot plus, for sends, the per-channel index entry).
 const PER_BUFFERED_BYTES: usize = size_of::<(u64, Activity)>() + 40;
 
 #[derive(Debug)]
@@ -486,13 +476,6 @@ impl Ranker {
             + self.adaptive.hists.len() * (size_of::<(Ipv4Addr, Ipv4Addr)>() + 512 + 16)
     }
 
-    /// Overrides the buffer byte cap after construction (used when the
-    /// memory budget is supplied through the streaming correlator's
-    /// builder rather than through the configuration).
-    pub fn set_buffer_cap(&mut self, bytes: Option<usize>) {
-        self.opts.buffer_cap_bytes = bytes;
-    }
-
     /// Folds a memory budget into the adaptive-window clamp: under
     /// [`WindowPolicy::Adaptive`] the window's ceiling additionally
     /// scales with what the budget can hold, so a noisy latency tail
@@ -504,13 +487,6 @@ impl Ranker {
     /// [`WindowPolicy::Static`].
     pub fn set_adaptive_budget(&mut self, bytes: Option<usize>) {
         self.adaptive.budget = bytes;
-    }
-
-    /// True when the buffer byte cap is what stops further fetching.
-    fn cap_blocked(&self) -> bool {
-        self.opts
-            .buffer_cap_bytes
-            .is_some_and(|b| self.buffered >= (b / PER_BUFFERED_BYTES).max(1))
     }
 
     /// The current base sliding window (before any stuck-state boost):
@@ -610,20 +586,9 @@ impl Ranker {
     /// Moves staged activities into the window buffer, indexing each one.
     fn refill(&mut self) {
         let w = self.effective_window();
-        let cap = self
-            .opts
-            .buffer_cap_bytes
-            .map(|b| (b / PER_BUFFERED_BYTES).max(1))
-            .unwrap_or(usize::MAX);
-        let mut total = self.buffered;
         let mut moved = 0usize;
         for (qi, q) in self.queues.iter_mut().enumerate() {
             while let Some(next) = q.incoming.front() {
-                // The byte cap backstops stuck-state window boosts; a
-                // queue may always hold a head so the drain progresses.
-                if total >= cap && !q.buf.is_empty() {
-                    break;
-                }
                 let fits = match q.head() {
                     None => true,
                     Some(front) => next.ts.saturating_since(front.ts) <= w,
@@ -642,7 +607,6 @@ impl Ranker {
                 }
                 q.buf.push_back((seq, a));
                 moved += 1;
-                total += 1;
             }
         }
         self.buffered += moved;
@@ -837,14 +801,9 @@ impl Ranker {
             if winner_matchable && self.boost_fetch() {
                 continue;
             }
-            // Open queues normally mean "wait for more input" — the
-            // missing SEND may still arrive. But when the buffer byte
-            // cap is the reason nothing can be fetched, waiting would
-            // stall a live stream forever while staged input piles up:
-            // under a cap, blocked receives fall through to the
-            // forced/noise paths instead (bounded memory wins over
-            // completeness, by configuration).
-            if self.queues.iter().any(|q| !q.closed) && !self.cap_blocked() {
+            // Open queues mean "wait for more input" — the missing
+            // SEND may still arrive.
+            if self.queues.iter().any(|q| !q.closed) {
                 return RankStep::NeedInput;
             }
             let victim = self.pop(qi);
@@ -1259,77 +1218,6 @@ mod tests {
             steps.iter().any(|s| matches!(s, RankStep::Noise(_))),
             "without swap the deadlock breaks by (wrongly) discarding: {steps:?}"
         );
-    }
-
-    #[test]
-    fn buffer_cap_bounds_refill_despite_huge_window() {
-        // A 100s window would buffer all 1000 activities at once; the
-        // byte cap (the memory budget's backstop) keeps the buffer at
-        // ~10 entries while every activity is still delivered.
-        let acts: Vec<Activity> = (0..1000)
-            .map(|i| {
-                act(
-                    ActivityType::Send,
-                    i * 1_000_000,
-                    "a",
-                    "10.0.0.1:1",
-                    "10.0.0.2:2",
-                )
-            })
-            .collect();
-        let mut r = Ranker::from_streams(
-            RankerOptions {
-                window: Nanos::from_secs(100),
-                buffer_cap_bytes: Some(10 * PER_BUFFERED_BYTES),
-                ..Default::default()
-            },
-            vec![(Arc::from("a"), acts)],
-        );
-        let mut n = 0;
-        while let RankStep::Candidate(_) = r.rank(&NoOracle) {
-            n += 1;
-        }
-        assert_eq!(n, 1000);
-        assert!(
-            r.counters().peak_buffered <= 11,
-            "peak {} exceeds the cap",
-            r.counters().peak_buffered
-        );
-    }
-
-    #[test]
-    fn cap_blocked_stuck_state_does_not_stall_open_stream() {
-        // A live (open) queue whose head is an unmatched RECEIVE with
-        // its maybe-matching SEND staged beyond the byte cap: without
-        // the cap fall-through this would be NeedInput forever while
-        // staged input grows; with it, the blocker is discharged.
-        let mut r = Ranker::new(RankerOptions {
-            buffer_cap_bytes: Some(PER_BUFFERED_BYTES),
-            ..RankerOptions::default()
-        });
-        for i in 0..8u64 {
-            r.push(act(
-                ActivityType::Receive,
-                10 + i,
-                "a",
-                "8.8.8.8:1",
-                "10.0.0.3:9",
-            ));
-        }
-        // Host stays open; the capped ranker must still make progress.
-        let mut discharged = 0;
-        for _ in 0..8 {
-            match r.rank(&NoOracle) {
-                RankStep::Noise(_) | RankStep::Candidate(_) => discharged += 1,
-                RankStep::NeedInput => break,
-                RankStep::Exhausted => break,
-            }
-        }
-        assert!(
-            discharged >= 7,
-            "cap-blocked receives must discharge, got {discharged}"
-        );
-        assert!(r.counters().peak_buffered <= 2);
     }
 
     #[test]

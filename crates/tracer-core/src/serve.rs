@@ -13,10 +13,9 @@
 //!
 //! * correlation state is bounded by the configured
 //!   [`crate::correlator::CorrelatorConfig::memory_budget`] (cold
-//!   state pages out to the disk spill tier by default, keeping recall
-//!   intact; [`crate::correlator::CorrelatorConfig::shed_on_budget`]
-//!   evicts it outright instead) and the ranker's sliding window; the
-//!   drain removes every spill artifact the process created;
+//!   state pages out to the disk spill tier, keeping recall intact)
+//!   and the ranker's sliding window; the drain removes every spill
+//!   artifact the process created;
 //! * sharded router state is bounded by the bounded-age settle rule
 //!   ([`crate::correlator::CorrelatorConfig::lane_settle_depth`]) and
 //!   the channel-idle GC
@@ -291,7 +290,7 @@ impl ServeReport {
         format!(
             "serve: records={} sealed={} drained={} patterns={} shed={} malformed={} \
              torn={} truncated={} restarts={} open_retries={} decode_errors={} \
-             budget_evicted={} spilled={} spill_faults={} aged_settles={} noise={} \
+             spilled={} spill_faults={} aged_settles={} noise={} \
              p99_seal_lag={} peak_state={}B peak_rss={}B wall={:.3}s",
             self.records_in,
             self.cags_sealed,
@@ -304,7 +303,6 @@ impl ServeReport {
             s(|r| r.restarts),
             s(|r| r.open_retries),
             s(|r| r.decode_errors),
-            m.engine.budget_evicted_cags,
             m.engine.spilled_cags + m.engine.spilled_orphans + m.spilled_dedup_entries,
             m.engine.spill_faults + m.spill_dedup_faults,
             m.ranker.aged_settles,
@@ -551,7 +549,7 @@ impl Server {
         // destructors. A drain must not leak temp files.
         drop(session);
         let cc = &self.config.pipeline.correlator;
-        if cc.memory_budget.is_some() && !cc.shed_on_budget {
+        if cc.memory_budget.is_some() {
             let dir = cc.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             crate::spill::sweep_process_spill_files(&dir);
         }

@@ -1,38 +1,44 @@
-//! Sharded parallel correlation (the follow-up paper's "online at
-//! scale" requirement).
+//! Routed parallel correlation (the follow-up paper's "online at
+//! scale" requirement): one sequential front-end, many workers.
 //!
 //! Candidate selection is inherently sequential *within* one
 //! access-point session, but sessions are independent: every activity
 //! of a request — its BEGIN at the access point, the internal
 //! SEND/RECEIVE cascade, the final END — belongs to exactly one client
-//! session. [`ShardedCorrelator`] exploits that:
+//! session. [`RoutedCorrelator`] exploits that:
 //!
 //! ```text
-//!            reader thread                     worker threads
+//!            front-end (one reader)            ShardSink (workers)
 //!  text ─→ parse (zero-copy) ─→ classify ─→ ┌─ shard 0: StreamingCorrelator ─┐
 //!            + filter + route                ├─ shard 1: StreamingCorrelator ─┤─→ merge
 //!            (session affinity)              ├─ ...                           │  (canonical
 //!                                            └─ shard N-1 ──────────────────-┘   re-sequence)
 //! ```
 //!
-//! * The **reader** parses borrowed [`RawRecordRef`]s (no per-record
+//! * The **front-end** parses borrowed [`RawRecordRef`]s (no per-record
 //!   string allocations; hostnames/programs are interned), classifies
 //!   and filters them, and routes each surviving activity to a shard by
 //!   **client session**: the `src ip:port` of the BEGIN at the access
 //!   point, consistent-hashed over the shard count. Internal activities
 //!   follow their session through channel/context affinity tracking
-//!   (the reader is sequential, so the routing is deterministic).
-//! * Each **worker** owns a [`StreamingCorrelator`] fed through a
-//!   bounded SPSC channel (back-pressure bounds memory) and correlates
-//!   its shard's sessions while the reader keeps parsing.
+//!   (the reader is sequential, so the routing is deterministic). It
+//!   batches each shard's messages and hands every full batch — exactly
+//!   4,096 messages — to its `ShardSink` from inside the routing pass.
+//! * The **sink** is the only thing `Mode::Sharded` and
+//!   `Mode::Distributed` differ in. `WorkerBlock` gives each shard a
+//!   worker thread owning a [`StreamingCorrelator`], fed through a
+//!   bounded SPSC channel (back-pressure bounds memory), which
+//!   correlates its shard's sessions while the reader keeps parsing.
+//!   The PTDC cluster of [`crate::dist`] writes the same batches as
+//!   Claim frames to router peers — each of which runs a `WorkerBlock`.
 //! * The **merge** stage re-sequences the union of all sealed CAGs into
 //!   a canonical deterministic order — sorted by CAG root (the BEGIN's
 //!   timestamp, context and channel), ids renumbered sequentially — so
-//!   the output is byte-identical **regardless of shard count or thread
-//!   interleaving**: `--shards 1` and `--shards 64` produce the same
-//!   bytes. (One exception: a [`CorrelatorConfig::max_seal_lag`] bound
-//!   is evaluated against each shard's private candidate counter, so
-//!   *whether* a lulled path gets force-sealed before a trailing END
+//!   the output is byte-identical **regardless of shard count, sink or
+//!   thread interleaving**: `--shards 1` and `--shards 64` produce the
+//!   same bytes. (One exception: a [`CorrelatorConfig::max_seal_lag`]
+//!   bound is evaluated against each shard's private candidate counter,
+//!   so *whether* a lulled path gets force-sealed before a trailing END
 //!   chunk arrives can depend on the partition — the SLO knob trades
 //!   cross-shard-count invariance for emission latency. Output for a
 //!   **fixed** shard count stays fully deterministic.)
@@ -74,12 +80,13 @@ use crate::fasthash::{FxBuildHasher, FxHashMap};
 use crate::filter::FilterSet;
 use crate::intern::Interner;
 use crate::metrics::CorrelatorMetrics;
-use crate::raw::{parse_log_iter, RangeDedup, RawRecord, RawRecordRef};
+use crate::raw::{RangeDedup, RawRecord, RawRecordRef};
 
-/// Activities per channel message (amortizes channel synchronization).
-const BATCH_RECORDS: usize = 4_096;
+/// Activities per shard batch — one channel message or one Claim frame
+/// (amortizes synchronization and framing).
+pub(crate) const BATCH_RECORDS: usize = 4_096;
 
-/// Bounded channel capacity, in batches, per shard (back-pressure: the
+/// Bounded channel capacity, in batches, per worker (back-pressure: the
 /// reader blocks instead of buffering unboundedly ahead of a slow
 /// worker).
 const CHANNEL_BATCHES: usize = 8;
@@ -339,10 +346,10 @@ struct SessionRouter {
     noise_discards: u64,
     /// First few noise victims, for diagnostics.
     noise_samples: Vec<Activity>,
-    /// Ship orphan-chain records to workers anyway (escape hatch; the
-    /// workers' engines absorb them into never-emitted orphan chains,
-    /// exactly as the batch engine does).
-    orphan_parity: bool,
+    /// Route orphan-chain records instead of dropping them:
+    /// [`route_records`] introspection shows every activity's
+    /// assignment. The pipeline never sets it.
+    route_orphans: bool,
     /// Orphan-chain records dropped reader-side (never dispatched).
     orphan_dropped: u64,
     /// Channels evicted by the idle GC since the owner last drained
@@ -357,7 +364,7 @@ impl SessionRouter {
         shards: u32,
         idle_horizon: Option<u64>,
         settle_depth: Option<u64>,
-        orphan_parity: bool,
+        route_orphans: bool,
     ) -> Self {
         SessionRouter {
             shards,
@@ -379,7 +386,7 @@ impl SessionRouter {
             forced_routes: 0,
             noise_discards: 0,
             noise_samples: Vec::new(),
-            orphan_parity,
+            route_orphans,
             orphan_dropped: 0,
             evicted: Vec::new(),
         }
@@ -638,11 +645,10 @@ impl SessionRouter {
     /// channel's bytes for that shard. The second return is true when
     /// the send opens or extends an orphan chain and was marked
     /// dropped: the batch engine would bury it in a never-emitted
-    /// orphan chain, so (unless [`SessionRouter::orphan_parity`] asks
-    /// for engine-level parity) there is no point shipping it to a
-    /// worker. Claim bookkeeping is identical either way — dropped
-    /// claims still occupy their FIFO slot so routing decisions do not
-    /// shift.
+    /// orphan chain, so (unless [`SessionRouter::route_orphans`] asks
+    /// to see it) there is no point shipping it to a worker. Claim
+    /// bookkeeping is identical either way — dropped claims still
+    /// occupy their FIFO slot so routing decisions do not shift.
     fn route_send(&mut self, lane: usize, a: &Activity) -> (u32, bool) {
         let s = match self.lanes[lane].affinity {
             Some(s) => s,
@@ -654,7 +660,7 @@ impl SessionRouter {
             },
         };
         let dropped =
-            !self.orphan_parity && (self.lanes[lane].noise || self.lanes[lane].affinity.is_none());
+            !self.route_orphans && (self.lanes[lane].noise || self.lanes[lane].affinity.is_none());
         let now = self.records_staged;
         let c = self.claims.entry(a.channel).or_default();
         c.staged -= 1;
@@ -1144,17 +1150,15 @@ impl SessionRouter {
     }
 }
 
-/// The shared reader-side front-end of the sharded and distributed
-/// pipelines: dedup → classify → filter → route through the one
-/// sequential [`SessionRouter`], plus the canonical cluster merge.
-/// Everything the correlation algorithm needs exactly **once** per
-/// cluster lives here, regardless of whether the shards behind it are
-/// worker threads ([`ShardedCorrelator`]) or router processes
-/// ([`crate::dist`]): the routing/dispatch sequence — and therefore the
-/// merged output — is a pure function of the input, not of the
-/// execution topology.
+/// The reader-side core of the routed front-end: dedup → classify →
+/// filter → route through the one sequential [`SessionRouter`], plus
+/// the canonical merge. Everything the correlation algorithm needs
+/// exactly **once** per run lives here, whatever [`ShardSink`] sits
+/// behind it: the routing/dispatch sequence — and therefore the merged
+/// output — is a pure function of the input, not of the execution
+/// topology.
 #[derive(Debug)]
-pub(crate) struct ReaderCore {
+struct ReaderCore {
     classifier: Classifier,
     filters: FilterSet,
     interner: Interner,
@@ -1170,7 +1174,7 @@ pub(crate) struct ReaderCore {
 impl ReaderCore {
     /// Builds the front-end routing over `shards` downstream workers.
     /// The config must already be validated.
-    pub(crate) fn new(config: &CorrelatorConfig, shards: u32) -> Self {
+    fn new(config: &CorrelatorConfig, shards: u32) -> Self {
         ReaderCore {
             classifier: Classifier::new(config.access.clone()),
             filters: config.filters.clone(),
@@ -1180,7 +1184,7 @@ impl ReaderCore {
                 shards,
                 config.channel_idle_horizon,
                 config.lane_settle_depth,
-                config.orphan_parity,
+                false,
             ),
             records_in: 0,
             filtered_out: 0,
@@ -1189,7 +1193,7 @@ impl ReaderCore {
     }
 
     /// Classifies, filters and stages one record without routing yet.
-    pub(crate) fn ingest(&mut self, mut rec: RawRecord) {
+    fn ingest(&mut self, mut rec: RawRecord) {
         self.records_in += 1;
         match self.range_dedup.decide_owned(&rec) {
             crate::raw::IngestDecision::Drop => {
@@ -1209,7 +1213,7 @@ impl ReaderCore {
 
     /// Zero-copy counterpart of [`Self::ingest`]: filters the borrowed
     /// record before any allocation, then interns and stages it.
-    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
+    fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
         self.records_in += 1;
         let mut r = *r;
         match self.range_dedup.decide(&r) {
@@ -1242,7 +1246,7 @@ impl ReaderCore {
     /// Routes everything currently routable through `dispatch`.
     /// `final_input` additionally breaks stuck states so the staging
     /// area fully drains.
-    pub(crate) fn pump(
+    fn pump(
         &mut self,
         final_input: bool,
         dispatch: &mut dyn FnMut(ShardMsg, u32) -> Result<(), TraceError>,
@@ -1253,7 +1257,7 @@ impl ReaderCore {
     /// Approximate resident bytes of the reader-side routing state:
     /// deferred/noise lanes, per-channel claim FIFOs, waiter lists and
     /// dedup coverage.
-    pub(crate) fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         self.router.approx_bytes() + self.range_dedup.approx_bytes()
     }
 
@@ -1264,11 +1268,7 @@ impl ReaderCore {
     /// where BEGIN delivery order is BEGIN timestamp order. `outputs`
     /// must arrive in global shard order so capped diagnostics (noise
     /// samples) truncate identically for every topology.
-    pub(crate) fn merge(
-        &mut self,
-        outputs: Vec<CorrelationOutput>,
-        started: Instant,
-    ) -> CorrelationOutput {
+    fn merge(&mut self, outputs: Vec<CorrelationOutput>, started: Instant) -> CorrelationOutput {
         let mut all: Vec<Cag> = Vec::new();
         let mut metrics = CorrelatorMetrics {
             records_in: self.records_in,
@@ -1340,9 +1340,7 @@ pub(crate) fn worker_config(config: &CorrelatorConfig, n: usize) -> CorrelatorCo
 
 /// One shard worker's drain loop: correlate batches as they arrive,
 /// stream sealed CAGs out, finish when the feeding side hangs up.
-/// Shared by the in-process sharded pipeline and the distributed
-/// router peers.
-pub(crate) fn run_worker(
+fn run_worker(
     mut sc: StreamingCorrelator,
     rx: Receiver<Vec<ShardMsg>>,
 ) -> Result<CorrelationOutput, TraceError> {
@@ -1362,40 +1360,134 @@ pub(crate) fn run_worker(
     Ok(out)
 }
 
-/// The sharded parallel correlation pipeline — the engine behind
-/// [`crate::pipeline::Mode::Sharded`]; callers reach it through
-/// [`crate::pipeline::Pipeline`]. See the module docs for the
-/// architecture and the output-order contract.
+/// Where routed shard batches go — the single point of variation
+/// between the sharded and the distributed pipeline. The front-end
+/// ([`RoutedCorrelator`]) hands a sink each shard's messages in routing
+/// order, in batches of exactly [`BATCH_RECORDS`] (a shorter one only on
+/// a flush), so every sink's workers see the same input at the same
+/// boundaries. `Send`, so a session can move between threads.
+pub(crate) trait ShardSink: Send {
+    /// Delivers the next batch of `shard`'s input.
+    fn send(&mut self, shard: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError>;
+    /// Pushes everything sent so far towards the workers.
+    fn flush(&mut self) -> Result<(), TraceError>;
+    /// Ends the input and returns every worker's output, in global
+    /// shard order (which the canonical merge requires).
+    fn collect(&mut self) -> Result<Vec<CorrelationOutput>, TraceError>;
+}
+
+/// The thread sink: one direct-delivery correlator per shard, each on
+/// its own thread behind a bounded channel. [`Mode::Sharded`] runs one
+/// block; a distributed router peer ([`crate::dist::serve_router`])
+/// runs one for its slice of the global shards.
+///
+/// [`Mode::Sharded`]: crate::pipeline::Mode::Sharded
 #[derive(Debug)]
-pub(crate) struct ShardedCorrelator {
+pub(crate) struct WorkerBlock {
+    txs: Vec<SyncSender<Vec<ShardMsg>>>,
+    workers: Vec<JoinHandle<Result<CorrelationOutput, TraceError>>>,
+}
+
+impl WorkerBlock {
+    /// Spawns `n` workers running `worker_cfg` (see [`worker_config`]).
+    pub(crate) fn spawn(worker_cfg: &CorrelatorConfig, n: usize) -> Result<Self, TraceError> {
+        let mut block = WorkerBlock {
+            txs: Vec::with_capacity(n),
+            workers: Vec::with_capacity(n),
+        };
+        for _ in 0..n {
+            // Direct delivery: the router already performed candidate
+            // selection (causal order, Rule-1 byte coverage, noise
+            // removal), so workers run the engine without re-ranking.
+            let sc = StreamingCorrelator::direct_for_activities(worker_cfg.clone())?;
+            let (tx, rx) = sync_channel(CHANNEL_BATCHES);
+            block.txs.push(tx);
+            block
+                .workers
+                .push(std::thread::spawn(move || run_worker(sc, rx)));
+        }
+        Ok(block)
+    }
+}
+
+impl ShardSink for WorkerBlock {
+    fn send(&mut self, shard: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError> {
+        self.txs[shard]
+            .send(batch)
+            .map_err(|_| TraceError::config("shard worker terminated unexpectedly"))
+    }
+
+    fn flush(&mut self) -> Result<(), TraceError> {
+        Ok(())
+    }
+
+    fn collect(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+        // Hang up: workers drain their queues and finish. Every one is
+        // joined before the first failure is reported.
+        self.txs.clear();
+        let joined: Vec<_> = self.workers.drain(..).map(JoinHandle::join).collect();
+        joined
+            .into_iter()
+            .map(|out| out.map_err(|_| TraceError::config("shard worker panicked"))?)
+            .collect()
+    }
+}
+
+impl Drop for WorkerBlock {
+    fn drop(&mut self) {
+        // Hang up so abandoned workers terminate instead of blocking
+        // forever on their receive loops.
+        self.txs.clear();
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The routed correlation pipeline — the engine behind
+/// [`Mode::Sharded`] and [`Mode::Distributed`]; callers reach it
+/// through [`crate::pipeline::Pipeline`]. One [`ReaderCore`] routes,
+/// one [`ShardSink`] carries the routed batches to the workers; see the
+/// module docs for the architecture and the output-order contract.
+///
+/// [`Mode::Sharded`]: crate::pipeline::Mode::Sharded
+/// [`Mode::Distributed`]: crate::pipeline::Mode::Distributed
+pub(crate) struct RoutedCorrelator {
     core: ReaderCore,
     /// Per-shard batch under construction.
     pending: Vec<Vec<ShardMsg>>,
-    txs: Vec<SyncSender<Vec<ShardMsg>>>,
-    workers: Vec<JoinHandle<Result<CorrelationOutput, TraceError>>>,
+    sink: Box<dyn ShardSink>,
     started: Instant,
     finished: bool,
 }
 
-impl ShardedCorrelator {
-    /// Spawns `shards` correlation workers (`0` = auto from
-    /// [`std::thread::available_parallelism`], capped at 16).
-    ///
-    /// A configured [`CorrelatorConfig::memory_budget`] is split evenly
-    /// across the shards, so the configured total still bounds the
-    /// pipeline's resident correlation state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when [`CorrelatorConfig::validate`]
-    /// fails.
-    pub fn new(config: CorrelatorConfig, shards: usize) -> Result<Self, TraceError> {
-        config.validate()?;
-        if shards > MAX_SHARDS {
-            return Err(TraceError::config(format!(
-                "shard count {shards} exceeds the maximum of {MAX_SHARDS}"
-            )));
+impl std::fmt::Debug for RoutedCorrelator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RoutedCorrelator")
+            .field("shards", &self.pending.len())
+            .field("finished", &self.finished)
+            .finish_non_exhaustive()
+    }
+}
+
+impl RoutedCorrelator {
+    /// The front-end over `shards` global shards whose batches go to
+    /// `sink`. The config must already be validated.
+    pub(crate) fn new(config: &CorrelatorConfig, shards: usize, sink: Box<dyn ShardSink>) -> Self {
+        RoutedCorrelator {
+            core: ReaderCore::new(config, shards as u32),
+            pending: vec![Vec::with_capacity(BATCH_RECORDS); shards],
+            sink,
+            started: Instant::now(),
+            finished: false,
         }
+    }
+
+    /// The sharded pipeline: `shards` worker threads (`0` = auto from
+    /// [`std::thread::available_parallelism`], capped at 16). A
+    /// configured [`CorrelatorConfig::memory_budget`] is split evenly
+    /// across them.
+    pub(crate) fn sharded(config: &CorrelatorConfig, shards: usize) -> Result<Self, TraceError> {
         let n = match shards {
             0 => std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -1403,34 +1495,8 @@ impl ShardedCorrelator {
                 .min(AUTO_SHARD_CAP),
             n => n,
         };
-        let core = ReaderCore::new(&config, n as u32);
-        let shard_cfg = worker_config(&config, n);
-        let mut txs = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
-        for _ in 0..n {
-            // Direct delivery: the router already performed candidate
-            // selection (causal order, Rule-1 byte coverage, noise
-            // removal), so workers run the engine without re-ranking.
-            let sc = StreamingCorrelator::direct_for_activities(shard_cfg.clone())?;
-            let (tx, rx): (SyncSender<Vec<ShardMsg>>, Receiver<Vec<ShardMsg>>) =
-                sync_channel(CHANNEL_BATCHES);
-            txs.push(tx);
-            workers.push(std::thread::spawn(move || run_worker(sc, rx)));
-        }
-        Ok(ShardedCorrelator {
-            core,
-            pending: vec![Vec::with_capacity(BATCH_RECORDS); n],
-            txs,
-            workers,
-            started: Instant::now(),
-            finished: false,
-        })
-    }
-
-    /// Number of shard workers.
-    #[cfg(test)]
-    pub fn shards(&self) -> usize {
-        self.txs.len()
+        let block = WorkerBlock::spawn(&worker_config(config, n), n)?;
+        Ok(Self::new(config, n, Box::new(block)))
     }
 
     /// Approximate resident bytes of the reader-side routing state:
@@ -1456,41 +1522,52 @@ impl ShardedCorrelator {
         }
     }
 
-    /// Stages one activity and routes everything currently routable to
-    /// the workers. `final_input` additionally breaks stuck states so
-    /// the staging area fully drains.
-    fn pump_router(&mut self, final_input: bool) -> Result<(), TraceError> {
-        let ShardedCorrelator {
-            core, pending, txs, ..
+    /// Routes everything currently routable, handing each shard's
+    /// batch to the sink the moment it fills. `final_input`
+    /// additionally breaks stuck states so the staging area fully
+    /// drains.
+    fn pump(&mut self, final_input: bool) -> Result<(), TraceError> {
+        let RoutedCorrelator {
+            core,
+            pending,
+            sink,
+            ..
         } = self;
-        let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
+        core.pump(final_input, &mut |m, shard| {
             let shard = shard as usize;
             pending[shard].push(m);
             if pending[shard].len() >= BATCH_RECORDS {
                 let batch =
                     std::mem::replace(&mut pending[shard], Vec::with_capacity(BATCH_RECORDS));
-                txs[shard]
-                    .send(batch)
-                    .map_err(|_| TraceError::config("shard worker terminated unexpectedly"))?;
+                sink.send(shard, batch)?;
             }
             Ok(())
-        };
-        core.pump(final_input, &mut dispatch)
+        })
     }
 
-    fn flush_shard(&mut self, shard: usize) -> Result<(), TraceError> {
-        if self.pending[shard].is_empty() {
-            return Ok(());
+    /// Hands every partial batch to the sink.
+    fn send_partial_batches(&mut self) -> Result<(), TraceError> {
+        for (shard, batch) in self.pending.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                let batch = std::mem::replace(batch, Vec::with_capacity(BATCH_RECORDS));
+                self.sink.send(shard, batch)?;
+            }
         }
-        let batch = std::mem::replace(&mut self.pending[shard], Vec::with_capacity(BATCH_RECORDS));
-        self.txs[shard]
-            .send(batch)
-            .map_err(|_| TraceError::config("shard worker terminated unexpectedly"))
+        Ok(())
     }
 
-    /// Classifies, filters and stages one record without routing yet.
-    fn ingest(&mut self, rec: RawRecord) {
+    /// Classifies, filters and stages one owned record without routing
+    /// yet. Staging a complete record set before [`Self::finish`]
+    /// accepts it in **any** order: the router's per-entity lanes
+    /// re-sort it by local time, like the batch drain's per-node sort.
+    pub(crate) fn stage(&mut self, rec: RawRecord) {
         self.core.ingest(rec);
+    }
+
+    /// Zero-copy counterpart of [`Self::stage`]: filters the borrowed
+    /// record before any allocation, then interns and stages it.
+    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
+        self.core.stage_ref(r);
     }
 
     /// Routes one owned raw record into the pipeline, streaming
@@ -1498,8 +1575,8 @@ impl ShardedCorrelator {
     ///
     /// Records of one host must arrive in local-timestamp order (small
     /// inversions are re-sorted, like the ranker's staging queues);
-    /// cross-host interleaving is free. For wholly unordered input use
-    /// [`Self::correlate`], which stages the complete set first.
+    /// cross-host interleaving is free. For wholly unordered input
+    /// [`Self::stage`] the complete set first.
     ///
     /// Mid-stream, a RECEIVE whose channel has no known send yet
     /// defers inside the router — including untraced-peer noise,
@@ -1511,12 +1588,12 @@ impl ShardedCorrelator {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`], or a
-    /// configuration error when a shard worker died.
+    /// Returns [`TraceError::Finished`] after [`Self::finish`], or the
+    /// sink's error when a worker or router peer died.
     pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
         self.guard()?;
-        self.ingest(rec);
-        self.pump_router(false)
+        self.stage(rec);
+        self.pump(false)
     }
 
     /// Parses and routes one TCP_TRACE log line through the zero-copy
@@ -1529,19 +1606,8 @@ impl ShardedCorrelator {
     /// [`TraceError::Finished`] after [`Self::finish`].
     pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
         self.guard()?;
-        let r = RawRecordRef::parse_line(line)?;
-        self.push_ref(&r)
-    }
-
-    /// Zero-copy counterpart of [`Self::ingest`]: filters the borrowed
-    /// record before any allocation, then interns and stages it.
-    pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
-        self.core.stage_ref(r);
-    }
-
-    fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
-        self.stage_ref(r);
-        self.pump_router(false)
+        self.stage_ref(&RawRecordRef::parse_line(line)?);
+        self.pump(false)
     }
 
     /// Flushes all partial batches to the workers (they keep
@@ -1552,149 +1618,55 @@ impl ShardedCorrelator {
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn flush(&mut self) -> Result<(), TraceError> {
         self.guard()?;
-        for shard in 0..self.pending.len() {
-            self.flush_shard(shard)?;
-        }
-        Ok(())
+        self.send_partial_batches()?;
+        self.sink.flush()
     }
 
-    /// Closes the pipeline: flushes every batch, joins the workers and
-    /// merges their outputs into the canonical deterministic order (see
-    /// the module docs). The correlator is spent afterwards.
+    /// Closes the pipeline: drains the router (with input closed,
+    /// deferred receives resolve and stuck states break by promotion),
+    /// sends every remaining batch, collects the workers' outputs and
+    /// merges them into the canonical deterministic order (see the
+    /// module docs). The correlator is spent afterwards.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Finished`] when called twice and a
-    /// configuration error when a worker panicked.
+    /// Returns [`TraceError::Finished`] when called twice and the
+    /// sink's error when a worker or router peer failed.
     pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
         self.guard()?;
-        // Drain the router completely: with input closed, deferred
-        // receives resolve, stuck states break by promotion.
-        self.pump_router(true)?;
-        for shard in 0..self.pending.len() {
-            self.flush_shard(shard)?;
-        }
+        self.pump(true)?;
+        self.send_partial_batches()?;
         self.finished = true;
-        // Hang up: workers drain their queues and finish.
-        self.txs.clear();
-        let mut outputs = Vec::with_capacity(self.workers.len());
-        for handle in self.workers.drain(..) {
-            let out = handle
-                .join()
-                .map_err(|_| TraceError::config("shard worker panicked"))??;
-            outputs.push(out);
-        }
+        let outputs = self.sink.collect()?;
         Ok(self.core.merge(outputs, self.started))
-    }
-
-    /// Batch convenience: correlates a complete record set through the
-    /// sharded pipeline. Records may arrive in **any** order: the whole
-    /// set is staged first (the router's per-entity lanes re-sort it by
-    /// local time, like the batch drain's per-node sort), then routed
-    /// in one pass that overlaps the workers' correlation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when the config is invalid.
-    pub fn correlate(
-        config: CorrelatorConfig,
-        shards: usize,
-        records: Vec<RawRecord>,
-    ) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = ShardedCorrelator::new(config, shards)?;
-        for rec in records {
-            sc.ingest(rec);
-        }
-        sc.finish()
-    }
-
-    /// Batch convenience over a TCP_TRACE text log through the
-    /// zero-copy ingest path: records are parsed borrowed, filtered
-    /// before allocation, interned and staged; the routing pass then
-    /// streams them to the shards, which correlate while the router
-    /// keeps routing.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first parse error, or a configuration error.
-    pub fn correlate_text(
-        config: CorrelatorConfig,
-        shards: usize,
-        text: &str,
-    ) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = ShardedCorrelator::new(config, shards)?;
-        for r in parse_log_iter(text) {
-            sc.stage_ref(&r?);
-        }
-        sc.finish()
     }
 }
 
 /// Routing introspection for diagnostics and tests: runs only the
-/// reader-side router over a complete record set (grouped/sorted like
-/// [`ShardedCorrelator::correlate`]) and returns each activity with its
-/// shard assignment, in dispatch order.
+/// reader-side front-end over a complete record set (staged whole, like
+/// a batch run) and returns each activity with its shard assignment, in
+/// dispatch order.
 #[doc(hidden)]
 pub fn route_records(
     config: &CorrelatorConfig,
     shards: usize,
     records: Vec<RawRecord>,
 ) -> Result<Vec<(Activity, u32)>, TraceError> {
-    config.validate()?;
-    let classifier = Classifier::new(config.access.clone());
-    let filters = config.filters.clone();
-    let mut dedup = RangeDedup::new();
-    // Introspection shows every activity's assignment, so orphan
-    // chains are routed (parity mode), never dropped.
-    let mut router = SessionRouter::new(
-        shards.max(1) as u32,
-        config.channel_idle_horizon,
-        config.lane_settle_depth,
-        true,
-    );
-    let mut out = Vec::new();
-    let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
-        if let ShardMsg::Act(a) = m {
-            out.push((a, shard));
-        }
-        Ok(())
-    };
-    for mut rec in records {
-        match dedup.decide_owned(&rec) {
-            crate::raw::IngestDecision::Drop => continue,
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = classifier.classify(&rec);
-        if filters.admits(&act) {
-            router.stage(act);
-            for ch in router.take_evicted() {
-                dedup.evict_channel(ch);
-            }
-        }
-    }
-    router.pump(true, &mut dispatch)?;
-    Ok(out)
+    route(config, shards, records, false)
 }
 
-/// Like [`route_records`] but pumping after every record, mirroring the
-/// streaming `push` flow. For per-host-ordered input it must produce
-/// identical assignments.
-#[doc(hidden)]
-pub fn route_records_streaming(
+/// [`route_records`]; with `pump_each_record` the router pumps after
+/// every record, mirroring the streaming `push` flow — for
+/// per-host-ordered input it must produce identical assignments.
+fn route(
     config: &CorrelatorConfig,
     shards: usize,
     records: Vec<RawRecord>,
+    pump_each_record: bool,
 ) -> Result<Vec<(Activity, u32)>, TraceError> {
     config.validate()?;
-    let classifier = Classifier::new(config.access.clone());
-    let filters = config.filters.clone();
-    let mut dedup = RangeDedup::new();
-    let mut router = SessionRouter::new(
-        shards.max(1) as u32,
-        config.channel_idle_horizon,
-        config.lane_settle_depth,
-        true,
-    );
+    let mut core = ReaderCore::new(config, shards.max(1) as u32);
+    core.router.route_orphans = true;
     let mut out = Vec::new();
     let mut dispatch = |m: ShardMsg, shard: u32| -> Result<(), TraceError> {
         if let ShardMsg::Act(a) = m {
@@ -1702,43 +1674,25 @@ pub fn route_records_streaming(
         }
         Ok(())
     };
-    for mut rec in records {
-        match dedup.decide_owned(&rec) {
-            crate::raw::IngestDecision::Drop => continue,
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = classifier.classify(&rec);
-        if filters.admits(&act) {
-            router.stage(act);
-            for ch in router.take_evicted() {
-                dedup.evict_channel(ch);
-            }
-            router.pump(false, &mut dispatch)?;
+    for rec in records {
+        core.ingest(rec);
+        if pump_each_record {
+            core.pump(false, &mut dispatch)?;
         }
     }
-    router.pump(true, &mut dispatch)?;
+    core.pump(true, &mut dispatch)?;
     Ok(out)
 }
 
-impl Drop for ShardedCorrelator {
-    fn drop(&mut self) {
-        // Hang up so abandoned workers terminate instead of blocking
-        // forever on their receive loops.
-        self.txs.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::access::AccessPointSpec;
     use crate::correlator::Correlator;
+    use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
     use crate::raw::parse_log;
 
-    fn access() -> AccessPointSpec {
+    pub(crate) fn access() -> AccessPointSpec {
         AccessPointSpec::new(
             [80],
             [
@@ -1747,6 +1701,18 @@ mod tests {
                 "10.0.0.3".parse().unwrap(),
             ],
         )
+    }
+
+    /// A whole-source run of the sharded pipeline.
+    pub(crate) fn sharded(
+        config: CorrelatorConfig,
+        shards: usize,
+        source: Source<'_>,
+    ) -> CorrelationOutput {
+        Pipeline::new(PipelineConfig::from(config).with_mode(Mode::Sharded(shards)))
+            .unwrap()
+            .run(source)
+            .unwrap()
     }
 
     /// Two interleaved three-tier requests from different clients plus
@@ -1796,6 +1762,51 @@ mod tests {
         log
     }
 
+    /// Interleaved three-tier requests from several clients plus
+    /// untraced-peer noise, enough sessions to spread across shards.
+    pub(crate) fn cluster_log(clients: usize) -> String {
+        let mut log = String::new();
+        for c in 0..clients as u64 {
+            let base = c * 250;
+            let port = 4001 + c;
+            let tid = 7 + c;
+            for line in [
+                format!(
+                    "{} web httpd 7 {tid} RECEIVE 192.168.0.9:{}-10.0.0.1:80 120",
+                    1000 + base,
+                    5000 + c
+                ),
+                format!(
+                    "{} web httpd 7 {tid} SEND 10.0.0.1:{port}-10.0.0.2:8009 64",
+                    2000 + base
+                ),
+                format!(
+                    "{} app java 9 {} RECEIVE 10.0.0.1:{port}-10.0.0.2:8009 64",
+                    500_900 + base,
+                    21 + c
+                ),
+                format!(
+                    "{} app java 9 {} SEND 10.0.0.2:8009-10.0.0.1:{port} 256",
+                    504_000 + base,
+                    21 + c
+                ),
+                format!(
+                    "{} web httpd 7 {tid} RECEIVE 10.0.0.2:8009-10.0.0.1:{port} 256",
+                    4500 + base
+                ),
+                format!(
+                    "{} web httpd 7 {tid} SEND 10.0.0.1:80-192.168.0.9:{} 512",
+                    5000 + base,
+                    5000 + c
+                ),
+            ] {
+                log.push_str(&line);
+                log.push('\n');
+            }
+        }
+        log
+    }
+
     /// Content fingerprint that ignores stream order and ids.
     fn fingerprint(out: &CorrelationOutput) -> Vec<String> {
         let mut v: Vec<String> = out
@@ -1827,12 +1838,11 @@ mod tests {
             .correlate(records.clone())
             .unwrap();
         for shards in [1, 2, 3, 4, 8] {
-            let out = ShardedCorrelator::correlate(
+            let out = sharded(
                 CorrelatorConfig::new(access()),
                 shards,
-                records.clone(),
-            )
-            .unwrap();
+                Source::records(records.clone()),
+            );
             assert_eq!(out.cags.len(), batch.cags.len(), "shards={shards}");
             assert_eq!(fingerprint(&out), fingerprint(&batch), "shards={shards}");
             assert_eq!(out.metrics.records_in, batch.metrics.records_in);
@@ -1855,12 +1865,9 @@ mod tests {
     #[test]
     fn shard_count_does_not_change_bytes() {
         let log = two_session_log();
-        let base =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 1, &log).unwrap();
+        let base = sharded(CorrelatorConfig::new(access()), 1, Source::text(&log));
         for shards in [2, 4, 7] {
-            let out =
-                ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), shards, &log)
-                    .unwrap();
+            let out = sharded(CorrelatorConfig::new(access()), shards, Source::text(&log));
             assert_eq!(
                 format!("{:?}", out.cags),
                 format!("{:?}", base.cags),
@@ -1874,9 +1881,8 @@ mod tests {
     fn text_and_record_ingest_agree() {
         let log = two_session_log();
         let records = parse_log(&log).unwrap();
-        let a =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let b = ShardedCorrelator::correlate(CorrelatorConfig::new(access()), 3, records).unwrap();
+        let a = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log));
+        let b = sharded(CorrelatorConfig::new(access()), 3, Source::records(records));
         assert_eq!(format!("{:?}", a.cags), format!("{:?}", b.cags));
         assert_eq!(a.metrics.records_in, b.metrics.records_in);
     }
@@ -1887,14 +1893,14 @@ mod tests {
         log.push_str("600 web sshd 99 99 RECEIVE 172.16.9.9:7000-10.0.0.1:22 500\n");
         let cfg =
             CorrelatorConfig::new(access()).with_filters(FilterSet::new().drop_program("sshd"));
-        let out = ShardedCorrelator::correlate_text(cfg, 4, &log).unwrap();
+        let out = sharded(cfg, 4, Source::text(&log));
         assert_eq!(out.metrics.filtered_out, 1);
         assert_eq!(out.cags.len(), 2);
     }
 
     #[test]
     fn api_after_finish_returns_finished_error() {
-        let mut sc = ShardedCorrelator::new(CorrelatorConfig::new(access()), 2).unwrap();
+        let mut sc = RoutedCorrelator::sharded(&CorrelatorConfig::new(access()), 2).unwrap();
         sc.push_line("1000 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120")
             .unwrap();
         let out = sc.finish().unwrap();
@@ -1910,9 +1916,78 @@ mod tests {
 
     #[test]
     fn zero_shards_resolves_to_auto() {
-        let sc = ShardedCorrelator::new(CorrelatorConfig::new(access()), 0).unwrap();
-        assert!(sc.shards() >= 1);
-        assert!(sc.shards() <= AUTO_SHARD_CAP);
+        let sc = RoutedCorrelator::sharded(&CorrelatorConfig::new(access()), 0).unwrap();
+        assert!((1..=AUTO_SHARD_CAP).contains(&sc.pending.len()));
+    }
+
+    /// A sink that only records what the front-end hands it: no
+    /// threads, no sockets.
+    #[derive(Clone, Default)]
+    struct Recording(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
+
+    impl ShardSink for Recording {
+        fn send(&mut self, shard: usize, batch: Vec<ShardMsg>) -> Result<(), TraceError> {
+            let mut log = self.0.lock().unwrap();
+            log.push(format!("send {shard} x{}", batch.len()));
+            log.extend(batch.iter().map(|m| format!("{shard}: {m:?}")));
+            Ok(())
+        }
+
+        fn flush(&mut self) -> Result<(), TraceError> {
+            Ok(())
+        }
+
+        fn collect(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+            self.0.lock().unwrap().push("collect".into());
+            Ok(Vec::new())
+        }
+    }
+
+    #[test]
+    fn every_feed_hands_the_sink_the_same_exact_chunks() {
+        // 6 messages per client over 2 shards: both shards pass 4,096.
+        // Sorted by timestamp the log is per-host ordered, so staging
+        // it whole, pushing it line by line and pushing owned records
+        // must route identically.
+        let mut lines: Vec<String> = cluster_log(1_600).lines().map(str::to_owned).collect();
+        lines.sort_by_key(|l| l.split(' ').next().unwrap().parse::<u64>().unwrap());
+        let config = CorrelatorConfig::new(access());
+        let feed = |each: &mut dyn FnMut(&mut RoutedCorrelator, &str)| {
+            let sink = Recording::default();
+            let mut rc = RoutedCorrelator::new(&config, 2, Box::new(sink.clone()));
+            for line in &lines {
+                each(&mut rc, line);
+            }
+            rc.finish().unwrap();
+            let log = std::mem::take(&mut *sink.0.lock().unwrap());
+            log
+        };
+        let staged = feed(&mut |rc, l| rc.stage_ref(&RawRecordRef::parse_line(l).unwrap()));
+        let by_line = feed(&mut |rc, l| rc.push_line(l).unwrap());
+        let by_record = feed(&mut |rc, l| rc.push(l.parse().unwrap()).unwrap());
+        assert!(staged == by_line, "push_line fed the sink differently");
+        assert!(staged == by_record, "push fed the sink differently");
+
+        let sends: Vec<&String> = staged.iter().filter(|l| l.starts_with("send")).collect();
+        for shard in 0..2 {
+            let sizes: Vec<&str> = sends
+                .iter()
+                .filter_map(|l| l.strip_prefix(&format!("send {shard} x")))
+                .collect();
+            let (last, full) = sizes.split_last().unwrap();
+            assert!(!full.is_empty(), "shard {shard} never filled a batch");
+            assert!(
+                full.iter().all(|&n| n == "4096"),
+                "shard {shard}: {sizes:?}"
+            );
+            assert!(last.parse::<usize>().unwrap() <= BATCH_RECORDS);
+        }
+        // Full batches leave during the routing pass, not after it:
+        // whole-file staging routes only inside `finish`, and still the
+        // sink has its first batch before `collect`.
+        let first_send = staged.iter().position(|l| l.starts_with("send")).unwrap();
+        let collect = staged.iter().position(|l| l == "collect").unwrap();
+        assert!(first_send < collect && collect == staged.len() - 1);
     }
 
     fn fmt_routed(v: &[(Activity, u32)]) -> Vec<String> {
@@ -1932,7 +2007,7 @@ mod tests {
         let config = CorrelatorConfig::new(access());
         let records = parse_log(&log).unwrap();
         let batch = route_records(&config, 4, records.clone()).unwrap();
-        let streaming = route_records_streaming(&config, 4, records).unwrap();
+        let streaming = route(&config, 4, records, true).unwrap();
         assert_eq!(fmt_routed(&batch), fmt_routed(&streaming));
     }
 
@@ -2075,14 +2150,12 @@ mod tests {
         // Channels that stay active within the horizon are never
         // evicted, so output is byte-identical with and without GC.
         let log = two_session_log();
-        let base =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let gc = ShardedCorrelator::correlate_text(
+        let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log));
+        let gc = sharded(
             CorrelatorConfig::new(access()).with_channel_idle_horizon(4),
             3,
-            &log,
-        )
-        .unwrap();
+            Source::text(&log),
+        );
         assert_eq!(format!("{:?}", gc.cags), format!("{:?}", base.cags));
         assert_eq!(gc.unfinished.len(), base.unfinished.len());
         assert_eq!(
@@ -2150,14 +2223,12 @@ mod tests {
         // the settle maximally eager, yet output must match the
         // default run byte-for-byte on a live log.
         let log = two_session_log();
-        let base =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let eager = ShardedCorrelator::correlate_text(
+        let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log));
+        let eager = sharded(
             CorrelatorConfig::new(access()).with_lane_settle_depth(1),
             3,
-            &log,
-        )
-        .unwrap();
+            Source::text(&log),
+        );
         assert_eq!(format!("{:?}", eager.cags), format!("{:?}", base.cags));
         assert_eq!(eager.unfinished.len(), base.unfinished.len());
     }
@@ -2167,34 +2238,28 @@ mod tests {
         // The untraced-peer noise pair in `two_session_log` can never
         // reach an emitted CAG: the engine would park it on an orphan
         // chain and throw it away at finish. The reader drops such
-        // records before dispatch (counted in `orphan_dropped`);
-        // `--orphan-parity` restores the old ship-everything behavior.
-        // Output bytes are identical either way.
+        // records before dispatch (counted in `orphan_dropped`), and the
+        // output bytes are those of the batch run, whose one engine
+        // sees every record.
         let log = two_session_log();
-        let drop_out =
-            ShardedCorrelator::correlate_text(CorrelatorConfig::new(access()), 3, &log).unwrap();
-        let parity_out = ShardedCorrelator::correlate_text(
-            CorrelatorConfig::new(access()).with_orphan_parity(),
-            3,
-            &log,
-        )
-        .unwrap();
+        let drop_out = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log));
+        let batch_out = Pipeline::new(PipelineConfig::new(access()))
+            .unwrap()
+            .run(Source::text(&log))
+            .unwrap();
         assert!(
             drop_out.metrics.orphan_dropped > 0,
             "the noise pair must be dropped reader-side"
         );
-        assert_eq!(
-            parity_out.metrics.orphan_dropped, 0,
-            "--orphan-parity ships every record to the workers"
-        );
+        assert_eq!(batch_out.metrics.orphan_dropped, 0);
         assert_eq!(
             format!("{:?}{:?}", drop_out.cags, drop_out.unfinished),
-            format!("{:?}{:?}", parity_out.cags, parity_out.unfinished),
+            format!("{:?}{:?}", batch_out.cags, batch_out.unfinished),
             "dropping orphan chains must not change emitted bytes"
         );
         assert_eq!(
             drop_out.metrics.ranker.noise_discards,
-            parity_out.metrics.ranker.noise_discards
+            batch_out.metrics.ranker.noise_discards
         );
     }
 
@@ -2205,7 +2270,7 @@ mod tests {
         // with one, a drained channel's coverage is evicted together
         // with its router claims, and the memory gauge shrinks.
         let run = |cfg: CorrelatorConfig| {
-            let mut sc = ShardedCorrelator::new(cfg, 2).unwrap();
+            let mut sc = RoutedCorrelator::sharded(&cfg, 2).unwrap();
             let mut peak = 0usize;
             for i in 0..400u64 {
                 let port = 4001 + i;
@@ -2291,8 +2356,7 @@ mod tests {
         let batch = Correlator::new(CorrelatorConfig::new(access()))
             .correlate(records.clone())
             .unwrap();
-        let sharded =
-            ShardedCorrelator::correlate(CorrelatorConfig::new(access()), 3, records).unwrap();
+        let sharded = sharded(CorrelatorConfig::new(access()), 3, Source::records(records));
         assert_eq!(batch.metrics.retrans_dropped, 1);
         assert_eq!(sharded.metrics.retrans_dropped, 1);
         assert_eq!(sharded.cags.len(), batch.cags.len());
@@ -2301,7 +2365,7 @@ mod tests {
 
     #[test]
     fn approx_router_bytes_is_exposed() {
-        let mut sc = ShardedCorrelator::new(CorrelatorConfig::new(access()), 2).unwrap();
+        let mut sc = RoutedCorrelator::sharded(&CorrelatorConfig::new(access()), 2).unwrap();
         let base = sc.approx_router_bytes();
         // An orphan receive on an unclaimed channel defers in the
         // router until finish.
@@ -2315,7 +2379,7 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected_before_spawning() {
         let cfg = CorrelatorConfig::new(AccessPointSpec::default());
-        assert!(ShardedCorrelator::new(cfg, 4).is_err());
+        assert!(Pipeline::new(PipelineConfig::from(cfg).with_mode(Mode::Sharded(4))).is_err());
     }
 
     #[test]
@@ -2336,15 +2400,13 @@ mod tests {
 
     #[test]
     fn memory_budget_splits_across_shards() {
-        // A tiny budget still bounds each shard; evictions are counted
-        // in the merged metrics. Shedding is opt-in now; the default
-        // spill policy is covered by the cross-mode property tests.
+        // A tiny budget still bounds each shard: both halves of it
+        // bind, cold paths page out (counted in the merged metrics) and
+        // every one of them comes back at finish.
         let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
-        let mut cfg = CorrelatorConfig::new(access)
-            .with_memory_budget(16 * 1024)
-            .with_shed_on_budget();
+        let mut cfg = CorrelatorConfig::new(access).with_memory_budget(16 * 1024);
         cfg.mem_sample_every = 8;
-        let mut sc = ShardedCorrelator::new(cfg, 2).unwrap();
+        let mut sc = RoutedCorrelator::sharded(&cfg, 2).unwrap();
         for i in 0..4_000u64 {
             sc.push(
                 format!(
@@ -2358,10 +2420,8 @@ mod tests {
             .unwrap();
         }
         let out = sc.finish().unwrap();
-        assert!(out.metrics.engine.budget_evicted_cags > 0);
-        assert_eq!(
-            out.metrics.cags_unfinished,
-            out.unfinished.len() as u64 + out.metrics.engine.budget_evicted_cags
-        );
+        assert!(out.metrics.engine.spilled_cags > 0);
+        assert_eq!(out.unfinished.len(), 4_000, "spill must not cost recall");
+        assert_eq!(out.metrics.cags_unfinished, 4_000);
     }
 }

@@ -106,9 +106,6 @@ CORRELATION OPTIONS:
   --spill-dir DIR      directory for the spill file (default: the
                        system temp dir); the file is unlinked when the
                        run ends
-  --shed-on-budget     restore the old budget policy: evict the stalest
-                       unfinished paths outright instead of spilling
-                       them (cheaper, but sheds recall)
   --shards N           correlate through the sharded parallel pipeline
                        with N worker threads (0 = one per CPU core);
                        output is in canonical root order, identical for
@@ -134,11 +131,6 @@ CORRELATION OPTIONS:
   --router-addr A,B,.. connect to already-running `pt router --listen`
                        peers over TCP instead of spawning children;
                        one host:port per router, in router order
-  --orphan-parity      with --shards, ship orphan-chain records (noise
-                       chatter no session owns) to the workers instead
-                       of dropping them reader-side; the output is
-                       identical either way, only engine-level counters
-                       differ
   --stats              (correlate) additionally print the ingest dedup
                        counters: retrans_dropped, seq_dedup_ranges and
                        v2_records — v1 marker vs v2 range behavior at
@@ -159,11 +151,10 @@ SERVE OPTIONS:
   --poll-ms N          tail poll cadence for quiet files (default 20)
   --print-paths        print one line per sealed causal path
   plus the correlation options --window-ms, --adaptive-window,
-  --memory-budget, --spill-dir, --shed-on-budget, --shards and
-  --max-seal-lag. Without --shards the
-  daemon runs the streaming engine and emits each path as it seals;
-  with --shards it correlates online but emits paths at the final
-  drain (the merge is global). On SIGINT/SIGTERM the daemon stops
+  --memory-budget, --spill-dir, --shards and --max-seal-lag. Without
+  --shards the daemon runs the streaming engine and emits each path as
+  it seals; with --shards it correlates online but emits paths at the
+  final drain (the merge is global). On SIGINT/SIGTERM the daemon stops
   tailing, drains what is sealable, prints the final stats line and
   exits 0.
 
@@ -265,15 +256,10 @@ const PATTERNS_VALUE_OPTS: &[&str] = &[
     "--ingest-threads",
     "--dot",
 ];
-const CORRELATE_BOOL_OPTS: &[&str] = &[
-    "--adaptive-window",
-    "--stats",
-    "--orphan-parity",
-    "--shed-on-budget",
-];
+const CORRELATE_BOOL_OPTS: &[&str] = &["--adaptive-window", "--stats"];
 /// `--stats` is correlate-only, so `patterns`/`diff` reject it instead
 /// of silently accepting a no-op (same convention as `--dot`).
-const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window", "--orphan-parity", "--shed-on-budget"];
+const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window"];
 
 fn access_from(args: &ParsedArgs) -> Result<AccessPointSpec, String> {
     let port: u16 = args.parse_opt("--port")?.ok_or("missing --port")?;
@@ -310,8 +296,8 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("bad --memory-budget {s:?}"))
 }
 
-/// Applies the shared budget-policy flags: `--memory-budget`,
-/// `--spill-dir` and `--shed-on-budget`.
+/// Applies the shared budget flags: `--memory-budget` and
+/// `--spill-dir`.
 fn apply_budget_opts(
     mut config: CorrelatorConfig,
     args: &ParsedArgs,
@@ -321,9 +307,6 @@ fn apply_budget_opts(
     }
     if let Some(dir) = args.opt("--spill-dir") {
         config = config.with_spill_dir(dir);
-    }
-    if args.flag("--shed-on-budget") {
-        config = config.with_shed_on_budget();
     }
     Ok(config)
 }
@@ -358,9 +341,6 @@ fn correlate_file(
     // One facade for every mode: batch parses owned records; the
     // sharded pipeline ingests the text zero-copy and emits canonical
     // root order (same bytes for any shard count).
-    if args.flag("--orphan-parity") {
-        config = config.with_orphan_parity();
-    }
     let (mode, router_transport) = mode_from(args, shards)?;
     let pipeline = Pipeline::new(PipelineConfig {
         correlator: config,
@@ -629,7 +609,7 @@ fn serve_cmd(raw: &[String]) -> Result<(), String> {
             "--kpi-every",
             "--poll-ms",
         ],
-        &["--adaptive-window", "--print-paths", "--shed-on-budget"],
+        &["--adaptive-window", "--print-paths"],
     )?;
     if args.positionals.is_empty() {
         return Err("missing source file(s)".into());
@@ -831,7 +811,7 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
     }
     if out.metrics.orphan_dropped > 0 {
         println!(
-            "router: dropped {} orphan-chain records reader-side (--orphan-parity ships them)",
+            "router: dropped {} orphan-chain records reader-side",
             out.metrics.orphan_dropped
         );
     }
@@ -839,12 +819,6 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
         println!(
             "adaptive window: {} updates over {} rtt samples",
             out.metrics.ranker.window_updates, out.metrics.ranker.rtt_samples
-        );
-    }
-    if out.metrics.engine.budget_evicted_cags > 0 {
-        println!(
-            "memory budget: evicted {} stale unfinished paths ({} vertices)",
-            out.metrics.engine.budget_evicted_cags, out.metrics.engine.budget_evicted_vertices
         );
     }
     if out.metrics.engine.spilled_cags > 0 || out.metrics.spilled_dedup_entries > 0 {

@@ -511,7 +511,7 @@ fn new_flags_are_validated_by_name() {
 }
 
 #[test]
-fn ingest_threads_and_orphan_parity_flags_work() {
+fn ingest_threads_flag_works() {
     let log = TmpFile::new("ingest.log");
     let out = pt()
         .args([
@@ -569,14 +569,14 @@ fn ingest_threads_and_orphan_parity_flags_work() {
         );
     }
 
-    // The escape hatch is accepted alongside the sharded pipeline and
+    // Parallel ingest is accepted alongside the sharded pipeline and
     // still produces a successful correlation report.
     let out = pt()
         .args(["correlate", log.as_str(), "--port", "80"])
         .args(["--internal", INTERNAL])
-        .args(["--shards", "2", "--orphan-parity", "--ingest-threads", "2"])
+        .args(["--shards", "2", "--ingest-threads", "2"])
         .output()
-        .expect("run pt correlate --orphan-parity");
+        .expect("run pt correlate --shards --ingest-threads");
     assert!(
         out.status.success(),
         "{}",

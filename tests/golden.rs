@@ -615,10 +615,6 @@ fn golden_spill_budget_matches_unbounded_in_every_mode() {
                 render(&unbounded) == render(&spilled),
                 "{name} {mode:?}: spill-budgeted correlation diverged from unbounded"
             );
-            assert_eq!(
-                spilled.metrics.engine.budget_evicted_cags, 0,
-                "{name} {mode:?}: spill mode must never shed"
-            );
         }
     }
     assert!(cases >= 10, "expected the full golden corpus, got {cases}");
