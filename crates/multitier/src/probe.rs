@@ -164,8 +164,8 @@ impl ProbeSink {
         uid
     }
 
-    /// Drains all records, flattened (the correlator regroups by
-    /// hostname itself).
+    /// Drains all records, flattened (the correlator sorts each host's
+    /// records by local time itself).
     pub fn into_records(self) -> Vec<RawRecord> {
         self.records.into_iter().flatten().collect()
     }

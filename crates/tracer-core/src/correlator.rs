@@ -1,15 +1,16 @@
 //! The PreciseTracer facade: configuration and the streaming-first
 //! correlation pipeline.
 //!
-//! [`StreamingCorrelator`] is the one true correlation path: records are
-//! pushed incrementally (`push` → `poll` → `finish`), candidates flow
-//! through the [`crate::ranker::Ranker`]/[`crate::engine::Engine`] loop,
-//! and completed CAGs stream out with bounded memory. The offline
-//! [`Correlator`] — the paper's evaluation setup ("all experiments are
-//! done offline") — is a thin drain over the streaming path: it groups a
-//! complete record set per node, sorts each node by local time (the
-//! "first round" sort), pushes everything and finishes. Batch and online
-//! correlation therefore can never diverge.
+//! [`StreamingCorrelator`] is the one correlation path of the
+//! single-instance modes: records are pushed incrementally (`push` →
+//! `poll` → `finish`), candidates flow through the
+//! [`crate::ranker::Ranker`]/[`crate::engine::Engine`] loop, and
+//! completed CAGs stream out with bounded memory. The paper's offline
+//! evaluation setup ("all experiments are done offline") is the same
+//! path with nothing ranked before `finish`: records are pushed in
+//! source order and the ranker sorts each node's staged records by local
+//! time (the "first round" sort) before it fetches from them. Batch and
+//! online correlation therefore can never diverge.
 //!
 //! Sealed CAGs are extracted at fixed candidate-count boundaries (every
 //! [`CorrelatorConfig::mem_sample_every`] candidates), **not** at poll
@@ -22,7 +23,6 @@
 //! an online ranker cannot see records that have not arrived — but the
 //! produced CAGs are the same (pinned by the streaming property tests).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,9 +32,10 @@ use crate::cag::Cag;
 use crate::engine::Engine;
 use crate::error::TraceError;
 use crate::filter::FilterSet;
+use crate::intern::Interner;
 use crate::metrics::CorrelatorMetrics;
 use crate::ranker::{RankStep, Ranker};
-use crate::raw::{RangeDedup, RawRecord};
+use crate::raw::{RangeDedup, RawRecord, RawRecordRef};
 
 pub use crate::engine::EngineOptions;
 pub use crate::ranker::{RankerOptions, WindowPolicy};
@@ -281,141 +282,60 @@ impl CorrelationOutput {
     /// bytes; incremental sessions keep emission order (ids are fixed
     /// the moment a CAG is polled) and may call this on a collected
     /// output to compare against a batch run.
+    ///
+    /// On well-ordered corpora the engine already seals in root order
+    /// and this is the identity; on gap-damaged corpora lost records
+    /// shuffle BEGIN-delivery order, and without it single-instance ids
+    /// and emission order would deviate from every sharded run.
     pub fn canonicalize(&mut self) {
-        canonicalize_cag_ids(self);
+        let key = |c: &Cag| {
+            let r = &c.vertices[0];
+            (r.ts, r.ctx.clone(), r.channel, r.size, c.vertices.len())
+        };
+        // The sharded merge ranks the union [cags..., unfinished...]
+        // with a stable sort and assigns ids by rank; mirror that exactly.
+        let keys: Vec<_> = self
+            .cags
+            .iter()
+            .chain(self.unfinished.iter())
+            .map(key)
+            .collect();
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let mut ids = vec![0u64; keys.len()];
+        for (rank, &i) in order.iter().enumerate() {
+            ids[i] = rank as u64;
+        }
+        for (i, c) in self
+            .cags
+            .iter_mut()
+            .chain(self.unfinished.iter_mut())
+            .enumerate()
+        {
+            c.id = ids[i];
+        }
+        // Emission order follows the ids (ranks are unique, so this is the
+        // same stable order the sharded merge emits).
+        self.cags.sort_by_key(|c| c.id);
+        self.unfinished.sort_by_key(|c| c.id);
     }
 }
 
 /// How many noise victims are kept for diagnostics.
 const NOISE_SAMPLE_CAP: usize = 32;
 
-/// Offline correlator (paper §5 operating mode) — the engine behind
-/// [`crate::pipeline::Mode::Batch`]; use [`crate::pipeline::Pipeline`].
-#[derive(Debug)]
-pub(crate) struct Correlator {
-    config: CorrelatorConfig,
-}
-
-/// Renumbers and reorders batch CAGs into the canonical root order the
-/// sharded merge uses (sort key: root BEGIN timestamp, context,
-/// channel, size, vertex count — see `ReaderCore::merge`). On
-/// well-ordered corpora the engine already seals in root order and this
-/// is the identity; on gap-damaged corpora lost records shuffle
-/// BEGIN-delivery order, and without canonicalization batch ids and
-/// emission order deviate from every sharded run. With it, batch output
-/// is *byte*-identical to sharded output for every corpus.
-fn canonicalize_cag_ids(out: &mut CorrelationOutput) {
-    let key = |c: &crate::cag::Cag| {
-        let r = &c.vertices[0];
-        (r.ts, r.ctx.clone(), r.channel, r.size, c.vertices.len())
-    };
-    // The sharded merge ranks the union [cags..., unfinished...]
-    // with a stable sort and assigns ids by rank; mirror that exactly.
-    let keys: Vec<_> = out
-        .cags
-        .iter()
-        .chain(out.unfinished.iter())
-        .map(key)
-        .collect();
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-    let mut ids = vec![0u64; keys.len()];
-    for (rank, &i) in order.iter().enumerate() {
-        ids[i] = rank as u64;
-    }
-    for (i, c) in out
-        .cags
-        .iter_mut()
-        .chain(out.unfinished.iter_mut())
-        .enumerate()
-    {
-        c.id = ids[i];
-    }
-    // Emission order follows the ids (ranks are unique, so this is the
-    // same stable order the sharded merge emits).
-    out.cags.sort_by_key(|c| c.id);
-    out.unfinished.sort_by_key(|c| c.id);
-}
-
-impl Correlator {
-    /// Creates a correlator with the given configuration.
-    pub fn new(config: CorrelatorConfig) -> Self {
-        Correlator { config }
-    }
-
-    /// Correlates a complete set of raw records into CAGs by draining
-    /// them through the streaming path (push → finish).
-    ///
-    /// Records may arrive in any order; they are grouped by hostname and
-    /// sorted by local timestamp per node (the paper's "first round"
-    /// sort) before being pushed, then every host is closed and the
-    /// stream finished. There is no batch-specific correlation logic:
-    /// whatever the streaming path produces is the batch result.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when [`CorrelatorConfig::validate`]
-    /// fails.
-    pub fn correlate(&self, records: Vec<RawRecord>) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = StreamingCorrelator::new(self.config.clone())?;
-        // Group per node; BTreeMap gives deterministic host order.
-        let mut streams: BTreeMap<Arc<str>, Vec<RawRecord>> = BTreeMap::new();
-        for rec in records {
-            streams
-                .entry(Arc::clone(&rec.hostname))
-                .or_default()
-                .push(rec);
-        }
-        for (host, mut recs) in streams {
-            // Step 1 (§4): per-node sort by local timestamps.
-            recs.sort_by_key(|r| r.ts);
-            for rec in recs {
-                sc.push(rec)?;
-            }
-            sc.close_host(&host)?;
-        }
-        let mut out = sc.finish()?;
-        canonicalize_cag_ids(&mut out);
-        Ok(out)
-    }
-
-    /// Correlates pre-classified activity streams (one per host, each
-    /// sorted by local time) through the same streaming path. Used by
-    /// harnesses that synthesize activities directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when the window settings are
-    /// invalid.
-    pub fn correlate_activities(
-        &self,
-        streams: Vec<(Arc<str>, Vec<Activity>)>,
-    ) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = StreamingCorrelator::for_activities(self.config.clone())?;
-        let mut sorted = streams;
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        for (host, mut acts) in sorted {
-            acts.sort_by_key(|a| a.ts);
-            for act in acts {
-                sc.push_activity(act)?;
-            }
-            sc.close_host(&host)?;
-        }
-        sc.finish()
-    }
-}
-
 /// Online correlation: push records as they arrive, poll finished CAGs.
 ///
-/// This is the **primary** correlation path; [`Correlator::correlate`]
-/// is a thin batch drain over it. Sealed CAGs leave the engine at fixed
-/// candidate-count boundaries, so poll cadence never affects emission;
-/// pushing the whole input before the first poll reproduces the batch
-/// output byte-for-byte, and interleaved polling yields the same CAGs
-/// (possibly emitted in a different order — see the module docs).
+/// This is the correlation path of both single-instance modes; a batch
+/// run is the same push sequence with no poll before `finish`. Sealed
+/// CAGs leave the engine at fixed candidate-count boundaries, so poll
+/// cadence never affects emission; pushing the whole input before the
+/// first poll reproduces the batch output byte-for-byte, and interleaved
+/// polling yields the same CAGs (possibly emitted in a different order —
+/// see the module docs).
 ///
 /// After [`StreamingCorrelator::finish`] the correlator is spent:
-/// every further `push`/`poll`/`close_host`/`finish` returns
+/// every further `push`/`push_ref`/`poll`/`finish` returns
 /// [`TraceError::Finished`].
 ///
 /// This is the engine behind [`crate::pipeline::Mode::Streaming`];
@@ -425,6 +345,8 @@ impl Correlator {
 pub(crate) struct StreamingCorrelator {
     classifier: Classifier,
     filters: FilterSet,
+    /// Shares the hostname and program strings of borrowed records.
+    interner: Interner,
     ranker: Ranker,
     engine: Engine,
     /// Ingest-stage duplicate-range elimination: v2 `seq=` offset
@@ -516,6 +438,7 @@ impl StreamingCorrelator {
         Ok(StreamingCorrelator {
             classifier: Classifier::new(config.access.clone()),
             filters: config.filters.clone(),
+            interner: Interner::new(),
             ranker,
             engine,
             range_dedup: RangeDedup::new(),
@@ -535,7 +458,8 @@ impl StreamingCorrelator {
         })
     }
 
-    fn guard(&self) -> Result<(), TraceError> {
+    /// `Err(Finished)` once [`Self::finish`] ran.
+    pub(crate) fn guard(&self) -> Result<(), TraceError> {
         if self.finished {
             Err(TraceError::Finished)
         } else {
@@ -549,13 +473,40 @@ impl StreamingCorrelator {
     ///
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn push(&mut self, mut rec: RawRecord) -> Result<(), TraceError> {
+        if let Some(size) = self.admit(&rec.as_record_ref())? {
+            rec.size = size;
+            self.ranker.push(self.classifier.classify(&rec));
+        }
+        Ok(())
+    }
+
+    /// Zero-copy counterpart of [`Self::push`]: the borrowed record is
+    /// deduplicated and filtered before anything is allocated, and its
+    /// strings are interned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Finished`] after [`Self::finish`].
+    pub fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
+        if let Some(size) = self.admit(r)? {
+            let r = RawRecordRef { size, ..*r };
+            let act = self.classifier.classify_ref(&r, &mut self.interner);
+            self.ranker.push(act);
+        }
+        Ok(())
+    }
+
+    /// The ingest stage of both pushes: range dedup, then the attribute
+    /// filters. Returns the record's effective size, or `None` when it
+    /// is dropped.
+    fn admit(&mut self, r: &RawRecordRef<'_>) -> Result<Option<u64>, TraceError> {
         self.guard()?;
         self.metrics.records_in += 1;
         // Fault the channel's spilled dedup coverage back before the
         // decision — a spilled entry is live state, and deciding
         // without it would re-admit duplicate ranges.
-        if rec.seq.is_some() && !self.spilled_dedup.is_empty() {
-            let key = (rec.channel(), rec.op);
+        if r.seq.is_some() && !self.spilled_dedup.is_empty() {
+            let key = (r.channel(), r.op);
             if let Some(ext) = self.spilled_dedup.remove(&key) {
                 let file = self
                     .spill_file
@@ -565,24 +516,22 @@ impl StreamingCorrelator {
                 self.metrics.spill_dedup_faults += 1;
             }
         }
-        match self.range_dedup.decide_owned(&rec) {
+        let size = match self.range_dedup.decide(r) {
             // A duplicate byte range (v2 `seq=` arithmetic, or the v1
             // `retrans` marker): the kernel already delivered these
             // bytes; admitting the record would break Rule 1's byte
             // exactness on the channel.
             crate::raw::IngestDecision::Drop => {
                 self.metrics.retrans_dropped += 1;
-                return Ok(());
+                return Ok(None);
             }
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = self.classifier.classify(&rec);
-        if !self.filters.admits(&act) {
+            crate::raw::IngestDecision::Admit(size) => size,
+        };
+        if !self.filters.admits_raw(r) {
             self.metrics.filtered_out += 1;
-            return Ok(());
+            return Ok(None);
         }
-        self.ranker.push(act);
-        Ok(())
+        Ok(Some(size))
     }
 
     /// Pushes one pre-classified activity (no access-point
@@ -619,19 +568,6 @@ impl StreamingCorrelator {
     /// stale and must not resolve for later records.
     pub(crate) fn forget_ctx(&mut self, ctx: &crate::activity::ContextId) {
         self.engine.forget_ctx(ctx);
-    }
-
-    /// Declares a node's stream complete. Returns `Ok(false)` when the
-    /// host is unknown (no record of it was ever pushed) — a no-op, not
-    /// an error, because a host's records may legitimately all have been
-    /// filtered out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn close_host(&mut self, host: &str) -> Result<bool, TraceError> {
-        self.guard()?;
-        Ok(self.ranker.close_host(host))
     }
 
     /// Runs the correlation loop until more input is needed, returning
@@ -822,7 +758,16 @@ impl StreamingCorrelator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Pipeline, Source};
     use crate::raw::parse_log;
+
+    /// A [`crate::pipeline::Mode::Batch`] run over owned records.
+    fn batch(
+        cfg: CorrelatorConfig,
+        records: Vec<RawRecord>,
+    ) -> Result<CorrelationOutput, TraceError> {
+        Pipeline::new(cfg.into())?.run(Source::records(records))
+    }
 
     fn access() -> AccessPointSpec {
         AccessPointSpec::new(
@@ -855,9 +800,7 @@ mod tests {
     #[test]
     fn offline_three_tier_roundtrip() {
         let records = parse_log(three_tier_log()).unwrap();
-        let out = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records)
-            .unwrap();
+        let out = batch(CorrelatorConfig::new(access()), records).unwrap();
         assert_eq!(out.cags.len(), 1);
         assert!(out.unfinished.is_empty());
         let cag = &out.cags[0];
@@ -870,22 +813,20 @@ mod tests {
     #[test]
     fn rejects_zero_window() {
         let cfg = CorrelatorConfig::new(access()).with_window(Nanos::ZERO);
-        assert!(Correlator::new(cfg).correlate(Vec::new()).is_err());
+        assert!(batch(cfg, Vec::new()).is_err());
     }
 
     #[test]
     fn rejects_missing_access_points() {
         let cfg = CorrelatorConfig::new(AccessPointSpec::default());
-        assert!(Correlator::new(cfg).correlate(Vec::new()).is_err());
+        assert!(batch(cfg, Vec::new()).is_err());
     }
 
     #[test]
     fn unsorted_input_is_sorted_per_node() {
         let mut records = parse_log(three_tier_log()).unwrap();
         records.reverse();
-        let out = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records)
-            .unwrap();
+        let out = batch(CorrelatorConfig::new(access()), records).unwrap();
         assert_eq!(out.cags.len(), 1);
         out.cags[0].validate().expect("valid");
     }
@@ -896,7 +837,7 @@ mod tests {
         // is per-node local time, so correctness is unaffected (§4.1).
         let records = parse_log(three_tier_log()).unwrap();
         let cfg = CorrelatorConfig::new(access()).with_window(Nanos(1));
-        let out = Correlator::new(cfg).correlate(records).unwrap();
+        let out = batch(cfg, records).unwrap();
         assert_eq!(out.cags.len(), 1);
         out.cags[0].validate().expect("valid");
     }
@@ -908,9 +849,7 @@ mod tests {
         // mysqld-side receive has no matching traced send.
         log.push_str("902000 db mysqld 5 77 RECEIVE 172.16.9.9:6000-10.0.0.3:3306 48\n");
         log.push_str("902500 db mysqld 5 77 SEND 10.0.0.3:3306-172.16.9.9:6000 99\n");
-        let out = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(parse_log(&log).unwrap())
-            .unwrap();
+        let out = batch(CorrelatorConfig::new(access()), parse_log(&log).unwrap()).unwrap();
         assert_eq!(out.cags.len(), 1);
         assert_eq!(out.cags[0].vertices.len(), 10);
         assert_eq!(out.metrics.ranker.noise_discards, 1);
@@ -926,9 +865,7 @@ mod tests {
         log.push_str("700 web sshd 99 99 SEND 10.0.0.1:22-172.16.9.9:7000 500\n");
         let cfg =
             CorrelatorConfig::new(access()).with_filters(FilterSet::new().drop_program("sshd"));
-        let out = Correlator::new(cfg)
-            .correlate(parse_log(&log).unwrap())
-            .unwrap();
+        let out = batch(cfg, parse_log(&log).unwrap()).unwrap();
         assert_eq!(out.metrics.filtered_out, 2);
         assert_eq!(out.cags.len(), 1);
     }
@@ -940,9 +877,7 @@ mod tests {
             .filter(|l| !l.contains("10.0.0.1:80-192.168.0.9:5000"))
             .map(|l| format!("{l}\n"))
             .collect();
-        let out = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(parse_log(&log).unwrap())
-            .unwrap();
+        let out = batch(CorrelatorConfig::new(access()), parse_log(&log).unwrap()).unwrap();
         assert_eq!(out.cags.len(), 0);
         assert_eq!(out.unfinished.len(), 1);
         assert_eq!(out.unfinished[0].vertices.len(), 9);
@@ -951,9 +886,7 @@ mod tests {
     #[test]
     fn streaming_matches_offline() {
         let records = parse_log(three_tier_log()).unwrap();
-        let offline = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records.clone())
-            .unwrap();
+        let offline = batch(CorrelatorConfig::new(access()), records.clone()).unwrap();
         let mut sc = StreamingCorrelator::new(CorrelatorConfig::new(access())).unwrap();
         let mut streamed = Vec::new();
         for r in records {
@@ -1008,9 +941,7 @@ mod tests {
         // byte-identical results. Compare per-record polling against one
         // big push with a single finish.
         let records = parse_log(three_tier_log()).unwrap();
-        let batch = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records.clone())
-            .unwrap();
+        let batch = batch(CorrelatorConfig::new(access()), records.clone()).unwrap();
         let mut sc = StreamingCorrelator::new(CorrelatorConfig::new(access())).unwrap();
         let mut streamed = Vec::new();
         for r in records {
@@ -1046,22 +977,24 @@ mod tests {
             .unwrap();
         assert_eq!(sc.push(rec), Err(TraceError::Finished));
         assert_eq!(sc.poll(), Err(TraceError::Finished));
-        assert_eq!(sc.close_host("web"), Err(TraceError::Finished));
+        let line = "2000 web httpd 7 7 SEND 10.0.0.1:80-192.168.0.9:5000 512";
+        let r = RawRecordRef::parse_line(line).unwrap();
+        assert_eq!(sc.push_ref(&r), Err(TraceError::Finished));
         assert!(matches!(sc.finish(), Err(TraceError::Finished)));
     }
 
     #[test]
     fn close_host_on_unknown_host_is_a_noop() {
         let mut sc = StreamingCorrelator::new(CorrelatorConfig::new(access())).unwrap();
-        assert_eq!(sc.close_host("nonexistent"), Ok(false));
+        assert!(!sc.ranker.close_host("nonexistent"));
         sc.push(
             "1000 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120"
                 .parse()
                 .unwrap(),
         )
         .unwrap();
-        assert_eq!(sc.close_host("web"), Ok(true));
-        assert_eq!(sc.close_host("still-unknown"), Ok(false));
+        assert!(sc.ranker.close_host("web"));
+        assert!(!sc.ranker.close_host("still-unknown"));
         // Closing an unknown host must not fabricate an empty open queue
         // that would wedge the drain.
         let out = sc.finish().unwrap();
@@ -1422,9 +1355,7 @@ mod tests {
     #[test]
     fn metrics_wall_time_is_measured() {
         let records = parse_log(three_tier_log()).unwrap();
-        let out = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records)
-            .unwrap();
+        let out = batch(CorrelatorConfig::new(access()), records).unwrap();
         // Wall time is nonzero-ish; just check the field is plumbed.
         assert!(out.metrics.wall.as_nanos() > 0);
     }

@@ -58,7 +58,10 @@ pub struct CorrelatorMetrics {
     pub peak_bytes: usize,
     /// Approximate resident bytes when correlation ended.
     pub final_bytes: usize,
-    /// Wall-clock time spent inside the correlation loop.
+    /// Wall-clock time from the correlator's creation to the end of the
+    /// run. [`Pipeline::run`](crate::pipeline::Pipeline::run) creates it
+    /// before parsing, so for text, path and PTBIN sources this includes
+    /// parsing (but not the whole-file read) in every mode.
     pub wall: Duration,
 }
 

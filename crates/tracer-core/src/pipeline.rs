@@ -20,16 +20,19 @@
 //!            └────────────────────────────────────────────┘
 //! ```
 //!
-//! [`Pipeline::run`] is two steps whatever the mode and source: the
+//! [`Pipeline::run`] is one path whatever the mode and source: the
 //! source resolves to owned records, borrowed text or a borrowed PTBIN
-//! buffer (a path source is one whole-buffer read), and then one of two
-//! consumers takes it — the single-instance modes as owned records, the
-//! routed modes staged zero-copy as borrowed refs — parsed sequentially
-//! or in parallel by `ingest_threads`, with the same record sequence.
+//! buffer (a path source is one whole-buffer read), every record is
+//! staged in source order into the session the mode opens — straight
+//! from the parser, zero-copy, sequentially or in parallel by
+//! `ingest_threads` with the same record sequence — the file buffer is
+//! dropped, and the session finishes. The single-instance modes stage
+//! into one ranked correlator, the routed modes into the session router.
 //!
-//! * [`Mode::Batch`] — the paper's offline evaluation setup: group per
-//!   node, sort by local time, drain through the streaming core. CAG
-//!   ids follow seal order.
+//! * [`Mode::Batch`] — the paper's offline evaluation setup: nothing is
+//!   ranked before the end of input; the ranker sorts each node's staged
+//!   records by local time and drains them. CAG ids follow the
+//!   canonical root order ([`CorrelationOutput::canonicalize`]).
 //! * [`Mode::Streaming`] — records are pushed in arrival order and the
 //!   output streams out with bounded memory; on a complete source this
 //!   is byte-identical to `Batch` whenever ranking starts with the
@@ -71,21 +74,21 @@ use crate::access::AccessPointSpec;
 use crate::activity::{Activity, Nanos};
 use crate::cag::Cag;
 use crate::correlator::{
-    CorrelationOutput, Correlator, CorrelatorConfig, EngineOptions, RankerOptions,
-    StreamingCorrelator, WindowPolicy,
+    CorrelationOutput, CorrelatorConfig, EngineOptions, RankerOptions, StreamingCorrelator,
+    WindowPolicy,
 };
 use crate::dist::RouterTransport;
 use crate::error::TraceError;
 use crate::filter::FilterSet;
-use crate::raw::{parse_log, parse_log_iter, RawRecord};
+use crate::raw::{parse_log_iter, RawRecord, RawRecordRef};
 use crate::shard::RoutedCorrelator;
 
 /// How the pipeline executes a correlation run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
     /// Offline batch (the paper's evaluation setup): the complete
-    /// record set is grouped per node and sorted by local time before
-    /// draining through the streaming core. The default.
+    /// record set is staged in source order and ranked only at the end
+    /// of input, each node's records sorted by local time. The default.
     #[default]
     Batch,
     /// Single-instance streaming: records are pushed in source order
@@ -302,13 +305,12 @@ impl From<CorrelatorConfig> for PipelineConfig {
 /// the old entry points each exposed differently.
 #[derive(Debug)]
 pub enum Source<'a> {
-    /// Owned, already-parsed records (any order; batch and sharded
-    /// modes re-sort per node).
+    /// Owned, already-parsed records (any order; each node's records
+    /// are sorted by local time before they are ranked).
     Records(Vec<RawRecord>),
-    /// A TCP_TRACE text log. Sharded mode ingests it **zero-copy**
+    /// A TCP_TRACE text log, ingested **zero-copy** in every mode
     /// (borrowed [`crate::raw::RawRecordRef`] parsing, interned
-    /// strings); the single-instance modes parse it into owned records
-    /// first.
+    /// strings).
     Text(&'a str),
     /// A TCP_TRACE log file, read as one whole buffer at
     /// [`Pipeline::run`] and scanned with
@@ -409,66 +411,39 @@ impl Pipeline {
     /// Returns a parse error for malformed text sources and propagates
     /// configuration errors.
     pub fn run(&self, source: Source<'_>) -> Result<CorrelationOutput, TraceError> {
-        // A path source is one whole-buffer read; from here on a source
-        // is owned records, borrowed text or a borrowed PTBIN buffer.
-        let (text, binary);
-        let input = match source {
-            Source::Records(r) => Input::Records(r),
-            Source::Text(t) => Input::Text(t),
-            Source::Path(p) => {
-                text = crate::ingest::read_log_file(&p)?;
-                Input::Text(&text)
-            }
+        // A path source is one whole-buffer read, dropped at the end of
+        // this statement: once its records are staged, before any
+        // ranking or routing.
+        let mut session = match source {
+            Source::Records(r) => self.staged(Input::Records(r))?,
+            Source::Text(t) => self.staged(Input::Text(t))?,
+            Source::Path(p) => self.staged(Input::Text(&crate::ingest::read_log_file(&p)?))?,
             Source::BinaryPath(p) => {
-                binary = crate::binfmt::read_binary_file(&p)?;
-                Input::Binary(&binary)
+                self.staged(Input::Binary(&crate::binfmt::read_binary_file(&p)?))?
             }
         };
-        let threads = self.config.ingest_threads;
-        if let Some(mut routed) = self.routed()? {
-            input.stage_into(&mut routed, threads)?;
-            return routed.finish();
+        let mut out = session.finish()?;
+        if self.config.mode == Mode::Streaming {
+            // A full run returns everything at once, so the canonical
+            // cross-mode order applies here too; only incremental
+            // sessions keep emission order.
+            out.canonicalize();
         }
-        let records = input.into_records(threads)?;
-        let cfg = self.config.correlator.clone();
-        if self.config.mode == Mode::Batch {
-            return Correlator::new(cfg).correlate(records);
-        }
-        let mut sc = StreamingCorrelator::new(cfg)?;
-        for rec in records {
-            sc.push(rec)?;
-        }
-        let mut out = sc.finish()?;
-        // A full run returns everything at once, so the canonical
-        // cross-mode order applies here too; only incremental sessions
-        // keep emission order.
-        out.canonicalize();
         Ok(out)
     }
 
-    /// The routed front-end of [`Mode::Sharded`] / [`Mode::Distributed`]
-    /// over its sink; `None` for the single-instance modes.
-    fn routed(&self) -> Result<Option<RoutedCorrelator>, TraceError> {
-        let cfg = &self.config.correlator;
-        Ok(Some(match self.config.mode {
-            Mode::Batch | Mode::Streaming => return Ok(None),
-            Mode::Sharded(n) => RoutedCorrelator::sharded(cfg, n)?,
-            Mode::Distributed {
-                routers,
-                workers_per_router,
-            } => crate::dist::distributed(
-                cfg,
-                routers,
-                workers_per_router,
-                &self.config.router_transport,
-            )?,
-        }))
+    /// A session holding the whole input, staged without ranking or
+    /// routing yet.
+    fn staged(&self, input: Input<'_>) -> Result<PipelineSession, TraceError> {
+        let mut session = self.session()?;
+        input.stage_into(&mut session.inner, self.config.ingest_threads)?;
+        Ok(session)
     }
 
-    /// Correlates pre-classified activity streams (one per host, each
-    /// sorted by local time) — the harness path for synthetic
-    /// activities. Runs through the single-instance drain regardless of
-    /// mode (the sharded reader routes raw records, not activities).
+    /// Correlates pre-classified activity streams (one per host, in any
+    /// order) — the harness path for synthetic activities. Runs through
+    /// the single-instance correlator regardless of mode (the sharded
+    /// reader routes raw records, not activities).
     ///
     /// # Errors
     ///
@@ -478,36 +453,46 @@ impl Pipeline {
         &self,
         streams: Vec<(Arc<str>, Vec<Activity>)>,
     ) -> Result<CorrelationOutput, TraceError> {
-        Correlator::new(self.config.correlator.clone()).correlate_activities(streams)
+        let mut sc = StreamingCorrelator::for_activities(self.config.correlator.clone())?;
+        for act in streams.into_iter().flat_map(|(_, acts)| acts) {
+            sc.push_activity(act)?;
+        }
+        sc.finish()
     }
 
     /// Opens an incremental session: push records (or raw log lines) as
     /// they arrive, poll for sealed CAGs, finish for the final output.
     /// The mode decides the machinery underneath — a batch session
-    /// buffers and drains at finish; a streaming session correlates
-    /// online with bounded memory; a sharded session routes to its
-    /// workers as records arrive.
+    /// stages everything and ranks at finish; a streaming session
+    /// correlates online with bounded memory; a sharded session routes
+    /// to its workers as records arrive.
     ///
     /// # Errors
     ///
     /// Propagates configuration errors.
     pub fn session(&self) -> Result<PipelineSession, TraceError> {
-        let cfg = || self.config.correlator.clone();
-        Ok(PipelineSession {
-            inner: match self.routed()? {
-                Some(routed) => SessionInner::Routed(routed),
-                None if self.config.mode == Mode::Batch => SessionInner::Batch {
-                    config: cfg(),
-                    buffered: Some(Vec::new()),
-                },
-                None => SessionInner::Streaming(StreamingCorrelator::new(cfg())?),
+        let cfg = &self.config.correlator;
+        let inner = match self.config.mode {
+            Mode::Batch | Mode::Streaming => SessionInner::Single {
+                sc: StreamingCorrelator::new(cfg.clone())?,
+                batch: self.config.mode == Mode::Batch,
             },
-        })
+            Mode::Sharded(n) => SessionInner::Routed(RoutedCorrelator::sharded(cfg, n)?),
+            Mode::Distributed {
+                routers,
+                workers_per_router,
+            } => SessionInner::Routed(crate::dist::distributed(
+                cfg,
+                routers,
+                workers_per_router,
+                &self.config.router_transport,
+            )?),
+        };
+        Ok(PipelineSession { inner })
     }
 }
 
-/// A resolved [`Source`]: path sources are read, nothing is parsed yet
-/// (see the module docs for the two consumers).
+/// A resolved [`Source`]: path sources are read, nothing is parsed yet.
 enum Input<'a> {
     Records(Vec<RawRecord>),
     Text(&'a str),
@@ -518,61 +503,63 @@ enum Input<'a> {
 }
 
 impl Input<'_> {
-    fn into_records(self, threads: usize) -> Result<Vec<RawRecord>, TraceError> {
+    /// Stages the whole input in source order. Zero-copy: refs borrow
+    /// their strings straight from the text or file buffer, and the
+    /// sequential parsers stream into the stage without an intermediate
+    /// `Vec`.
+    fn stage_into(self, into: &mut SessionInner, threads: usize) -> Result<(), TraceError> {
         match self {
-            Input::Records(r) => Ok(r),
-            Input::Text(t) if threads == 1 => parse_log(t),
-            Input::Text(t) => crate::ingest::parse_log_parallel(t, threads),
-            Input::Binary(b) if threads == 1 => crate::binfmt::decode_records(b),
-            Input::Binary(b) => {
-                let refs = crate::binfmt::decode_refs_parallel(b, threads)?;
-                let mut interner = crate::intern::Interner::new();
-                Ok(refs
-                    .iter()
-                    .map(|r| r.to_owned_interned(&mut interner))
-                    .collect())
-            }
-        }
-    }
-
-    /// Stages the whole input without routing yet. Zero-copy: refs
-    /// borrow their strings straight from the text or file buffer, and
-    /// the sequential parsers stream into the stage without an
-    /// intermediate `Vec`.
-    fn stage_into(self, routed: &mut RoutedCorrelator, threads: usize) -> Result<(), TraceError> {
-        match self {
-            Input::Records(records) => records.into_iter().for_each(|r| routed.stage(r)),
+            Input::Records(records) => records.into_iter().try_for_each(|r| into.stage(r)),
             Input::Text(t) if threads == 1 => {
-                for r in parse_log_iter(t) {
-                    routed.stage_ref(&r?);
-                }
+                parse_log_iter(t).try_for_each(|r| into.stage_ref(&r?))
             }
             Input::Text(t) => crate::ingest::parse_refs_parallel(t, threads)?
                 .iter()
-                .for_each(|r| routed.stage_ref(r)),
-            Input::Binary(b) if threads == 1 => {
-                for r in crate::binfmt::Reader::new(b)?.iter() {
-                    routed.stage_ref(&r?);
-                }
-            }
+                .try_for_each(|r| into.stage_ref(r)),
+            Input::Binary(b) if threads == 1 => crate::binfmt::Reader::new(b)?
+                .iter()
+                .try_for_each(|r| into.stage_ref(&r?)),
             Input::Binary(b) => crate::binfmt::decode_refs_parallel(b, threads)?
                 .iter()
-                .for_each(|r| routed.stage_ref(r)),
+                .try_for_each(|r| into.stage_ref(r)),
         }
-        Ok(())
     }
 }
 
 #[allow(clippy::large_enum_variant)] // one session per run; size is irrelevant
 #[derive(Debug)]
 enum SessionInner {
-    Batch {
-        config: CorrelatorConfig,
-        /// `None` once finished.
-        buffered: Option<Vec<RawRecord>>,
+    /// [`Mode::Batch`] or [`Mode::Streaming`]: one ranked correlator. A
+    /// batch session ranks nothing before `finish`.
+    Single {
+        sc: StreamingCorrelator,
+        batch: bool,
     },
-    Streaming(StreamingCorrelator),
     Routed(RoutedCorrelator),
+}
+
+impl SessionInner {
+    /// Takes one record without ranking or routing it yet.
+    fn stage(&mut self, rec: RawRecord) -> Result<(), TraceError> {
+        match self {
+            SessionInner::Single { sc, .. } => sc.push(rec),
+            SessionInner::Routed(rc) => {
+                rc.stage(rec);
+                Ok(())
+            }
+        }
+    }
+
+    /// Zero-copy counterpart of [`Self::stage`].
+    fn stage_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
+        match self {
+            SessionInner::Single { sc, .. } => sc.push_ref(r),
+            SessionInner::Routed(rc) => {
+                rc.stage_ref(r);
+                Ok(())
+            }
+        }
+    }
 }
 
 /// An incremental pipeline run opened by [`Pipeline::session`]. After
@@ -591,17 +578,12 @@ impl PipelineSession {
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
         match &mut self.inner {
-            SessionInner::Batch { buffered, .. } => {
-                buffered.as_mut().ok_or(TraceError::Finished)?.push(rec);
-                Ok(())
-            }
-            SessionInner::Streaming(sc) => sc.push(rec),
             SessionInner::Routed(rc) => rc.push(rec),
+            single => single.stage(rec),
         }
     }
 
-    /// Parses and pushes one TCP_TRACE log line (zero-copy in sharded
-    /// mode).
+    /// Parses and pushes one TCP_TRACE log line (zero-copy).
     ///
     /// # Errors
     ///
@@ -610,7 +592,7 @@ impl PipelineSession {
     pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
         match &mut self.inner {
             SessionInner::Routed(rc) => rc.push_line(line),
-            _ => self.push(RawRecord::parse_line(line)?),
+            single => single.stage_ref(&RawRecordRef::parse_line(line)?),
         }
     }
 
@@ -624,11 +606,8 @@ impl PipelineSession {
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn poll(&mut self) -> Result<Vec<Cag>, TraceError> {
         match &mut self.inner {
-            SessionInner::Batch { buffered, .. } => {
-                buffered.as_ref().ok_or(TraceError::Finished)?;
-                Ok(Vec::new())
-            }
-            SessionInner::Streaming(sc) => sc.poll(),
+            SessionInner::Single { sc, batch: true } => sc.guard().map(|()| Vec::new()),
+            SessionInner::Single { sc, .. } => sc.poll(),
             SessionInner::Routed(rc) => {
                 rc.flush()?;
                 Ok(Vec::new())
@@ -637,29 +616,27 @@ impl PipelineSession {
     }
 
     /// Current approximate resident bytes of the session's correlation
-    /// state (buffered records for a batch session; window buffers +
-    /// engine state for streaming; reader-side router state for
-    /// sharded).
+    /// state: window buffers + engine state for the single-instance
+    /// modes (a batch session has ranked nothing before finish, and
+    /// staged records are not counted, so it reports little), and
+    /// reader-side router state for the routed ones.
     pub fn approx_bytes(&self) -> usize {
         match &self.inner {
-            SessionInner::Batch { buffered, .. } => {
-                buffered.as_ref().map_or(0, Vec::len) * std::mem::size_of::<RawRecord>()
-            }
-            SessionInner::Streaming(sc) => sc.approx_bytes(),
+            SessionInner::Single { sc, .. } => sc.approx_bytes(),
             SessionInner::Routed(rc) => rc.approx_router_bytes(),
         }
     }
 
     /// Live spill-tier counters `(objects spilled, faults)` of the
-    /// session's correlation state. Streaming sessions report their
-    /// correlator's counters; batch buffers nothing spillable and
-    /// sharded workers own their state privately until the final drain,
-    /// so both report `(0, 0)` here (the drain metrics carry the
-    /// totals).
+    /// session's correlation state. Single-instance sessions report
+    /// their correlator's counters (a batch session's stay `(0, 0)`
+    /// until finish); sharded workers own their state privately until
+    /// the final drain, so routed sessions report `(0, 0)` here (the
+    /// drain metrics carry the totals).
     pub fn spill_counters(&self) -> (u64, u64) {
         match &self.inner {
-            SessionInner::Streaming(sc) => sc.spill_counters(),
-            _ => (0, 0),
+            SessionInner::Single { sc, .. } => sc.spill_counters(),
+            SessionInner::Routed(_) => (0, 0),
         }
     }
 
@@ -671,11 +648,13 @@ impl PipelineSession {
     /// Returns [`TraceError::Finished`] when called twice.
     pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
         match &mut self.inner {
-            SessionInner::Batch { config, buffered } => {
-                let records = buffered.take().ok_or(TraceError::Finished)?;
-                Correlator::new(config.clone()).correlate(records)
+            SessionInner::Single { sc, batch } => {
+                let mut out = sc.finish()?;
+                if *batch {
+                    out.canonicalize();
+                }
+                Ok(out)
             }
-            SessionInner::Streaming(sc) => sc.finish(),
             SessionInner::Routed(rc) => rc.finish(),
         }
     }
@@ -684,6 +663,7 @@ impl PipelineSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raw::parse_log;
     use crate::shard::tests::access;
 
     /// Every execution mode, the routed ones over four shards.
@@ -829,6 +809,39 @@ mod tests {
                 assert_eq!(s.poll(), Err(TraceError::Finished), "{mode:?}");
                 assert!(matches!(s.finish(), Err(TraceError::Finished)), "{mode:?}");
             }
+        }
+    }
+
+    #[test]
+    fn reversed_source_reaches_the_sorted_bytes_in_both_single_instance_modes() {
+        // 20k back-to-back three-tier requests (200k records) fed newest
+        // first: each node's staging queue is sorted once, not by
+        // insertion, and both modes give the bytes of the run over the
+        // same records stably pre-sorted by timestamp.
+        let one = parse_log(three_tier_log()).unwrap();
+        let mut records: Vec<RawRecord> = (0..20_000u64)
+            .flat_map(|i| {
+                one.iter().map(move |r| RawRecord {
+                    ts: crate::activity::LocalTime::from_nanos(r.ts.as_nanos() + i * 10_000),
+                    ..r.clone()
+                })
+            })
+            .collect();
+        records.reverse();
+        let run = |mode, records| {
+            Pipeline::new(PipelineConfig::new(access()).with_mode(mode))
+                .unwrap()
+                .run(Source::records(records))
+                .unwrap()
+        };
+        let mut sorted = records.clone();
+        sorted.sort_by_key(|r| r.ts);
+        let want = run(Mode::Batch, sorted);
+        assert_eq!(want.cags.len(), 20_000);
+        for mode in [Mode::Batch, Mode::Streaming] {
+            let got = run(mode, records.clone());
+            assert!(got.cags == want.cags, "{mode:?}");
+            assert!(got.unfinished == want.unfinished, "{mode:?}");
         }
     }
 

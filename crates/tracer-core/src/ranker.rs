@@ -260,6 +260,9 @@ struct NodeQueue {
     buf: VecDeque<(u64, Activity)>,
     /// Staged activities not yet fetched (the "log on disk").
     incoming: VecDeque<Activity>,
+    /// An activity was appended out of local-time order since the last
+    /// sort: `incoming` is stably sorted before the next fetch.
+    unsorted: bool,
     /// No more input will ever arrive for this node.
     closed: bool,
     /// Next sequence number for a back append.
@@ -298,6 +301,18 @@ impl NodeQueue {
 /// deliverable RECEIVE/BEGIN/END activities buried behind blockers.
 /// (Matching SENDs are found at any depth via the per-channel index.)
 const SWAP_SCAN_DEPTH: usize = 64;
+
+/// A staging queue keeps at least this many slots however far it
+/// drains (shrinking costs a copy; a small queue is not worth it).
+const SHRINK_MIN_SLOTS: usize = 4_096;
+
+/// How far from the back of a staging queue `push` looks for an
+/// out-of-order activity's place: records of concurrent threads
+/// interleave a few slots out of order, and placing them costs less
+/// than re-sorting a queue that a stalled stream keeps growing. An
+/// activity that belongs further back is appended and the queue sorted
+/// before the next fetch.
+const PLACE_SCAN: usize = 16;
 
 /// Cap on in-flight round-trip measurements kept for adaptive windowing.
 const RTT_OPEN_CAP: usize = 65_536;
@@ -444,9 +459,8 @@ impl Ranker {
         }
     }
 
-    /// Creates an offline ranker over complete per-node streams (each
-    /// stream must be sorted by local timestamp; hosts are ordered
-    /// deterministically by name).
+    /// Creates an offline ranker over complete per-node streams (in any
+    /// order; hosts are ordered deterministically by name).
     pub fn from_streams(opts: RankerOptions, mut streams: Vec<(Arc<str>, Vec<Activity>)>) -> Self {
         streams.sort_by(|a, b| a.0.cmp(&b.0));
         let mut r = Ranker::new(opts);
@@ -508,27 +522,34 @@ impl Ranker {
         self.queues.iter().map(|q| &*q.host)
     }
 
-    /// Stages one activity (routed by its context's hostname). Input for
-    /// a given host must arrive in local-timestamp order; out-of-order
-    /// records are re-sorted into the staging queue.
+    /// Stages one activity (routed by its context's hostname). A host's
+    /// input may arrive in any order: its staging queue is kept in
+    /// stable local-time order (equal timestamps keep their arrival
+    /// order), by placing an activity a few slots from the back or by
+    /// sorting the queue before the next fetch.
     pub fn push(&mut self, a: Activity) {
         let qi = self.queue_index(&a.ctx.hostname);
-        let q = &mut self.queues[qi];
-        // Per-node logs are produced in local-time order; tolerate small
-        // inversions (e.g. concatenated per-CPU buffers) by insertion.
         if a.ty == ActivityType::Send {
             *self.send_index.entry(a.channel).or_insert(0) += 1;
         }
-        let pos = q
+        let q = &mut self.queues[qi];
+        // Stable: behind the last of the nearest `PLACE_SCAN` staged
+        // activities that is not later than `a`.
+        let len = q.incoming.len();
+        match q
             .incoming
             .iter()
-            .rposition(|x| x.ts <= a.ts)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        if pos == q.incoming.len() {
-            q.incoming.push_back(a);
-        } else {
-            q.incoming.insert(pos, a);
+            .rev()
+            .take(PLACE_SCAN)
+            .position(|x| x.ts <= a.ts)
+        {
+            Some(0) => q.incoming.push_back(a),
+            Some(k) => q.incoming.insert(len - k, a),
+            None if len <= PLACE_SCAN => q.incoming.push_front(a),
+            None => {
+                q.unsorted = true;
+                q.incoming.push_back(a);
+            }
         }
         self.counters.enqueued += 1;
     }
@@ -561,6 +582,7 @@ impl Ranker {
             host: Arc::clone(host),
             buf: VecDeque::new(),
             incoming: VecDeque::new(),
+            unsorted: false,
             closed: false,
             next_seq: SEQ_BASE,
             removed: BTreeSet::new(),
@@ -588,6 +610,10 @@ impl Ranker {
         let w = self.effective_window();
         let mut moved = 0usize;
         for (qi, q) in self.queues.iter_mut().enumerate() {
+            if std::mem::take(&mut q.unsorted) {
+                // Step 1 (§4): the per-node sort by local time.
+                q.incoming.make_contiguous().sort_by_key(|a| a.ts);
+            }
             while let Some(next) = q.incoming.front() {
                 let fits = match q.head() {
                     None => true,
@@ -607,6 +633,11 @@ impl Ranker {
                 }
                 q.buf.push_back((seq, a));
                 moved += 1;
+            }
+            let cap = q.incoming.capacity();
+            if cap > SHRINK_MIN_SLOTS && q.incoming.len() < cap / 4 {
+                // Give staged memory back as the queue drains.
+                q.incoming.shrink_to(q.incoming.len() * 2);
             }
         }
         self.buffered += moved;
@@ -1335,6 +1366,43 @@ mod tests {
             o => panic!("{o:?}"),
         };
         assert_eq!(first, LocalTime::from_nanos(50));
+    }
+
+    #[test]
+    fn reversed_input_is_sorted_once_and_released_as_it_drains() {
+        // 200k activities of one host pushed newest first, two per
+        // timestamp: one stable sort orders them (an unbounded
+        // back-scan insertion costs ~2·10^10 comparisons here), equal
+        // timestamps keep their arrival order, and the drained staging
+        // queue gives its memory back.
+        const N: u64 = 200_000;
+        let pushed: Vec<Activity> = (0..N)
+            .rev()
+            .map(|i| Activity {
+                tag: i,
+                ..act(
+                    ActivityType::Send,
+                    i / 2 * 1_000,
+                    "a",
+                    "10.0.0.1:1",
+                    "10.0.0.2:2",
+                )
+            })
+            .collect();
+        let mut r = Ranker::new(RankerOptions::default());
+        for a in pushed.iter().cloned() {
+            r.push(a);
+        }
+        r.close_all();
+        let mut sorted = pushed;
+        sorted.sort_by_key(|a| a.ts);
+        let want: Vec<u64> = sorted.iter().map(|a| a.tag).collect();
+        let mut got = Vec::with_capacity(N as usize);
+        while let RankStep::Candidate(a) = r.rank(&NoOracle) {
+            got.push(a.tag);
+        }
+        assert_eq!(got, want);
+        assert!(r.queues[0].incoming.capacity() <= SHRINK_MIN_SLOTS);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 //!
 //! Per-CAG *content* (vertices, edges, sizes, tags, latencies — and
 //! therefore every pattern/analysis result) is identical to the
-//! single-threaded [`Correlator`](crate::correlator::Correlator): a
+//! single-threaded [`Mode::Batch`](crate::pipeline::Mode::Batch) run: a
 //! session's records meet exactly the same ranker/engine state whether
 //! or not unrelated sessions share the instance. Two well-understood
 //! presentation differences remain, both pinned by tests:
@@ -1559,7 +1559,7 @@ impl RoutedCorrelator {
     /// Classifies, filters and stages one owned record without routing
     /// yet. Staging a complete record set before [`Self::finish`]
     /// accepts it in **any** order: the router's per-entity lanes
-    /// re-sort it by local time, like the batch drain's per-node sort.
+    /// re-sort it by local time, like the ranker's per-node sort.
     pub(crate) fn stage(&mut self, rec: RawRecord) {
         self.core.ingest(rec);
     }
@@ -1688,7 +1688,6 @@ fn route(
 pub(crate) mod tests {
     use super::*;
     use crate::access::AccessPointSpec;
-    use crate::correlator::Correlator;
     use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
     use crate::raw::parse_log;
 
@@ -1834,8 +1833,9 @@ pub(crate) mod tests {
     fn sharded_matches_batch_content_for_any_shard_count() {
         let log = two_session_log();
         let records = parse_log(&log).unwrap();
-        let batch = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records.clone())
+        let batch = Pipeline::new(CorrelatorConfig::new(access()).into())
+            .unwrap()
+            .run(Source::records(records.clone()))
             .unwrap();
         for shards in [1, 2, 3, 4, 8] {
             let out = sharded(
@@ -2353,8 +2353,9 @@ pub(crate) mod tests {
         let mut log = two_session_log();
         log.push_str("4600 web httpd 7 7 RECEIVE 10.0.0.2:8009-10.0.0.1:4001 256 retrans\n");
         let records = parse_log(&log).unwrap();
-        let batch = Correlator::new(CorrelatorConfig::new(access()))
-            .correlate(records.clone())
+        let batch = Pipeline::new(CorrelatorConfig::new(access()).into())
+            .unwrap()
+            .run(Source::records(records.clone()))
             .unwrap();
         let sharded = sharded(CorrelatorConfig::new(access()), 3, Source::records(records));
         assert_eq!(batch.metrics.retrans_dropped, 1);

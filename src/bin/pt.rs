@@ -134,7 +134,7 @@ CORRELATION OPTIONS:
   --stats              (correlate) additionally print the ingest dedup
                        counters: retrans_dropped, seq_dedup_ranges and
                        v2_records — v1 marker vs v2 range behavior at
-                       a glance
+                       a glance — and the process's peak_rss
 
 SERVE OPTIONS:
   --format F           auto (default: sniff PTBIN magic per source),
@@ -338,9 +338,9 @@ fn correlate_file(
              --window-ms/--adaptive-window only affect single-instance mode"
         );
     }
-    // One facade for every mode: batch parses owned records; the
-    // sharded pipeline ingests the text zero-copy and emits canonical
-    // root order (same bytes for any shard count).
+    // One facade for every mode: every mode ingests the file zero-copy
+    // and emits canonical root order (same bytes for any mode and shard
+    // count).
     let (mode, router_transport) = mode_from(args, shards)?;
     let pipeline = Pipeline::new(PipelineConfig {
         correlator: config,
@@ -791,6 +791,15 @@ fn simulate(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The process's peak resident set size (`VmHWM` in
+/// `/proc/self/status`; `None` elsewhere or on any read/parse failure).
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
 fn correlate_cmd(raw: &[String]) -> Result<(), String> {
     let args = ParsedArgs::parse(raw, CORRELATE_VALUE_OPTS, CORRELATE_BOOL_OPTS)?;
     let path = args.positional(0).ok_or("missing log file")?;
@@ -803,10 +812,14 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
     println!("{}", out.metrics.summary());
     if args.flag("--stats") {
         // Ingest counters: how duplicate byte ranges were eliminated
-        // (v1 `retrans` marker vs v2 `seq=` range arithmetic).
+        // (v1 `retrans` marker vs v2 `seq=` range arithmetic), and the
+        // process's peak resident set so far (0 where unknown).
         println!(
-            "ingest: retrans_dropped={} seq_dedup_ranges={} v2_records={}",
-            out.metrics.retrans_dropped, out.metrics.seq_dedup_ranges, out.metrics.v2_records
+            "ingest: retrans_dropped={} seq_dedup_ranges={} v2_records={} peak_rss={}B",
+            out.metrics.retrans_dropped,
+            out.metrics.seq_dedup_ranges,
+            out.metrics.v2_records,
+            peak_rss_bytes().unwrap_or(0)
         );
     }
     if out.metrics.orphan_dropped > 0 {

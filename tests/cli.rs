@@ -871,6 +871,16 @@ fn capture_drop_simulates_v2_log_and_stats_report_ingest_counters() {
         .parse()
         .unwrap();
     assert!(v2 > 100, "v2 records must be counted: {v2_line}");
+    // And the process's peak resident set, the quantity the benchmark's
+    // `batch_peak_rss_mib` reads.
+    let peak_rss: u64 = v2_line
+        .split("peak_rss=")
+        .nth(1)
+        .and_then(|s| s.strip_suffix('B'))
+        .expect("peak_rss=<bytes>B token")
+        .parse()
+        .unwrap();
+    assert!(peak_rss > 0, "{v2_line}");
 
     // Without --stats the counters stay off the output.
     let out = pt()
@@ -879,7 +889,9 @@ fn capture_drop_simulates_v2_log_and_stats_report_ingest_counters() {
         .output()
         .expect("run pt correlate");
     assert!(out.status.success());
-    assert!(!String::from_utf8_lossy(&out.stdout).contains("ingest:"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("ingest:"), "{stdout}");
+    assert!(!stdout.contains("peak_rss="), "{stdout}");
 }
 
 #[test]
@@ -908,11 +920,11 @@ fn capture_drop_rejects_bad_probability() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--capture-drop"));
 }
 
-/// Strips the wall-clock token from a correlate report so two runs can
-/// be compared byte-for-byte.
+/// Strips the wall-clock and peak-RSS tokens from a correlate report so
+/// two runs can be compared byte-for-byte.
 fn strip_wall(s: &str) -> String {
     s.split_whitespace()
-        .filter(|t| !t.starts_with("wall="))
+        .filter(|t| !t.starts_with("wall=") && !t.starts_with("peak_rss="))
         .collect::<Vec<_>>()
         .join(" ")
 }

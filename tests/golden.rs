@@ -698,8 +698,11 @@ fn golden_spill_faults_occur_without_recall_loss() {
 /// and faults back exactly the objects the linear-scan spill tier did —
 /// `(spilled_cags, spilled_dedup_entries, spill_faults,
 /// spill_dedup_faults)` read on that commit. A different coldness order
-/// or byte figure moves these counts. The incremental feed polls
-/// between pushes, so coverage of live channels spills and faults back.
+/// or byte figure moves these counts. Coverage coldness follows the
+/// order dedup decides records in: the batch run decides in source
+/// order, where a per-host regrouped feed read 539 coverage entries.
+/// The incremental feed polls between pushes, so coverage of live
+/// channels spills and faults back.
 #[test]
 fn golden_spill_victim_counts_are_pinned() {
     let log_path = golden_dir().join("bulk_mix_drop.log");
@@ -718,7 +721,7 @@ fn golden_spill_victim_counts_are_pinned() {
         .unwrap()
         .run(Source::path(&log_path))
         .unwrap();
-    assert_eq!(counts(&batch.metrics), (43, 539, 43, 0));
+    assert_eq!(counts(&batch.metrics), (43, 540, 43, 0));
 
     let mut session = Pipeline::new(base.with_memory_budget(48 << 10).with_mode(Mode::Streaming))
         .unwrap()
