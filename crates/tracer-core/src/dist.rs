@@ -22,17 +22,18 @@
 //!   writes it as a Claim frame — the session-assignment *claims* are
 //!   what travels on the wire, never raw unrouted records, and they
 //!   leave as the routing pass produces them.
-//! * Each **router peer** (a spawned child process, a TCP-connected
-//!   remote `pt router --listen`, or an in-process thread) hosts a
-//!   `WorkerBlock` of `workers_per_router` shard workers — the very
-//!   sink `Mode::Sharded` runs — and feeds it the claim batches.
+//! * Each **router peer** hosts a `WorkerBlock` of `workers_per_router`
+//!   shard workers — the very sink `Mode::Sharded` runs — and feeds it
+//!   the claim batches. Every peer is [`serve_router`] on one end of a
+//!   byte stream: a thread of this process or a spawned child on a Unix
+//!   socketpair, or a TCP-connected remote `pt router --listen`.
 //! * At end of input the cluster collects every worker's
 //!   [`CorrelationOutput`] in global shard order for the front-end's
 //!   canonical merge (sort by CAG root, renumber) — so cluster output
 //!   is **byte-identical** to single-process `Mode::Sharded` with the
 //!   same total shard count, on every corpus and over every transport.
 //!
-//! ## Wire protocol (PTDC v2)
+//! ## Wire protocol (PTDC v3)
 //!
 //! Length-prefixed binary frames in PTBIN style (little-endian,
 //! length-prefixed strings, incremental interning):
@@ -47,12 +48,20 @@
 //!  msg     := 0 act | 1 forget-ctx
 //! ```
 //!
-//! Context strings in Claim frames use **incremental interning**: the
-//! first occurrence of a hostname/program travels as
+//! The config and the counters in an Output frame are encoded from one
+//! field list per struct (`wire::Field`), the same list that folds
+//! per-shard counters (`absorb`). Context strings use **incremental
+//! interning**: the first occurrence of a hostname/program travels as
 //! `u32::MAX + len + bytes` and enters both sides' tables; every later
-//! occurrence is a 4-byte table id. The per-connection tables make the
-//! steady-state claim cost independent of string length, like PTBIN's
-//! string table but built online.
+//! occurrence is a 4-byte table id. Claim frames share one table per
+//! connection, so the steady-state claim cost is independent of string
+//! length; an Output frame's noise samples get a table of their own.
+//!
+//! Decoding never panics. A frame that is truncated, names an unknown
+//! string id or activity type, or carries a count its bytes cannot
+//! hold is refused before anything is sized by it: the router answers
+//! `router protocol: …` in an Error frame, the coordinator fails with
+//! [`TraceError::Router`].
 //!
 //! ## Supervision
 //!
@@ -65,18 +74,16 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 
 use crate::correlator::{CorrelationOutput, CorrelatorConfig};
 use crate::error::TraceError;
-use crate::shard::{
-    worker_config, RoutedCorrelator, ShardMsg, ShardSink, WorkerBlock, BATCH_RECORDS, MAX_SHARDS,
-};
-
-/// Bounded in-process duplex pipe capacity, in write chunks.
-const PIPE_CHUNKS: usize = 64;
+use crate::shard::{worker_config, RoutedCorrelator, ShardMsg, ShardSink, WorkerBlock, MAX_SHARDS};
+use crate::spill::codec::Dec;
 
 /// Hard cap on router peers: each is a process (or thread) plus a
 /// frame connection, and the coordinator's single reader cannot feed
@@ -87,18 +94,17 @@ pub const MAX_ROUTERS: usize = 64;
 /// message when it fails.
 const STDERR_TAIL: usize = 4096;
 
-/// How the coordinator reaches its router peers.
+/// How the coordinator reaches its router peers. Every variant carries
+/// the same PTDC byte stream to [`serve_router`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum RouterTransport {
-    /// Router peers run as background threads inside this process,
-    /// connected over in-memory duplex pipes that carry the full wire
-    /// protocol. The default: no deployment needed, still exercises
-    /// every encode/decode path.
+    /// Router peers run as background threads inside this process, each
+    /// on one end of a Unix socketpair. The default: no deployment
+    /// needed, still exercises every encode/decode path.
     #[default]
     InProcess,
-    /// Spawn `exe router --stdio` child processes, connected over a
-    /// Unix socketpair bridged to the child's stdin/stdout (plain
-    /// pipes on non-Unix platforms).
+    /// Spawn `exe router --stdio` child processes, each with both its
+    /// stdin and stdout on one end of a Unix socketpair.
     Spawn {
         /// Router executable, typically `std::env::current_exe()`.
         exe: PathBuf,
@@ -115,18 +121,60 @@ pub enum RouterTransport {
 // Wire protocol
 // ---------------------------------------------------------------------
 
+/// Gives a struct its one PTDC field list. Encoding destructures the
+/// struct and decoding builds a struct literal, both from the list, so
+/// a field missing from it is a compile error.
+macro_rules! fields {
+    ($ty:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::dist::wire::Field for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $ty { $($f),* } = self;
+                $($crate::dist::wire::Field::put($f, buf);)*
+            }
+            fn get(d: &mut $crate::spill::codec::Dec<'_>) -> Self {
+                $ty { $($f: $crate::dist::wire::Field::get(d)),* }
+            }
+        }
+    };
+}
+
+/// [`fields!`] for a counter struct, plus its `absorb`, which folds
+/// another shard's counters in by the rule each entry names: `sum`,
+/// `max`, or `absorb` for a nested counter struct.
+macro_rules! counters {
+    (@fold sum, $a:expr, $b:expr) => { $a += $b };
+    (@fold max, $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@fold absorb, $a:expr, $b:expr) => { $a.absorb(&$b) };
+    ($(#[$doc:meta])* $ty:ident { $($f:ident: $rule:ident),* $(,)? }) => {
+        $crate::dist::fields!($ty { $($f),* });
+        impl $ty {
+            $(#[$doc])*
+            pub fn absorb(&mut self, other: &Self) {
+                $($crate::dist::counters!(@fold $rule, self.$f, other.$f);)*
+            }
+        }
+    };
+}
+pub(crate) use {counters, fields};
+
 pub(crate) mod wire {
+    use std::net::Ipv4Addr;
+    use std::time::Duration;
+
     use super::*;
-    use crate::activity::{Activity, ContextId, LocalTime};
+    use crate::access::AccessPointSpec;
+    use crate::activity::{Activity, ContextId, LocalTime, Nanos};
     use crate::cag::Cag;
-    use crate::engine::{EngineCounters, EngineOptions};
-    use crate::metrics::CorrelatorMetrics;
-    use crate::ranker::{RankerCounters, RankerOptions, WindowPolicy};
-    use crate::spill::codec::{get_channel, put_channel, put_str, put_u32, put_u64, put_u8, Dec};
-    use crate::spill::{decode_cag_from, encode_cag};
+    use crate::engine::EngineOptions;
+    use crate::filter::FilterSet;
+    use crate::ranker::{RankerOptions, WindowPolicy};
+    use crate::spill::codec::{
+        get_channel, put_activity_type, put_channel, put_str, put_u32, put_u64, put_u8,
+    };
+    use crate::spill::{decode_cag_from, encode_cag, MIN_CAG_BYTES};
 
     pub const MAGIC: u32 = 0x5054_4443; // "PTDC"
-    pub const VERSION: u32 = 2;
+    pub const VERSION: u32 = 3;
 
     pub const FRAME_HELLO: u8 = 1;
     pub const FRAME_CLAIM: u8 = 2;
@@ -137,6 +185,11 @@ pub(crate) mod wire {
     /// Sanity bound on incoming frame length (a corrupt header must
     /// not trigger a multi-gigabyte allocation).
     const MAX_FRAME: u32 = 1 << 30;
+
+    /// Encoded size floors of a claim message (a forget-ctx) and of an
+    /// activity: what a decoded count is checked against.
+    pub const MIN_MSG_BYTES: usize = 17;
+    const MIN_ACT_BYTES: usize = 58;
 
     /// Buffered frame writer: payload is built in a reusable scratch
     /// buffer, then shipped as `type + len + payload`.
@@ -185,8 +238,8 @@ pub(crate) mod wire {
                 Err(e) => return Err(e),
             }
         }
-        let ty = head[0];
-        let len = u32::from_le_bytes(head[1..5].try_into().expect("4 bytes"));
+        let [ty, len @ ..] = head;
+        let len = u32::from_le_bytes(len);
         if len > MAX_FRAME {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -196,6 +249,179 @@ pub(crate) mod wire {
         buf.resize(len as usize, 0);
         r.read_exact(buf)?;
         Ok(Some(ty))
+    }
+
+    /// A value with one PTDC encoding. Decoding a malformed value
+    /// marks the cursor failed and returns a placeholder, which the
+    /// frame's [`Dec::finish`] then rejects.
+    pub trait Field: Sized {
+        fn put(&self, buf: &mut Vec<u8>);
+        fn get(d: &mut Dec<'_>) -> Self;
+    }
+
+    /// Scalars travel as one `u64` each.
+    macro_rules! scalars {
+        ($($t:ty: |$v:ident| $to:expr, |$d:ident| $from:expr;)*) => {$(
+            impl Field for $t {
+                fn put(&self, buf: &mut Vec<u8>) {
+                    let $v = *self;
+                    put_u64(buf, $to);
+                }
+                fn get($d: &mut Dec<'_>) -> Self {
+                    $from
+                }
+            }
+        )*};
+    }
+    scalars! {
+        u64: |v| v, |d| d.u64();
+        usize: |v| v as u64, |d| narrow(d);
+        u32: |v| v.into(), |d| narrow(d);
+        bool: |v| v.into(), |d| d.u64() != 0;
+        Nanos: |v| v.0, |d| Nanos(d.u64());
+        Duration: |v| v.as_nanos() as u64, |d| Duration::from_nanos(d.u64());
+    }
+
+    /// Reads a `u64` that must fit `T`.
+    fn narrow<T: TryFrom<u64> + Default>(d: &mut Dec<'_>) -> T {
+        let x = d.u64();
+        T::try_from(x).unwrap_or_else(|_| {
+            d.fail(format!("value {x} out of range"));
+            T::default()
+        })
+    }
+
+    impl<T: Field> Field for Option<T> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_u8(buf, self.is_some() as u8);
+            if let Some(v) = self {
+                v.put(buf);
+            }
+        }
+        fn get(d: &mut Dec<'_>) -> Self {
+            (d.u8() != 0).then(|| T::get(d))
+        }
+    }
+
+    impl Field for PathBuf {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_str(buf, &self.to_string_lossy());
+        }
+        fn get(d: &mut Dec<'_>) -> Self {
+            PathBuf::from(d.str())
+        }
+    }
+
+    impl Field for WindowPolicy {
+        fn put(&self, buf: &mut Vec<u8>) {
+            match self {
+                WindowPolicy::Static => put_u8(buf, 0),
+                WindowPolicy::Adaptive { slack, min, max } => {
+                    put_u8(buf, 1);
+                    slack.put(buf);
+                    min.put(buf);
+                    max.put(buf);
+                }
+            }
+        }
+        fn get(d: &mut Dec<'_>) -> Self {
+            match d.u8() {
+                0 => WindowPolicy::Static,
+                1 => WindowPolicy::Adaptive {
+                    slack: Field::get(d),
+                    min: Field::get(d),
+                    max: Field::get(d),
+                },
+                t => {
+                    d.fail(format!("unknown window policy {t}"));
+                    WindowPolicy::Static
+                }
+            }
+        }
+    }
+
+    impl Field for AccessPointSpec {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_u32(buf, self.frontend_ports().count() as u32);
+            self.frontend_ports().for_each(|p| put_u64(buf, p.into()));
+            put_u32(buf, self.internal_ips().count() as u32);
+            self.internal_ips()
+                .for_each(|ip| put_u64(buf, u32::from(ip).into()));
+        }
+        fn get(d: &mut Dec<'_>) -> Self {
+            let ports: Vec<u16> = (0..d.count(8)).map(|_| narrow(d)).collect();
+            let ips: Vec<Ipv4Addr> = (0..d.count(8)).map(|_| narrow::<u32>(d).into()).collect();
+            AccessPointSpec::new(ports, ips)
+        }
+    }
+
+    /// Not shipped: workers receive pre-filtered activities.
+    impl Field for FilterSet {
+        fn put(&self, _: &mut Vec<u8>) {}
+        fn get(_: &mut Dec<'_>) -> Self {
+            FilterSet::new()
+        }
+    }
+
+    fields!(RankerOptions {
+        window,
+        window_policy,
+        swap,
+        fetch_boost,
+        noise_discard,
+    });
+    fields!(EngineOptions {
+        merge_segments,
+        thread_reuse_check,
+        amend_finished,
+        pending_cap,
+        orphan_cap,
+        unfinished_cap,
+    });
+    fields!(CorrelatorConfig {
+        access,
+        filters,
+        ranker,
+        engine,
+        mem_sample_every,
+        memory_budget,
+        spill_dir,
+        max_seal_lag,
+        channel_idle_horizon,
+        lane_settle_depth,
+    });
+    fields!(CorrelationOutput {
+        cags,
+        unfinished,
+        metrics,
+        noise_samples,
+    });
+
+    impl Field for Vec<Cag> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            put_u32(buf, self.len() as u32);
+            self.iter().for_each(|c| encode_cag(c, buf));
+        }
+        fn get(d: &mut Dec<'_>) -> Self {
+            (0..d.count(MIN_CAG_BYTES))
+                .map(|_| decode_cag_from(d))
+                .collect()
+        }
+    }
+
+    /// Noise samples, with a string table of their own.
+    impl Field for Vec<Activity> {
+        fn put(&self, buf: &mut Vec<u8>) {
+            let mut enc = StrEnc::default();
+            put_u32(buf, self.len() as u32);
+            self.iter().for_each(|a| put_act(buf, &mut enc, a));
+        }
+        fn get(d: &mut Dec<'_>) -> Self {
+            let mut dec = StrDec::default();
+            (0..d.count(MIN_ACT_BYTES))
+                .map(|_| get_act(d, &mut dec))
+                .collect()
+        }
     }
 
     /// Sentinel marking a string's first occurrence (inline bytes
@@ -229,35 +455,19 @@ pub(crate) mod wire {
     }
 
     impl StrDec {
-        pub fn get(&mut self, d: &mut Dec<'_>) -> io::Result<Arc<str>> {
-            let id = d.u32();
-            if id == STR_NEW {
-                let s: Arc<str> = Arc::from(d.str());
-                self.table.push(Arc::clone(&s));
-                Ok(s)
-            } else {
-                self.table.get(id as usize).cloned().ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("claim references unknown string id {id}"),
-                    )
-                })
+        pub fn get(&mut self, d: &mut Dec<'_>) -> Arc<str> {
+            match d.u32() {
+                STR_NEW => {
+                    let s: Arc<str> = Arc::from(d.str());
+                    self.table.push(Arc::clone(&s));
+                    s
+                }
+                id => self.table.get(id as usize).cloned().unwrap_or_else(|| {
+                    d.fail(format!("unknown string id {id}"));
+                    Arc::from("")
+                }),
             }
         }
-    }
-
-    fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                put_u8(buf, 1);
-                put_u64(buf, v);
-            }
-            None => put_u8(buf, 0),
-        }
-    }
-
-    fn get_opt_u64(d: &mut Dec<'_>) -> Option<u64> {
-        (d.u8() != 0).then(|| d.u64())
     }
 
     fn put_ctx(buf: &mut Vec<u8>, enc: &mut StrEnc, ctx: &ContextId) {
@@ -267,46 +477,35 @@ pub(crate) mod wire {
         put_u32(buf, ctx.tid);
     }
 
-    fn get_ctx(d: &mut Dec<'_>, dec: &mut StrDec) -> io::Result<ContextId> {
-        let hostname = dec.get(d)?;
-        let program = dec.get(d)?;
-        let pid = d.u32();
-        let tid = d.u32();
-        Ok(ContextId {
-            hostname,
-            program,
-            pid,
-            tid,
-        })
+    fn get_ctx(d: &mut Dec<'_>, dec: &mut StrDec) -> ContextId {
+        ContextId {
+            hostname: dec.get(d),
+            program: dec.get(d),
+            pid: d.u32(),
+            tid: d.u32(),
+        }
     }
 
     fn put_act(buf: &mut Vec<u8>, enc: &mut StrEnc, a: &Activity) {
-        put_u8(buf, crate::spill::activity_type_code(a.ty));
+        put_activity_type(buf, a.ty);
         put_u64(buf, a.ts.0);
         put_ctx(buf, enc, &a.ctx);
         put_channel(buf, a.channel);
         put_u64(buf, a.size);
         put_u64(buf, a.tag);
-        put_opt_u64(buf, a.seq);
+        a.seq.put(buf);
     }
 
-    fn get_act(d: &mut Dec<'_>, dec: &mut StrDec) -> io::Result<Activity> {
-        let ty = crate::spill::activity_type_from_code(d.u8());
-        let ts = LocalTime(d.u64());
-        let ctx = get_ctx(d, dec)?;
-        let channel = get_channel(d);
-        let size = d.u64();
-        let tag = d.u64();
-        let seq = get_opt_u64(d);
-        Ok(Activity {
-            ty,
-            ts,
-            ctx,
-            channel,
-            size,
-            tag,
-            seq,
-        })
+    fn get_act(d: &mut Dec<'_>, dec: &mut StrDec) -> Activity {
+        Activity {
+            ty: d.activity_type(),
+            ts: LocalTime(d.u64()),
+            ctx: get_ctx(d, dec),
+            channel: get_channel(d),
+            size: d.u64(),
+            tag: d.u64(),
+            seq: Field::get(d),
+        }
     }
 
     pub fn put_msg(buf: &mut Vec<u8>, enc: &mut StrEnc, msg: &ShardMsg) {
@@ -322,478 +521,17 @@ pub(crate) mod wire {
         }
     }
 
-    pub fn get_msg(d: &mut Dec<'_>, dec: &mut StrDec) -> io::Result<ShardMsg> {
+    pub fn get_msg(d: &mut Dec<'_>, dec: &mut StrDec) -> ShardMsg {
         match d.u8() {
-            0 => Ok(ShardMsg::Act(get_act(d, dec)?)),
-            1 => Ok(ShardMsg::ForgetCtx(get_ctx(d, dec)?)),
-            c => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown claim message code {c}"),
-            )),
-        }
-    }
-
-    /// Noise-sample activities travel plain (low volume, own frame).
-    fn put_act_plain(buf: &mut Vec<u8>, a: &Activity) {
-        put_u8(buf, crate::spill::activity_type_code(a.ty));
-        put_u64(buf, a.ts.0);
-        put_str(buf, &a.ctx.hostname);
-        put_str(buf, &a.ctx.program);
-        put_u32(buf, a.ctx.pid);
-        put_u32(buf, a.ctx.tid);
-        put_channel(buf, a.channel);
-        put_u64(buf, a.size);
-        put_u64(buf, a.tag);
-        put_opt_u64(buf, a.seq);
-    }
-
-    fn get_act_plain(d: &mut Dec<'_>) -> Activity {
-        let ty = crate::spill::activity_type_from_code(d.u8());
-        let ts = LocalTime(d.u64());
-        let hostname = d.str().to_owned();
-        let program = d.str().to_owned();
-        let pid = d.u32();
-        let tid = d.u32();
-        Activity {
-            ty,
-            ts,
-            ctx: ContextId::new(hostname, program, pid, tid),
-            channel: get_channel(d),
-            size: d.u64(),
-            tag: d.u64(),
-            seq: get_opt_u64(d),
-        }
-    }
-
-    /// Serializes the per-worker correlator config for the Hello
-    /// frame. Exhaustive destructuring everywhere in this module: a
-    /// new config or counter field fails compilation here instead of
-    /// silently diverging between coordinator and router.
-    pub fn put_config(buf: &mut Vec<u8>, cfg: &CorrelatorConfig) {
-        let CorrelatorConfig {
-            access,
-            filters: _, // workers receive pre-filtered activities
-            ranker,
-            engine,
-            mem_sample_every,
-            memory_budget,
-            spill_dir,
-            max_seal_lag,
-            channel_idle_horizon,
-            lane_settle_depth,
-        } = cfg;
-        let ports: Vec<u16> = access.frontend_ports().collect();
-        put_u32(buf, ports.len() as u32);
-        for p in ports {
-            put_u32(buf, u32::from(p));
-        }
-        let ips: Vec<std::net::Ipv4Addr> = access.internal_ips().collect();
-        put_u32(buf, ips.len() as u32);
-        for ip in ips {
-            put_u32(buf, u32::from(ip));
-        }
-        let RankerOptions {
-            window,
-            window_policy,
-            swap,
-            fetch_boost,
-            noise_discard,
-        } = ranker;
-        put_u64(buf, window.0);
-        match *window_policy {
-            WindowPolicy::Static => put_u8(buf, 0),
-            WindowPolicy::Adaptive { slack, min, max } => {
-                put_u8(buf, 1);
-                put_u32(buf, slack);
-                put_u64(buf, min.0);
-                put_u64(buf, max.0);
-            }
-        }
-        put_u8(buf, *swap as u8);
-        put_u32(buf, *fetch_boost);
-        put_u8(buf, *noise_discard as u8);
-        let EngineOptions {
-            merge_segments,
-            thread_reuse_check,
-            amend_finished,
-            pending_cap,
-            orphan_cap,
-            unfinished_cap,
-        } = engine;
-        put_u8(buf, *merge_segments as u8);
-        put_u8(buf, *thread_reuse_check as u8);
-        put_u8(buf, *amend_finished as u8);
-        put_u64(buf, *pending_cap as u64);
-        put_u64(buf, *orphan_cap as u64);
-        put_u64(buf, *unfinished_cap as u64);
-        put_u64(buf, *mem_sample_every);
-        put_opt_u64(buf, memory_budget.map(|v| v as u64));
-        match spill_dir {
-            Some(p) => {
-                put_u8(buf, 1);
-                put_str(buf, &p.to_string_lossy());
-            }
-            None => put_u8(buf, 0),
-        }
-        put_opt_u64(buf, *max_seal_lag);
-        put_opt_u64(buf, *channel_idle_horizon);
-        put_opt_u64(buf, *lane_settle_depth);
-    }
-
-    pub fn get_config(d: &mut Dec<'_>) -> CorrelatorConfig {
-        use crate::access::AccessPointSpec;
-        use crate::activity::Nanos;
-        let n_ports = d.u32() as usize;
-        let ports: Vec<u16> = (0..n_ports).map(|_| d.u32() as u16).collect();
-        let n_ips = d.u32() as usize;
-        let ips: Vec<std::net::Ipv4Addr> = (0..n_ips)
-            .map(|_| std::net::Ipv4Addr::from(d.u32()))
-            .collect();
-        let mut cfg = CorrelatorConfig::new(AccessPointSpec::new(ports, ips));
-        cfg.ranker.window = Nanos(d.u64());
-        cfg.ranker.window_policy = match d.u8() {
-            0 => WindowPolicy::Static,
-            _ => WindowPolicy::Adaptive {
-                slack: d.u32(),
-                min: Nanos(d.u64()),
-                max: Nanos(d.u64()),
-            },
-        };
-        cfg.ranker.swap = d.u8() != 0;
-        cfg.ranker.fetch_boost = d.u32();
-        cfg.ranker.noise_discard = d.u8() != 0;
-        cfg.engine.merge_segments = d.u8() != 0;
-        cfg.engine.thread_reuse_check = d.u8() != 0;
-        cfg.engine.amend_finished = d.u8() != 0;
-        cfg.engine.pending_cap = d.u64() as usize;
-        cfg.engine.orphan_cap = d.u64() as usize;
-        cfg.engine.unfinished_cap = d.u64() as usize;
-        cfg.mem_sample_every = d.u64();
-        cfg.memory_budget = get_opt_u64(d).map(|v| v as usize);
-        cfg.spill_dir = (d.u8() != 0).then(|| PathBuf::from(d.str()));
-        cfg.max_seal_lag = get_opt_u64(d);
-        cfg.channel_idle_horizon = get_opt_u64(d);
-        cfg.lane_settle_depth = get_opt_u64(d);
-        cfg
-    }
-
-    fn put_ranker_counters(buf: &mut Vec<u8>, c: &RankerCounters) {
-        let RankerCounters {
-            enqueued,
-            candidates,
-            rule1,
-            rule2,
-            swaps,
-            fetch_boosts,
-            noise_discards,
-            aged_settles,
-            forced_deliveries,
-            peak_buffered,
-            rtt_samples,
-            window_updates,
-            window_clamps,
-            adaptive_window_ns,
-        } = c;
-        for v in [
-            *enqueued,
-            *candidates,
-            *rule1,
-            *rule2,
-            *swaps,
-            *fetch_boosts,
-            *noise_discards,
-            *aged_settles,
-            *forced_deliveries,
-            *peak_buffered as u64,
-            *rtt_samples,
-            *window_updates,
-            *window_clamps,
-            *adaptive_window_ns,
-        ] {
-            put_u64(buf, v);
-        }
-    }
-
-    fn get_ranker_counters(d: &mut Dec<'_>) -> RankerCounters {
-        RankerCounters {
-            enqueued: d.u64(),
-            candidates: d.u64(),
-            rule1: d.u64(),
-            rule2: d.u64(),
-            swaps: d.u64(),
-            fetch_boosts: d.u64(),
-            noise_discards: d.u64(),
-            aged_settles: d.u64(),
-            forced_deliveries: d.u64(),
-            peak_buffered: d.u64() as usize,
-            rtt_samples: d.u64(),
-            window_updates: d.u64(),
-            window_clamps: d.u64(),
-            adaptive_window_ns: d.u64(),
-        }
-    }
-
-    fn put_engine_counters(buf: &mut Vec<u8>, c: &EngineCounters) {
-        let EngineCounters {
-            delivered,
-            cags_opened,
-            cags_finished,
-            send_merges,
-            begin_merges,
-            end_amends,
-            partial_receives,
-            unmatched_receives,
-            cross_message_receives,
-            unmatched_ends,
-            reuse_suppressed_edges,
-            orphan_vertices,
-            evicted_pendings,
-            evicted_orphans,
-            abandoned_cags,
-            pruned_contexts,
-            forced_seals,
-            gap_retired_pendings,
-            spilled_cags,
-            spilled_orphans,
-            spill_faults,
-            spilled_bytes,
-        } = c;
-        for v in [
-            *delivered,
-            *cags_opened,
-            *cags_finished,
-            *send_merges,
-            *begin_merges,
-            *end_amends,
-            *partial_receives,
-            *unmatched_receives,
-            *cross_message_receives,
-            *unmatched_ends,
-            *reuse_suppressed_edges,
-            *orphan_vertices,
-            *evicted_pendings,
-            *evicted_orphans,
-            *abandoned_cags,
-            *pruned_contexts,
-            *forced_seals,
-            *gap_retired_pendings,
-            *spilled_cags,
-            *spilled_orphans,
-            *spill_faults,
-            *spilled_bytes,
-        ] {
-            put_u64(buf, v);
-        }
-    }
-
-    fn get_engine_counters(d: &mut Dec<'_>) -> EngineCounters {
-        EngineCounters {
-            delivered: d.u64(),
-            cags_opened: d.u64(),
-            cags_finished: d.u64(),
-            send_merges: d.u64(),
-            begin_merges: d.u64(),
-            end_amends: d.u64(),
-            partial_receives: d.u64(),
-            unmatched_receives: d.u64(),
-            cross_message_receives: d.u64(),
-            unmatched_ends: d.u64(),
-            reuse_suppressed_edges: d.u64(),
-            orphan_vertices: d.u64(),
-            evicted_pendings: d.u64(),
-            evicted_orphans: d.u64(),
-            abandoned_cags: d.u64(),
-            pruned_contexts: d.u64(),
-            forced_seals: d.u64(),
-            gap_retired_pendings: d.u64(),
-            spilled_cags: d.u64(),
-            spilled_orphans: d.u64(),
-            spill_faults: d.u64(),
-            spilled_bytes: d.u64(),
-        }
-    }
-
-    fn put_metrics(buf: &mut Vec<u8>, m: &CorrelatorMetrics) {
-        let CorrelatorMetrics {
-            records_in,
-            filtered_out,
-            retrans_dropped,
-            seq_dedup_ranges,
-            v2_records,
-            seq_gaps,
-            orphan_dropped,
-            ranker,
-            engine,
-            cags_finished,
-            cags_unfinished,
-            spilled_dedup_entries,
-            spill_dedup_faults,
-            spill_pages_written,
-            spill_pages_read,
-            spill_queue_hits,
-            peak_bytes,
-            final_bytes,
-            wall,
-        } = m;
-        for v in [
-            *records_in,
-            *filtered_out,
-            *retrans_dropped,
-            *seq_dedup_ranges,
-            *v2_records,
-            *seq_gaps,
-            *orphan_dropped,
-            *cags_finished,
-            *cags_unfinished,
-            *spilled_dedup_entries,
-            *spill_dedup_faults,
-            *spill_pages_written,
-            *spill_pages_read,
-            *spill_queue_hits,
-            *peak_bytes as u64,
-            *final_bytes as u64,
-            wall.as_nanos() as u64,
-        ] {
-            put_u64(buf, v);
-        }
-        put_ranker_counters(buf, ranker);
-        put_engine_counters(buf, engine);
-    }
-
-    fn get_metrics(d: &mut Dec<'_>) -> CorrelatorMetrics {
-        let mut m = CorrelatorMetrics {
-            records_in: d.u64(),
-            filtered_out: d.u64(),
-            retrans_dropped: d.u64(),
-            seq_dedup_ranges: d.u64(),
-            v2_records: d.u64(),
-            seq_gaps: d.u64(),
-            orphan_dropped: d.u64(),
-            cags_finished: d.u64(),
-            cags_unfinished: d.u64(),
-            spilled_dedup_entries: d.u64(),
-            spill_dedup_faults: d.u64(),
-            spill_pages_written: d.u64(),
-            spill_pages_read: d.u64(),
-            spill_queue_hits: d.u64(),
-            peak_bytes: d.u64() as usize,
-            final_bytes: d.u64() as usize,
-            wall: std::time::Duration::from_nanos(d.u64()),
-            ..CorrelatorMetrics::default()
-        };
-        m.ranker = get_ranker_counters(d);
-        m.engine = get_engine_counters(d);
-        m
-    }
-
-    fn put_cags(buf: &mut Vec<u8>, cags: &[Cag]) {
-        put_u32(buf, cags.len() as u32);
-        for c in cags {
-            encode_cag(c, buf);
-        }
-    }
-
-    fn get_cags(d: &mut Dec<'_>) -> Vec<Cag> {
-        let n = d.u32() as usize;
-        (0..n).map(|_| decode_cag_from(d)).collect()
-    }
-
-    pub fn put_output(buf: &mut Vec<u8>, worker: u32, out: &CorrelationOutput) {
-        let CorrelationOutput {
-            cags,
-            unfinished,
-            metrics,
-            noise_samples,
-        } = out;
-        put_u32(buf, worker);
-        put_cags(buf, cags);
-        put_cags(buf, unfinished);
-        put_metrics(buf, metrics);
-        put_u32(buf, noise_samples.len() as u32);
-        for a in noise_samples {
-            put_act_plain(buf, a);
-        }
-    }
-
-    pub fn get_output(d: &mut Dec<'_>) -> (u32, CorrelationOutput) {
-        let worker = d.u32();
-        let cags = get_cags(d);
-        let unfinished = get_cags(d);
-        let metrics = get_metrics(d);
-        let n = d.u32() as usize;
-        let noise_samples = (0..n).map(|_| get_act_plain(d)).collect();
-        (
-            worker,
-            CorrelationOutput {
-                cags,
-                unfinished,
-                metrics,
-                noise_samples,
-            },
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
-// In-process duplex pipe (the InProcess transport's "socket")
-// ---------------------------------------------------------------------
-
-/// Write half of a bounded in-memory byte pipe.
-struct PipeWriter {
-    tx: SyncSender<Vec<u8>>,
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        self.tx
-            .send(buf.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "pipe peer hung up"))?;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Read half of a bounded in-memory byte pipe. Sender drop is EOF.
-struct PipeReader {
-    rx: Receiver<Vec<u8>>,
-    chunk: Vec<u8>,
-    pos: usize,
-}
-
-impl Read for PipeReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        while self.pos >= self.chunk.len() {
-            match self.rx.recv() {
-                Ok(chunk) => {
-                    self.chunk = chunk;
-                    self.pos = 0;
+            0 => ShardMsg::Act(get_act(d, dec)),
+            code => {
+                if code != 1 {
+                    d.fail(format!("unknown claim message code {code}"));
                 }
-                Err(_) => return Ok(0),
+                ShardMsg::ForgetCtx(get_ctx(d, dec))
             }
         }
-        let n = (self.chunk.len() - self.pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.chunk[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
     }
-}
-
-fn pipe() -> (PipeWriter, PipeReader) {
-    let (tx, rx) = sync_channel(PIPE_CHUNKS);
-    (
-        PipeWriter { tx },
-        PipeReader {
-            rx,
-            chunk: Vec::new(),
-            pos: 0,
-        },
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -808,8 +546,9 @@ fn pipe() -> (PipeWriter, PipeReader) {
 /// # Errors
 ///
 /// Returns a [`TraceError`] when the connection breaks or carries an
-/// out-of-protocol frame; a best-effort `Error` frame is sent to the
-/// coordinator first so the failure is visible on both sides.
+/// out-of-protocol or malformed frame; a best-effort `Error` frame is
+/// sent to the coordinator first so the failure is visible on both
+/// sides.
 pub fn serve_router<R: Read, W: Write>(r: R, w: W) -> Result<(), TraceError> {
     let mut fw = wire::FrameWriter::new(io::BufWriter::new(w));
     match serve_inner(r, &mut fw) {
@@ -829,9 +568,11 @@ fn serve_inner<R: Read, W: Write>(
     r: R,
     fw: &mut wire::FrameWriter<io::BufWriter<W>>,
 ) -> Result<(), TraceError> {
+    use wire::Field;
     let mut r = io::BufReader::new(r);
     let mut buf = Vec::new();
     let proto = |reason: String| TraceError::config(format!("router protocol: {reason}"));
+    let malformed = |what: &str, e: io::Error| proto(format!("decoding {what}: {e}"));
 
     // Hello: validate, build the worker block.
     let ty = wire::read_frame(&mut r, &mut buf)
@@ -840,11 +581,12 @@ fn serve_inner<R: Read, W: Write>(
     if ty != wire::FRAME_HELLO {
         return Err(proto(format!("expected hello, got frame type {ty}")));
     }
-    let mut d = crate::spill::codec::Dec::new(&buf);
-    if d.u32() != wire::MAGIC {
+    let mut d = Dec::new(&buf);
+    let (magic, version) = (d.u32(), d.u32());
+    d.status().map_err(|e| malformed("hello", e))?;
+    if magic != wire::MAGIC {
         return Err(proto("bad magic (not a PTDC coordinator)".into()));
     }
-    let version = d.u32();
     if version != wire::VERSION {
         return Err(proto(format!(
             "protocol version {version} (this router speaks {})",
@@ -853,10 +595,11 @@ fn serve_inner<R: Read, W: Write>(
     }
     d.u32(); // the router's index: only the coordinator's errors name it
     let workers = d.u32() as usize;
+    let cfg = CorrelatorConfig::get(&mut d);
+    d.finish().map_err(|e| malformed("hello", e))?;
     if workers == 0 || workers > MAX_SHARDS {
         return Err(proto(format!("worker count {workers} out of range")));
     }
-    let cfg = wire::get_config(&mut d);
     if let Some(dir) = &cfg.spill_dir {
         std::fs::create_dir_all(dir).map_err(|e| {
             TraceError::config(format!("cannot create spill dir {}: {e}", dir.display()))
@@ -873,30 +616,15 @@ fn serve_inner<R: Read, W: Write>(
             .ok_or_else(|| proto("coordinator hung up before finish".into()))?;
         match ty {
             wire::FRAME_CLAIM => {
-                let mut d = crate::spill::codec::Dec::new(&buf);
+                let mut d = Dec::new(&buf);
                 let worker = d.u32() as usize;
+                let count = d.count(wire::MIN_MSG_BYTES);
+                let batch: Vec<_> = (0..count)
+                    .map(|_| wire::get_msg(&mut d, &mut dec))
+                    .collect();
+                d.finish().map_err(|e| malformed("claim", e))?;
                 if worker >= workers {
                     return Err(proto(format!("claim for worker {worker} of {workers}")));
-                }
-                let count = d.u32() as usize;
-                // Every encoded message takes at least one byte: a
-                // count its own frame cannot hold is a lie, and must
-                // not size an allocation.
-                if count > buf.len() {
-                    return Err(proto(format!(
-                        "claim of {count} messages in a {}-byte frame",
-                        buf.len()
-                    )));
-                }
-                let mut batch = Vec::with_capacity(count.min(BATCH_RECORDS));
-                for _ in 0..count {
-                    batch.push(
-                        wire::get_msg(&mut d, &mut dec)
-                            .map_err(|e| proto(format!("decoding claim: {e}")))?,
-                    );
-                }
-                if !d.is_empty() {
-                    return Err(proto("trailing bytes in claim frame".into()));
                 }
                 block.send(worker, batch)?;
             }
@@ -909,7 +637,8 @@ fn serve_inner<R: Read, W: Write>(
     // relies on it for the global shard order of the canonical merge).
     for (i, out) in block.collect()?.into_iter().enumerate() {
         fw.send(wire::FRAME_OUTPUT, |buf| {
-            wire::put_output(buf, i as u32, &out);
+            crate::spill::codec::put_u32(buf, i as u32);
+            out.put(buf);
         })
         .map_err(|e| proto(format!("writing output: {e}")))?;
     }
@@ -973,7 +702,7 @@ enum PeerKind {
 }
 
 struct Peer {
-    writer: wire::FrameWriter<Box<dyn Write + Send>>,
+    writer: wire::FrameWriter<io::BufWriter<Box<dyn Write + Send>>>,
     reader: io::BufReader<Box<dyn Read + Send>>,
     /// This connection's claim string table.
     enc: wire::StrEnc,
@@ -984,6 +713,17 @@ struct Peer {
 }
 
 impl Peer {
+    /// A peer speaking over `stream`, read through its clone `read_half`.
+    fn new<S: Read + Write + Send + 'static>(stream: S, read_half: S, kind: PeerKind) -> Peer {
+        Peer {
+            writer: wire::FrameWriter::new(io::BufWriter::new(Box::new(stream) as Box<_>)),
+            reader: io::BufReader::new(Box::new(read_half) as Box<_>),
+            enc: wire::StrEnc::default(),
+            kind,
+            failed: false,
+        }
+    }
+
     /// Turns an I/O failure on this peer's connection into the single
     /// clear error: reaps a child for its exit status and stderr tail,
     /// joins a thread for its own `TraceError`.
@@ -1095,11 +835,12 @@ impl Cluster {
             peer.writer
                 .send(wire::FRAME_HELLO, |buf| {
                     use crate::spill::codec::put_u32;
+                    use wire::Field;
                     put_u32(buf, wire::MAGIC);
                     put_u32(buf, wire::VERSION);
                     put_u32(buf, i as u32);
                     put_u32(buf, workers_per_router as u32);
-                    wire::put_config(buf, &rc);
+                    rc.put(buf);
                 })
                 .map_err(|e| peer.diagnose(i, &e))?;
         }
@@ -1135,6 +876,7 @@ impl ShardSink for Cluster {
     /// Sends `Finish` to every peer and collects all worker outputs in
     /// global shard order.
     fn collect(&mut self) -> Result<Vec<CorrelationOutput>, TraceError> {
+        use wire::Field;
         for (i, peer) in self.peers.iter_mut().enumerate() {
             let sent = peer
                 .writer
@@ -1152,23 +894,23 @@ impl ShardSink for Cluster {
                 let ty = wire::read_frame(&mut peer.reader, &mut buf)
                     .and_then(|ty| ty.ok_or_else(early))
                     .map_err(|e| peer.diagnose(i, &e))?;
+                let mut d = Dec::new(&buf);
                 match ty {
                     wire::FRAME_OUTPUT => {
-                        let mut d = crate::spill::codec::Dec::new(&buf);
-                        let (worker, out) = wire::get_output(&mut d);
-                        if worker as usize != expected || !d.is_empty() {
-                            return Err(TraceError::router(
-                                i,
-                                format!("malformed output frame (worker {worker})"),
-                            ));
+                        let worker = d.u32();
+                        let out = CorrelationOutput::get(&mut d);
+                        let malformed = |e: String| {
+                            TraceError::router(i, format!("malformed output frame: {e}"))
+                        };
+                        d.finish().map_err(|e| malformed(e.to_string()))?;
+                        if worker as usize != expected {
+                            return Err(malformed(format!("worker {worker}, expected {expected}")));
                         }
                         outputs.push(out);
                     }
                     wire::FRAME_ERROR => {
-                        let mut d = crate::spill::codec::Dec::new(&buf);
-                        let msg = d.str().to_owned();
                         peer.failed = true;
-                        return Err(TraceError::router(i, msg));
+                        return Err(TraceError::router(i, d.str()));
                     }
                     ty => {
                         return Err(TraceError::router(
@@ -1250,94 +992,51 @@ impl Drop for Cluster {
 
 /// Establishes one peer connection for the given transport.
 fn connect_peer(transport: &RouterTransport, index: usize) -> Result<Peer, TraceError> {
+    let err = |what: &str, e: io::Error| TraceError::router(index, format!("{what}: {e}"));
     match transport {
-        RouterTransport::InProcess => {
-            let (coord_w, router_r) = pipe();
-            let (router_w, coord_r) = pipe();
-            let handle = std::thread::spawn(move || serve_router(router_r, router_w));
-            Ok(Peer {
-                writer: wire::FrameWriter::new(Box::new(coord_w)),
-                reader: io::BufReader::new(Box::new(coord_r) as Box<dyn Read + Send>),
-                enc: wire::StrEnc::default(),
-                kind: PeerKind::Thread(Some(handle)),
-                failed: false,
-            })
-        }
-        RouterTransport::Spawn { exe } => spawn_child_peer(exe, index),
+        RouterTransport::InProcess => socketpair_peer(index, |r, w| {
+            let handle = std::thread::spawn(|| serve_router(r, w));
+            Ok(PeerKind::Thread(Some(handle)))
+        }),
+        // Both the child's stdin and stdout are the same bidirectional
+        // socket, so the child talks the protocol through plain
+        // `stdin()`/`stdout()` without any fd juggling.
+        RouterTransport::Spawn { exe } => socketpair_peer(index, |r, w| {
+            let mut child = Command::new(exe)
+                .args(["router", "--stdio"])
+                .stdin(Stdio::from(OwnedFd::from(r)))
+                .stdout(Stdio::from(OwnedFd::from(w)))
+                .stderr(Stdio::piped())
+                .spawn()
+                .map_err(|e| err(&format!("cannot spawn {}", exe.display()), e))?;
+            let stderr = StderrTail::capture(child.stderr.take().expect("piped stderr"));
+            Ok(PeerKind::Child { child, stderr })
+        }),
         RouterTransport::Connect { addrs } => {
             let addr = &addrs[index];
             let stream = std::net::TcpStream::connect(addr)
-                .map_err(|e| TraceError::router(index, format!("cannot connect to {addr}: {e}")))?;
+                .map_err(|e| err(&format!("cannot connect to {addr}"), e))?;
             let _ = stream.set_nodelay(true);
-            let read_half = stream.try_clone().map_err(|e| {
-                TraceError::router(index, format!("cannot clone socket to {addr}: {e}"))
-            })?;
-            Ok(Peer {
-                writer: wire::FrameWriter::new(Box::new(io::BufWriter::new(stream))),
-                reader: io::BufReader::new(Box::new(read_half) as Box<dyn Read + Send>),
-                enc: wire::StrEnc::default(),
-                kind: PeerKind::Tcp { addr: addr.clone() },
-                failed: false,
-            })
+            let read_half = stream
+                .try_clone()
+                .map_err(|e| err(&format!("cannot clone socket to {addr}"), e))?;
+            let kind = PeerKind::Tcp { addr: addr.clone() };
+            Ok(Peer::new(stream, read_half, kind))
         }
     }
 }
 
-/// Spawns `exe router --stdio` bridged over a Unix socketpair: both
-/// the child's stdin and stdout are ends of the same bidirectional
-/// socket, so the child talks the protocol through plain
-/// `stdin()`/`stdout()` without any fd juggling.
-#[cfg(unix)]
-fn spawn_child_peer(exe: &std::path::Path, index: usize) -> Result<Peer, TraceError> {
-    use std::os::fd::OwnedFd;
-    use std::os::unix::net::UnixStream;
-    let err = |what: &str, e: io::Error| TraceError::router(index, format!("{what}: {e}"));
-    let (mine, theirs) = UnixStream::pair().map_err(|e| err("cannot create socketpair", e))?;
-    let theirs_out = theirs
-        .try_clone()
-        .map_err(|e| err("cannot clone socketpair", e))?;
-    let mut child = std::process::Command::new(exe)
-        .args(["router", "--stdio"])
-        .stdin(std::process::Stdio::from(OwnedFd::from(theirs)))
-        .stdout(std::process::Stdio::from(OwnedFd::from(theirs_out)))
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| err(&format!("cannot spawn {}", exe.display()), e))?;
-    let stderr = StderrTail::capture(child.stderr.take().expect("piped stderr"));
-    let read_half = mine
-        .try_clone()
-        .map_err(|e| err("cannot clone socketpair", e))?;
-    Ok(Peer {
-        writer: wire::FrameWriter::new(Box::new(io::BufWriter::new(mine))),
-        reader: io::BufReader::new(Box::new(read_half) as Box<dyn Read + Send>),
-        enc: wire::StrEnc::default(),
-        kind: PeerKind::Child { child, stderr },
-        failed: false,
-    })
-}
-
-/// Non-Unix fallback: plain stdin/stdout pipes (same wire protocol,
-/// two unidirectional pipes instead of one socketpair).
-#[cfg(not(unix))]
-fn spawn_child_peer(exe: &std::path::Path, index: usize) -> Result<Peer, TraceError> {
-    let err = |what: &str, e: io::Error| TraceError::router(index, format!("{what}: {e}"));
-    let mut child = std::process::Command::new(exe)
-        .args(["router", "--stdio"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .map_err(|e| err(&format!("cannot spawn {}", exe.display()), e))?;
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let stderr = StderrTail::capture(child.stderr.take().expect("piped stderr"));
-    Ok(Peer {
-        writer: wire::FrameWriter::new(Box::new(io::BufWriter::new(stdin))),
-        reader: io::BufReader::new(Box::new(stdout) as Box<dyn Read + Send>),
-        enc: wire::StrEnc::default(),
-        kind: PeerKind::Child { child, stderr },
-        failed: false,
-    })
+/// A peer on one end of a fresh Unix socketpair; `start` runs the
+/// router on the other end, handed over as a read and a write handle.
+fn socketpair_peer(
+    index: usize,
+    start: impl FnOnce(UnixStream, UnixStream) -> Result<PeerKind, TraceError>,
+) -> Result<Peer, TraceError> {
+    let handles = |s: UnixStream| Ok::<_, io::Error>((s.try_clone()?, s));
+    let ((mine_r, mine), (theirs_r, theirs)) = UnixStream::pair()
+        .and_then(|(mine, theirs)| Ok((handles(mine)?, handles(theirs)?)))
+        .map_err(|e| TraceError::router(index, format!("cannot create socketpair: {e}")))?;
+    Ok(Peer::new(mine, mine_r, start(theirs_r, theirs)?))
 }
 
 #[cfg(test)]
@@ -1346,6 +1045,8 @@ mod tests {
     use crate::activity::{Activity, ActivityType, Channel, ContextId, LocalTime, Nanos};
     use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
     use crate::shard::tests::{access, cluster_log, sharded};
+    use crate::spill::codec::put_u32;
+    use wire::Field;
 
     fn render(out: &CorrelationOutput) -> String {
         // Wall time is the one legitimately nondeterministic metric.
@@ -1446,7 +1147,6 @@ mod tests {
         fails_leaving_nothing_behind("dead-addr", RouterTransport::Connect { addrs: vec![addr] });
     }
 
-    #[cfg(unix)]
     #[test]
     fn child_crash_is_diagnosed_not_hung() {
         // `false` accepts our `router --stdio` args, exits 1 without
@@ -1483,58 +1183,126 @@ mod tests {
         fails_leaving_nothing_behind("missing-exe", RouterTransport::Spawn { exe });
     }
 
-    /// A Hello frame for router 0 with one worker, as `version` sends it.
-    fn hello(version: u32) -> Vec<u8> {
+    /// One frame of type `ty` around `body`.
+    fn frame(ty: u8, body: &[u8]) -> Vec<u8> {
         let mut bytes = Vec::new();
         wire::FrameWriter::new(&mut bytes)
-            .send(wire::FRAME_HELLO, |buf| {
-                use crate::spill::codec::put_u32;
-                put_u32(buf, wire::MAGIC);
-                put_u32(buf, version);
-                put_u32(buf, 0);
-                put_u32(buf, 1);
-                wire::put_config(buf, &CorrelatorConfig::new(access()));
-            })
+            .send(ty, |buf| buf.extend_from_slice(body))
             .unwrap();
         bytes
     }
 
+    /// The body of a Hello for router 0 with one worker, as `version`
+    /// sends it.
+    fn hello_body(version: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for word in [wire::MAGIC, version, 0, 1] {
+            put_u32(&mut buf, word);
+        }
+        CorrelatorConfig::new(access()).put(&mut buf);
+        buf
+    }
+
+    /// The body of a Claim for worker 0 carrying one SEND.
+    fn claim_body() -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 1);
+        let send = ShardMsg::Act(activity(1));
+        wire::put_msg(&mut buf, &mut wire::StrEnc::default(), &send);
+        buf
+    }
+
+    fn activity(ts: u64) -> Activity {
+        Activity {
+            ty: ActivityType::Send,
+            ts: LocalTime(ts),
+            ctx: ContextId::new("web-frontend-01", "httpd", 7, 7),
+            channel: Channel::new(
+                "10.0.0.1:4001".parse().unwrap(),
+                "10.0.0.2:8009".parse().unwrap(),
+            ),
+            size: 64,
+            tag: 3,
+            seq: Some(9000),
+        }
+    }
+
+    /// `serve_router` over `bytes` must fail with `want` in its error
+    /// and tell the coordinator the same in an Error frame.
+    fn refused(bytes: &[u8], want: &str) {
+        let mut out = Vec::new();
+        let err = serve_router(bytes, &mut out).expect_err(want).to_string();
+        assert!(err.contains(want), "{err}");
+        let mut frame = Vec::new();
+        let ty = wire::read_frame(&mut &out[..], &mut frame).unwrap();
+        assert_eq!(ty, Some(wire::FRAME_ERROR), "{want}");
+        assert_eq!(Dec::new(&frame).str(), err);
+    }
+
     #[test]
     fn router_refuses_what_it_cannot_trust() {
-        // A v1 coordinator's config carries fields v2 dropped: refuse at
+        let hello = frame(wire::FRAME_HELLO, &hello_body(wire::VERSION));
+        let after_hello = |ty: u8, body: &[u8]| [hello.clone(), frame(ty, body)].concat();
+        // A v2 coordinator's config is laid out differently: refuse at
         // the version word, before parsing it.
-        let v1 = hello(1);
-        // 13 bytes: a Claim for worker 0 announcing u32::MAX messages
-        // and carrying none. Sizing the batch by it aborts the process.
-        let mut hostile_claim = hello(wire::VERSION);
-        wire::FrameWriter::new(&mut hostile_claim)
-            .send(wire::FRAME_CLAIM, |buf| {
-                use crate::spill::codec::put_u32;
-                put_u32(buf, 0);
-                put_u32(buf, u32::MAX);
-            })
-            .unwrap();
-        for (bytes, want) in [
-            (
-                v1,
-                "router protocol: protocol version 1 (this router speaks 2)",
-            ),
-            (
-                hostile_claim,
-                "router protocol: claim of 4294967295 messages",
-            ),
-        ] {
-            let mut out = Vec::new();
-            let err = serve_router(&bytes[..], &mut out)
-                .expect_err(want)
-                .to_string();
-            assert!(err.contains(want), "{err}");
-            // The coordinator is told, in an Error frame.
-            let mut frame = Vec::new();
-            let ty = wire::read_frame(&mut &out[..], &mut frame).unwrap();
-            assert_eq!(ty, Some(wire::FRAME_ERROR), "{want}");
-            assert_eq!(crate::spill::codec::Dec::new(&frame).str(), err);
+        refused(
+            &frame(wire::FRAME_HELLO, &hello_body(2)),
+            "router protocol: protocol version 2 (this router speaks 3)",
+        );
+        // The 9-byte frame that used to panic the router: magic only.
+        refused(
+            b"\x01\x04\0\0\0CDTP",
+            "router protocol: decoding hello: truncated",
+        );
+        // Every cut of a valid Hello, and of a valid one-activity Claim.
+        let body = hello_body(wire::VERSION);
+        for cut in 0..body.len() {
+            refused(
+                &frame(wire::FRAME_HELLO, &body[..cut]),
+                "router protocol: decoding hello",
+            );
         }
+        let body = claim_body();
+        for cut in 0..body.len() {
+            let bytes = after_hello(wire::FRAME_CLAIM, &body[..cut]);
+            refused(&bytes, "router protocol: decoding claim");
+        }
+        // Counts the frame cannot hold size nothing: a Hello with
+        // u32::MAX frontend ports, a Claim of u32::MAX messages. A
+        // port that does not fit a u16 is refused, not truncated.
+        let mut lying = hello_body(wire::VERSION);
+        lying[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        refused(
+            &frame(wire::FRAME_HELLO, &lying),
+            "router protocol: decoding hello: count 4294967295 exceeds",
+        );
+        let mut wide = hello_body(wire::VERSION);
+        wide[20..28].copy_from_slice(&70_000u64.to_le_bytes());
+        refused(
+            &frame(wire::FRAME_HELLO, &wide),
+            "router protocol: decoding hello: value 70000 out of range",
+        );
+        let mut lying = claim_body();
+        lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        refused(
+            &after_hello(wire::FRAME_CLAIM, &lying),
+            "router protocol: decoding claim: count 4294967295 exceeds",
+        );
+        // A string id no earlier frame defined; an activity type byte
+        // that names no type (it must not decode as RECEIVE).
+        let mut unknown_id = claim_body();
+        unknown_id[18..22].copy_from_slice(&5u32.to_le_bytes());
+        refused(
+            &after_hello(wire::FRAME_CLAIM, &unknown_id),
+            "router protocol: decoding claim: unknown string id 5",
+        );
+        let mut unknown_ty = claim_body();
+        unknown_ty[9] = 9;
+        refused(
+            &after_hello(wire::FRAME_CLAIM, &unknown_ty),
+            "router protocol: decoding claim: unknown activity type code 9",
+        );
     }
 
     #[test]
@@ -1601,22 +1369,8 @@ mod tests {
 
     #[test]
     fn claim_interning_roundtrips_and_amortizes() {
-        let ctx = ContextId::new("web-frontend-01", "httpd", 7, 7);
-        let channel = Channel::new(
-            "10.0.0.1:4001".parse().unwrap(),
-            "10.0.0.2:8009".parse().unwrap(),
-        );
-        let act = |ts: u64| {
-            ShardMsg::Act(Activity {
-                ty: ActivityType::Send,
-                ts: LocalTime(ts),
-                ctx: ctx.clone(),
-                channel,
-                size: 64,
-                tag: 3,
-                seq: Some(9000),
-            })
-        };
+        let act = |ts: u64| ShardMsg::Act(activity(ts));
+        let ctx = activity(0).ctx;
         let mut enc = wire::StrEnc::default();
         let mut first = Vec::new();
         wire::put_msg(&mut first, &mut enc, &act(1));
@@ -1633,16 +1387,17 @@ mod tests {
 
         let mut dec = wire::StrDec::default();
         for (bytes, want) in [(&first, act(1)), (&second, act(2))] {
-            let mut d = crate::spill::codec::Dec::new(bytes);
-            let got = wire::get_msg(&mut d, &mut dec).unwrap();
+            let mut d = Dec::new(bytes);
+            let got = wire::get_msg(&mut d, &mut dec);
+            d.finish().unwrap();
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            assert!(d.is_empty());
         }
-        let mut d = crate::spill::codec::Dec::new(&forget);
-        match wire::get_msg(&mut d, &mut dec).unwrap() {
+        let mut d = Dec::new(&forget);
+        match wire::get_msg(&mut d, &mut dec) {
             ShardMsg::ForgetCtx(c) => assert_eq!(c, ctx),
             other => panic!("wrong msg: {other:?}"),
         }
+        d.finish().unwrap();
     }
 
     #[test]
@@ -1667,10 +1422,10 @@ mod tests {
         cfg.lane_settle_depth = Some(55);
 
         let mut buf = Vec::new();
-        wire::put_config(&mut buf, &cfg);
-        let mut d = crate::spill::codec::Dec::new(&buf);
-        let back = wire::get_config(&mut d);
-        assert!(d.is_empty());
+        cfg.put(&mut buf);
+        let mut d = Dec::new(&buf);
+        let back = CorrelatorConfig::get(&mut d);
+        d.finish().unwrap();
         // Filters are deliberately not shipped (workers see
         // pre-filtered activities); everything else must survive.
         let strip = |c: &CorrelatorConfig| {
@@ -1684,15 +1439,19 @@ mod tests {
     #[test]
     fn output_frame_roundtrips() {
         let log = cluster_log(3);
-        let out = sharded(CorrelatorConfig::new(access()), 2, Source::text(&log));
+        let mut out = sharded(CorrelatorConfig::new(access()), 2, Source::text(&log));
+        // A real run leaves most counters at 0, where two swapped
+        // fields would pass unnoticed; noise samples share a table.
+        out.metrics = crate::metrics::tests::every_field_distinct();
+        out.noise_samples = vec![activity(1), activity(2)];
         let mut buf = Vec::new();
-        wire::put_output(&mut buf, 5, &out);
-        let mut d = crate::spill::codec::Dec::new(&buf);
-        let (worker, back) = wire::get_output(&mut d);
-        assert!(d.is_empty());
+        put_u32(&mut buf, 5);
+        out.put(&mut buf);
+        let mut d = Dec::new(&buf);
+        let (worker, back) = (d.u32(), CorrelationOutput::get(&mut d));
+        d.finish().unwrap();
         assert_eq!(worker, 5);
-        assert_eq!(render(&out), render(&back));
-        assert_eq!(out.metrics.wall, back.metrics.wall);
+        assert_eq!(format!("{out:?}"), format!("{back:?}"));
         // A decoded CAG shares its hostname/program strings, as the
         // original did: one allocation per distinct name, not per vertex.
         for cag in &back.cags {
@@ -1701,6 +1460,13 @@ mod tests {
                 assert!(v.hostname != first.hostname || Arc::ptr_eq(&v.hostname, &first.hostname));
                 assert!(v.program != first.program || Arc::ptr_eq(&v.program, &first.program));
             }
+        }
+        // Every cut of the frame is refused, never a panic.
+        for cut in 0..buf.len() {
+            let mut d = Dec::new(&buf[..cut]);
+            d.u32();
+            CorrelationOutput::get(&mut d);
+            assert!(d.finish().is_err(), "cut={cut}");
         }
     }
 

@@ -126,56 +126,32 @@ pub struct EngineCounters {
     pub spilled_bytes: u64,
 }
 
-impl EngineCounters {
+crate::dist::counters! {
     /// Folds another counter set into this one (all fields are sums).
     /// Used to aggregate per-shard engines into one report.
-    pub fn absorb(&mut self, other: &EngineCounters) {
-        let EngineCounters {
-            delivered,
-            cags_opened,
-            cags_finished,
-            send_merges,
-            begin_merges,
-            end_amends,
-            partial_receives,
-            unmatched_receives,
-            cross_message_receives,
-            unmatched_ends,
-            reuse_suppressed_edges,
-            orphan_vertices,
-            evicted_pendings,
-            evicted_orphans,
-            abandoned_cags,
-            pruned_contexts,
-            forced_seals,
-            gap_retired_pendings,
-            spilled_cags,
-            spilled_orphans,
-            spill_faults,
-            spilled_bytes,
-        } = other;
-        self.delivered += delivered;
-        self.cags_opened += cags_opened;
-        self.cags_finished += cags_finished;
-        self.send_merges += send_merges;
-        self.begin_merges += begin_merges;
-        self.end_amends += end_amends;
-        self.partial_receives += partial_receives;
-        self.unmatched_receives += unmatched_receives;
-        self.cross_message_receives += cross_message_receives;
-        self.unmatched_ends += unmatched_ends;
-        self.reuse_suppressed_edges += reuse_suppressed_edges;
-        self.orphan_vertices += orphan_vertices;
-        self.evicted_pendings += evicted_pendings;
-        self.evicted_orphans += evicted_orphans;
-        self.abandoned_cags += abandoned_cags;
-        self.pruned_contexts += pruned_contexts;
-        self.forced_seals += forced_seals;
-        self.gap_retired_pendings += gap_retired_pendings;
-        self.spilled_cags += spilled_cags;
-        self.spilled_orphans += spilled_orphans;
-        self.spill_faults += spill_faults;
-        self.spilled_bytes += spilled_bytes;
+    EngineCounters {
+        delivered: sum,
+        cags_opened: sum,
+        cags_finished: sum,
+        send_merges: sum,
+        begin_merges: sum,
+        end_amends: sum,
+        partial_receives: sum,
+        unmatched_receives: sum,
+        cross_message_receives: sum,
+        unmatched_ends: sum,
+        reuse_suppressed_edges: sum,
+        orphan_vertices: sum,
+        evicted_pendings: sum,
+        evicted_orphans: sum,
+        abandoned_cags: sum,
+        pruned_contexts: sum,
+        forced_seals: sum,
+        gap_retired_pendings: sum,
+        spilled_cags: sum,
+        spilled_orphans: sum,
+        spill_faults: sum,
+        spilled_bytes: sum,
     }
 }
 
@@ -465,7 +441,7 @@ impl Engine {
                 break;
             };
             codec::put_u64(&mut buf, id);
-            codec::put_u8(&mut buf, spill::activity_type_code(o.ty));
+            codec::put_activity_type(&mut buf, o.ty);
             codec::put_channel(&mut buf, o.channel);
             codec::put_u64(&mut buf, o.size);
             ids.push(id);
@@ -539,15 +515,16 @@ impl Engine {
             .expect("indexed chunk is live");
         let bytes = sp.file.get(ext);
         let mut d = codec::Dec::new(&bytes);
-        let n = d.u32();
+        let n = d.count(33); // id, type, channel, size
         for _ in 0..n {
             let oid = d.u64();
-            let ty = spill::activity_type_from_code(d.u8());
+            let ty = d.activity_type();
             let channel = codec::get_channel(&mut d);
             let size = d.u64();
             sp.orphan_index.remove(&oid);
             self.orphans.insert(oid, Orphan { ty, channel, size });
         }
+        d.finish().expect("corrupt orphan spill object");
         self.counters.spill_faults += 1;
     }
 
@@ -2231,6 +2208,31 @@ mod tests {
         assert_eq!(a.cags_opened, 3);
         assert_eq!(a.orphan_vertices, 5);
         assert_eq!(a.forced_seals, 1);
+
+        // All three counter structs, field by field: metrics absorbed
+        // into themselves double every sum and keep every max.
+        use crate::dist::wire::Field;
+        let m = crate::metrics::tests::every_field_distinct();
+        let mut twice = m.clone();
+        twice.absorb(&m);
+        assert_eq!(twice.ranker.adaptive_window_ns, m.ranker.adaptive_window_ns);
+        assert_eq!(twice.wall, m.wall);
+        assert_eq!(twice.ranker.peak_buffered, 2 * m.ranker.peak_buffered);
+        assert_eq!(twice.peak_bytes, 2 * m.peak_bytes);
+        // Every field travels as one u64, so the encodings line up.
+        let words = |m: &crate::metrics::CorrelatorMetrics| {
+            let mut buf = Vec::new();
+            m.put(&mut buf);
+            let words = buf
+                .chunks(8)
+                .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+            words.collect::<Vec<_>>()
+        };
+        let (once, twice) = (words(&m), words(&twice));
+        assert_eq!(once.len(), twice.len());
+        let maxed = once.iter().zip(&twice).filter(|(a, b)| a == b).count();
+        assert!(once.iter().zip(&twice).all(|(a, b)| b == a || *b == 2 * a));
+        assert_eq!(maxed, 2, "only adaptive_window_ns and wall take the max");
     }
 
     #[test]

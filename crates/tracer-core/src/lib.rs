@@ -14,6 +14,9 @@
 //! [`raw::RawRecord`]; a byte-accurate simulated probe lives in the
 //! companion `multitier` crate.
 //!
+//! Unix only: the spill tier and the distributed transport use
+//! `std::os::unix` (positional file I/O, socketpairs).
+//!
 //! ## Pipeline
 //!
 //! ```text

@@ -65,32 +65,34 @@ pub struct CorrelatorMetrics {
     pub wall: Duration,
 }
 
-impl CorrelatorMetrics {
+crate::dist::counters! {
     /// Folds one shard's metrics into this aggregate: counts are sums,
     /// memory gauges are sums (shards are resident concurrently), and
     /// wall time is the maximum (shards run in parallel).
-    pub fn absorb(&mut self, other: &CorrelatorMetrics) {
-        self.records_in += other.records_in;
-        self.filtered_out += other.filtered_out;
-        self.retrans_dropped += other.retrans_dropped;
-        self.seq_dedup_ranges += other.seq_dedup_ranges;
-        self.v2_records += other.v2_records;
-        self.seq_gaps += other.seq_gaps;
-        self.orphan_dropped += other.orphan_dropped;
-        self.ranker.absorb(&other.ranker);
-        self.engine.absorb(&other.engine);
-        self.cags_finished += other.cags_finished;
-        self.cags_unfinished += other.cags_unfinished;
-        self.spilled_dedup_entries += other.spilled_dedup_entries;
-        self.spill_dedup_faults += other.spill_dedup_faults;
-        self.spill_pages_written += other.spill_pages_written;
-        self.spill_pages_read += other.spill_pages_read;
-        self.spill_queue_hits += other.spill_queue_hits;
-        self.peak_bytes += other.peak_bytes;
-        self.final_bytes += other.final_bytes;
-        self.wall = self.wall.max(other.wall);
+    CorrelatorMetrics {
+        records_in: sum,
+        filtered_out: sum,
+        retrans_dropped: sum,
+        seq_dedup_ranges: sum,
+        v2_records: sum,
+        seq_gaps: sum,
+        orphan_dropped: sum,
+        ranker: absorb,
+        engine: absorb,
+        cags_finished: sum,
+        cags_unfinished: sum,
+        spilled_dedup_entries: sum,
+        spill_dedup_faults: sum,
+        spill_pages_written: sum,
+        spill_pages_read: sum,
+        spill_queue_hits: sum,
+        peak_bytes: sum,
+        final_bytes: sum,
+        wall: max,
     }
+}
 
+impl CorrelatorMetrics {
     /// Correlation throughput in candidates per second (0 when the run
     /// was too fast to measure).
     pub fn candidates_per_sec(&self) -> f64 {
@@ -120,8 +122,77 @@ impl CorrelatorMetrics {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Metrics whose every field, ranker and engine included, holds a
+    /// distinct nonzero value.
+    pub(crate) fn every_field_distinct() -> CorrelatorMetrics {
+        let mut last = 0;
+        let mut n = || {
+            last += 1;
+            last
+        };
+        CorrelatorMetrics {
+            records_in: n(),
+            filtered_out: n(),
+            retrans_dropped: n(),
+            seq_dedup_ranges: n(),
+            v2_records: n(),
+            seq_gaps: n(),
+            orphan_dropped: n(),
+            ranker: RankerCounters {
+                enqueued: n(),
+                candidates: n(),
+                rule1: n(),
+                rule2: n(),
+                swaps: n(),
+                fetch_boosts: n(),
+                noise_discards: n(),
+                aged_settles: n(),
+                forced_deliveries: n(),
+                peak_buffered: n() as usize,
+                rtt_samples: n(),
+                window_updates: n(),
+                window_clamps: n(),
+                adaptive_window_ns: n(),
+            },
+            engine: EngineCounters {
+                delivered: n(),
+                cags_opened: n(),
+                cags_finished: n(),
+                send_merges: n(),
+                begin_merges: n(),
+                end_amends: n(),
+                partial_receives: n(),
+                unmatched_receives: n(),
+                cross_message_receives: n(),
+                unmatched_ends: n(),
+                reuse_suppressed_edges: n(),
+                orphan_vertices: n(),
+                evicted_pendings: n(),
+                evicted_orphans: n(),
+                abandoned_cags: n(),
+                pruned_contexts: n(),
+                forced_seals: n(),
+                gap_retired_pendings: n(),
+                spilled_cags: n(),
+                spilled_orphans: n(),
+                spill_faults: n(),
+                spilled_bytes: n(),
+            },
+            cags_finished: n(),
+            cags_unfinished: n(),
+            spilled_dedup_entries: n(),
+            spill_dedup_faults: n(),
+            spill_pages_written: n(),
+            spill_pages_read: n(),
+            spill_queue_hits: n(),
+            peak_bytes: n() as usize,
+            final_bytes: n() as usize,
+            wall: Duration::from_nanos(n()),
+        }
+    }
 
     #[test]
     fn throughput_handles_zero_wall() {

@@ -127,10 +127,11 @@ pub struct PipelineConfig {
     /// ([`crate::ingest`]) produces a record sequence byte-identical
     /// to the sequential parser, so this knob only changes speed.
     pub ingest_threads: usize,
-    /// How [`Mode::Distributed`] reaches its router peers: in-process
-    /// threads (the default), spawned `pt router --stdio` children, or
-    /// TCP connections to `pt router --listen` processes. Ignored by
-    /// the other modes.
+    /// How [`Mode::Distributed`] reaches its router peers: threads of
+    /// this process on Unix socketpairs (the default), spawned
+    /// `pt router --stdio` children on socketpairs, or TCP connections
+    /// to `pt router --listen` processes — the same PTDC stream on
+    /// each. Ignored by the other modes.
     pub router_transport: RouterTransport,
 }
 

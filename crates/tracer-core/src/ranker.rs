@@ -186,42 +186,27 @@ pub struct RankerCounters {
     pub adaptive_window_ns: u64,
 }
 
-impl RankerCounters {
+crate::dist::counters! {
     /// Folds another counter set into this one: event counts are sums,
     /// `peak_buffered` (a high-water mark of concurrently resident
     /// state) is summed too — per-shard rankers are resident at the
-    /// same time, so the worst case is additive.
-    pub fn absorb(&mut self, other: &RankerCounters) {
-        let RankerCounters {
-            enqueued,
-            candidates,
-            rule1,
-            rule2,
-            swaps,
-            fetch_boosts,
-            noise_discards,
-            aged_settles,
-            forced_deliveries,
-            peak_buffered,
-            rtt_samples,
-            window_updates,
-            window_clamps,
-            adaptive_window_ns,
-        } = other;
-        self.enqueued += enqueued;
-        self.candidates += candidates;
-        self.rule1 += rule1;
-        self.rule2 += rule2;
-        self.swaps += swaps;
-        self.fetch_boosts += fetch_boosts;
-        self.noise_discards += noise_discards;
-        self.aged_settles += aged_settles;
-        self.forced_deliveries += forced_deliveries;
-        self.peak_buffered += peak_buffered;
-        self.rtt_samples += rtt_samples;
-        self.window_updates += window_updates;
-        self.window_clamps += window_clamps;
-        self.adaptive_window_ns = self.adaptive_window_ns.max(*adaptive_window_ns);
+    /// same time, so the worst case is additive — and
+    /// `adaptive_window_ns` (a gauge) takes the max.
+    RankerCounters {
+        enqueued: sum,
+        candidates: sum,
+        rule1: sum,
+        rule2: sum,
+        swaps: sum,
+        fetch_boosts: sum,
+        noise_discards: sum,
+        aged_settles: sum,
+        forced_deliveries: sum,
+        peak_buffered: sum,
+        rtt_samples: sum,
+        window_updates: sum,
+        window_clamps: sum,
+        adaptive_window_ns: max,
     }
 }
 

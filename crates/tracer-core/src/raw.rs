@@ -708,13 +708,14 @@ impl RangeDedup {
         let mut d = codec::Dec::new(bytes);
         let touch = d.u64();
         let hwm = d.u64();
-        let n = d.u32();
+        let n = d.count(16); // (offset, len) pairs
         let mut ooo = std::collections::BTreeMap::new();
         for _ in 0..n {
             let o = d.u64();
             let l = d.u64();
             ooo.insert(o, l);
         }
+        d.finish().expect("corrupt coverage spill object");
         self.ooo_ranges += ooo.len();
         if let Some(heap) = &mut self.coldest {
             heap.push(Reverse((touch, key)));

@@ -42,6 +42,7 @@
 //! and reports everything shed or dropped.
 
 use std::io::Read;
+use std::os::unix::fs::FileTypeExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
@@ -795,14 +796,7 @@ fn tail_source(
         let Some(f) = file.as_mut() else {
             match std::fs::File::open(&spec.path) {
                 Ok(f) => {
-                    #[cfg(unix)]
-                    {
-                        use std::os::unix::fs::FileTypeExt;
-                        is_fifo = f
-                            .metadata()
-                            .map(|m| m.file_type().is_fifo())
-                            .unwrap_or(false);
-                    }
+                    is_fifo = f.metadata().is_ok_and(|m| m.file_type().is_fifo());
                     file = Some(f);
                     backoff = cfg.retry_backoff;
                     quiet = Instant::now();

@@ -291,7 +291,7 @@ pub(crate) fn encode_cag(cag: &crate::cag::Cag, buf: &mut Vec<u8>) {
     put_u8(buf, cag.finished as u8);
     put_u32(buf, cag.vertices.len() as u32);
     for v in &cag.vertices {
-        put_u8(buf, activity_type_code(v.ty));
+        put_activity_type(buf, v.ty);
         put_u64(buf, v.ts.0);
         put_u64(buf, v.ts_last.0);
         put_str(buf, &v.ctx.hostname);
@@ -313,23 +313,28 @@ pub(crate) fn encode_cag(cag: &crate::cag::Cag, buf: &mut Vec<u8>) {
 pub(crate) fn decode_cag(bytes: &[u8]) -> crate::cag::Cag {
     let mut d = codec::Dec::new(bytes);
     let cag = decode_cag_from(&mut d);
-    debug_assert!(d.is_empty(), "trailing bytes in CAG spill object");
+    d.finish().expect("corrupt CAG spill object");
     cag
 }
+
+/// Encoded size of a CAG with no vertices, and of a vertex with no
+/// tags: the floor a decoded count is checked against.
+pub(crate) const MIN_CAG_BYTES: usize = 13;
+const MIN_VERTEX_BYTES: usize = 77;
 
 /// Cursor-based counterpart of [`decode_cag`]: the encoding is
 /// self-delimiting, so several CAGs can be concatenated in one buffer
 /// (the distributed wire protocol's Output frames do exactly that).
 /// Hostname and program strings are shared within the decoded CAG, as
-/// they were before it was encoded.
+/// they were before it was encoded. Malformed input marks `d` failed.
 pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
     let mut names = crate::intern::Interner::new();
     let id = d.u64();
     let finished = d.u8() != 0;
-    let n = d.u32() as usize;
+    let n = d.count(MIN_VERTEX_BYTES);
     let mut vertices = Vec::with_capacity(n);
     for _ in 0..n {
-        let ty = activity_type_from_code(d.u8());
+        let ty = d.activity_type();
         let ts = crate::activity::LocalTime(d.u64());
         let ts_last = crate::activity::LocalTime(d.u64());
         let hostname = names.intern(d.str());
@@ -338,11 +343,7 @@ pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
         let tid = d.u32();
         let channel = codec::get_channel(d);
         let size = d.u64();
-        let n_tags = d.u32() as usize;
-        let mut tags = Vec::with_capacity(n_tags);
-        for _ in 0..n_tags {
-            tags.push(d.u64());
-        }
+        let tags = (0..d.count(8)).map(|_| d.u64()).collect();
         let ctx_parent = decode_parent(d.u64());
         let msg_parent = decode_parent(d.u64());
         vertices.push(crate::cag::Vertex {
@@ -368,29 +369,11 @@ fn decode_parent(v: u64) -> Option<usize> {
     (v != u64::MAX).then_some(v as usize)
 }
 
-pub(crate) fn activity_type_code(ty: crate::activity::ActivityType) -> u8 {
-    use crate::activity::ActivityType::*;
-    match ty {
-        Begin => 0,
-        Send => 1,
-        End => 2,
-        Receive => 3,
-    }
-}
-
-pub(crate) fn activity_type_from_code(code: u8) -> crate::activity::ActivityType {
-    use crate::activity::ActivityType::*;
-    match code {
-        0 => Begin,
-        1 => Send,
-        2 => End,
-        _ => Receive,
-    }
-}
-
-/// Little-endian byte-cursor helpers for spill object serialization.
+/// Little-endian byte-cursor helpers for spill objects and PTDC frames.
 pub(crate) mod codec {
-    use crate::activity::{Channel, EndpointV4};
+    use std::io;
+
+    use crate::activity::{ActivityType, Channel, EndpointV4};
 
     pub fn put_channel(buf: &mut Vec<u8>, ch: Channel) {
         put_u32(buf, u32::from(ch.src.ip));
@@ -415,6 +398,19 @@ pub(crate) mod codec {
             },
         )
     }
+    /// The one-byte code [`Dec::activity_type`] reads.
+    pub fn put_activity_type(buf: &mut Vec<u8>, ty: ActivityType) {
+        put_u8(
+            buf,
+            match ty {
+                ActivityType::Begin => 0,
+                ActivityType::Send => 1,
+                ActivityType::End => 2,
+                ActivityType::Receive => 3,
+            },
+        );
+    }
+
     pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
         buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -432,43 +428,111 @@ pub(crate) mod codec {
         buf.extend_from_slice(s.as_bytes());
     }
 
-    /// A consuming read cursor over a spill object.
+    /// A consuming read cursor over a spill object or a PTDC frame.
+    /// Reads never panic: a read past the end, or a value the caller
+    /// rejects ([`Dec::fail`]), marks the cursor failed, and from then
+    /// on every read yields zero or empty. Decoders therefore check
+    /// once, at the end of an object or frame ([`Dec::finish`]).
     pub struct Dec<'a> {
         buf: &'a [u8],
+        err: Option<String>,
     }
 
     impl<'a> Dec<'a> {
         pub fn new(buf: &'a [u8]) -> Self {
-            Dec { buf }
+            Dec { buf, err: None }
+        }
+
+        /// Marks the cursor failed; the first reason is the one kept.
+        pub fn fail(&mut self, why: impl Into<String>) {
+            self.err.get_or_insert_with(|| why.into());
+            self.buf = &[];
+        }
+
+        fn take<const N: usize>(&mut self) -> [u8; N] {
+            match self.buf.split_first_chunk::<N>() {
+                Some((head, rest)) => {
+                    self.buf = rest;
+                    *head
+                }
+                None => {
+                    self.fail("truncated");
+                    [0; N]
+                }
+            }
         }
 
         pub fn u64(&mut self) -> u64 {
-            let (head, rest) = self.buf.split_at(8);
-            self.buf = rest;
-            u64::from_le_bytes(head.try_into().expect("8 bytes"))
+            u64::from_le_bytes(self.take())
         }
 
         pub fn u32(&mut self) -> u32 {
-            let (head, rest) = self.buf.split_at(4);
-            self.buf = rest;
-            u32::from_le_bytes(head.try_into().expect("4 bytes"))
+            u32::from_le_bytes(self.take())
         }
 
         pub fn u8(&mut self) -> u8 {
-            let (head, rest) = self.buf.split_at(1);
-            self.buf = rest;
-            head[0]
+            self.take::<1>()[0]
         }
 
         pub fn str(&mut self) -> &'a str {
             let len = self.u32() as usize;
-            let (head, rest) = self.buf.split_at(len);
+            let Some((head, rest)) = self.buf.split_at_checked(len) else {
+                self.fail("truncated");
+                return "";
+            };
             self.buf = rest;
-            std::str::from_utf8(head).expect("utf8 spill string")
+            std::str::from_utf8(head).unwrap_or_else(|_| {
+                self.fail("string is not UTF-8");
+                ""
+            })
         }
 
-        pub fn is_empty(&self) -> bool {
-            self.buf.is_empty()
+        /// Reads an element count. Each element takes at least
+        /// `min_bytes`, so a count the bytes left cannot hold is a lie
+        /// that must not size an allocation: it fails the cursor and
+        /// reads as 0.
+        pub fn count(&mut self, min_bytes: usize) -> usize {
+            let n = self.u32() as usize;
+            if n.saturating_mul(min_bytes) > self.buf.len() {
+                let left = self.buf.len();
+                self.fail(format!("count {n} exceeds the {left} bytes left"));
+                return 0;
+            }
+            n
+        }
+
+        pub fn activity_type(&mut self) -> ActivityType {
+            match self.u8() {
+                0 => ActivityType::Begin,
+                1 => ActivityType::Send,
+                2 => ActivityType::End,
+                3 => ActivityType::Receive,
+                code => {
+                    self.fail(format!("unknown activity type code {code}"));
+                    ActivityType::Receive
+                }
+            }
+        }
+
+        /// The first failure, if any read failed so far.
+        pub fn status(&self) -> io::Result<()> {
+            match &self.err {
+                Some(why) => Err(io::Error::new(io::ErrorKind::InvalidData, why.clone())),
+                None => Ok(()),
+            }
+        }
+
+        /// [`Dec::status`], and no bytes left over.
+        pub fn finish(&self) -> io::Result<()> {
+            self.status()?;
+            if !self.buf.is_empty() {
+                let left = self.buf.len();
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{left} trailing bytes"),
+                ));
+            }
+            Ok(())
         }
     }
 }

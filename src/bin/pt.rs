@@ -531,7 +531,6 @@ extern "C" fn on_signal(_sig: i32) {
 
 /// Installs `on_signal` for SIGINT and SIGTERM via `signal(2)`. The
 /// handler only stores to an atomic, which is async-signal-safe.
-#[cfg(unix)]
 fn install_stop_handlers() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
@@ -544,9 +543,6 @@ fn install_stop_handlers() {
         signal(SIGTERM, handler);
     }
 }
-
-#[cfg(not(unix))]
-fn install_stop_handlers() {}
 
 /// Prints KPI lines and (optionally) one line per sealed path.
 struct StdoutSink {

@@ -397,6 +397,13 @@ fn distributed_correlation_flags_work() {
         banners.push(banner);
         routers.push(child);
     }
+    // A hostile session first: a Hello cut after its magic. The
+    // daemon must refuse it and keep serving.
+    {
+        use std::io::Write as _;
+        let mut hostile = std::net::TcpStream::connect(&addrs[0]).expect("connect to router 0");
+        hostile.write_all(b"\x01\x04\0\0\0CDTP").unwrap();
+    }
     let tcp = correlate(&["--routers", "2", "--router-addr", &addrs.join(",")]);
     assert_eq!(tcp, shards2, "--router-addr run diverged from --shards 2");
     for mut child in routers {
@@ -1170,7 +1177,6 @@ fn serve_rejects_bad_flags_by_name() {
 
 /// SIGTERM mid-stream: the daemon must stop tailing, drain what is
 /// sealable, print the final stats line and exit 0.
-#[cfg(unix)]
 #[test]
 fn serve_drains_and_exits_zero_on_sigterm() {
     use std::io::Read as _;
@@ -1251,7 +1257,6 @@ fn serve_drains_and_exits_zero_on_sigterm() {
 /// SIGTERM mid-stream with the spill tier active: the drain must
 /// remove every spill artifact — nothing matching `pt-spill-*` may
 /// survive in the spill directory after the daemon exits.
-#[cfg(unix)]
 #[test]
 fn serve_sigterm_leaves_no_spill_artifacts() {
     use std::io::Read as _;
