@@ -57,7 +57,7 @@ fn bench(c: &mut Criterion) {
 
     // PTBIN: the fixed-width binary form of the same corpus. Decode
     // skips text scanning entirely, so the decode legs should sit well
-    // above even the SWAR-accelerated parallel text scan.
+    // above even the parallel text scan.
     let bin = binfmt::encode_text(&text, INGEST_THREADS).expect("valid log");
 
     g.bench_function("ptbin_encode_x4", |b| {

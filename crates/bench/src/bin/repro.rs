@@ -417,8 +417,9 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
             .expect("rendered corpus must parse")
             .len()
     });
-    // The SWAR scanner on one thread: pure kernel speed, no thread
-    // fan-out — the floor the chunked scanner builds on.
+    // The text parser on one thread: pure parse speed, no thread
+    // fan-out — the floor the chunked scanner builds on. The key keeps
+    // its `swar_` name, which `benchmark/README.md` maps.
     let swar_seq_secs = best_of_3(&|| {
         parse_refs_parallel(&text, 1)
             .expect("rendered corpus must parse")

@@ -44,7 +44,6 @@
 //! # Ok::<(), tracer_core::TraceError>(())
 //! ```
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -110,8 +109,8 @@ pub fn read_binary_file(path: impl AsRef<Path>) -> Result<Vec<u8>, TraceError> {
 /// distinct string, never the input text.
 #[derive(Debug, Default)]
 pub struct Encoder {
-    strings: Vec<String>,
-    index: HashMap<String, u32>,
+    /// The string table, in first-seen order.
+    names: Interner,
     records: Vec<u8>,
     count: u64,
 }
@@ -128,17 +127,11 @@ impl Encoder {
     }
 
     fn intern(&mut self, s: &str) -> Result<u32, TraceError> {
-        if let Some(&i) = self.index.get(s) {
-            return Ok(i);
-        }
         if s.len() > usize::from(u16::MAX) {
             return Err(err(format!("string longer than 65535 bytes: {:.32}...", s)));
         }
-        let i = u32::try_from(self.strings.len())
-            .map_err(|_| err("string table overflow (more than 2^32 distinct strings)"))?;
-        self.strings.push(s.to_owned());
-        self.index.insert(s.to_owned(), i);
-        Ok(i)
+        u32::try_from(self.names.position(s))
+            .map_err(|_| err("string table overflow (more than 2^32 distinct strings)"))
     }
 
     /// Appends one record.
@@ -178,19 +171,42 @@ impl Encoder {
         Ok(())
     }
 
+    /// Appends the records of `other`, re-indexing its strings into
+    /// this table; strings new to this one join in `other`'s order.
+    fn append(&mut self, other: Encoder) -> Result<(), TraceError> {
+        let index: Vec<[u8; 4]> = other
+            .names
+            .strings()
+            .iter()
+            .map(|s| self.intern(s).map(u32::to_le_bytes))
+            .collect::<Result<_, _>>()?;
+        let start = self.records.len();
+        self.records.extend_from_slice(&other.records);
+        for cell in self.records[start..].chunks_exact_mut(RECORD_BYTES) {
+            // Host and program indices sit at bytes 8..12 and 12..16.
+            for at in [8, 12] {
+                let i = u32::from_le_bytes(cell[at..at + 4].try_into().expect("4 bytes"));
+                cell[at..at + 4].copy_from_slice(&index[i as usize]);
+            }
+        }
+        self.count += other.count;
+        Ok(())
+    }
+
     /// Finishes the stream: header, string table, then all records.
     pub fn finish(self) -> Vec<u8> {
-        let table_bytes: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
+        let strings = self.names.strings();
+        let table_bytes: usize = strings.iter().map(|s| 2 + s.len()).sum();
         let mut out = Vec::with_capacity(HEADER_BYTES + 4 + table_bytes + 8 + self.records.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&0u16.to_le_bytes()); // header flags: none defined yet
         out.extend_from_slice(
-            &u32::try_from(self.strings.len())
+            &u32::try_from(strings.len())
                 .unwrap_or(u32::MAX)
                 .to_le_bytes(),
         );
-        for s in &self.strings {
+        for s in strings {
             out.extend_from_slice(&(s.len() as u16).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
@@ -231,13 +247,38 @@ pub fn encode_records(records: &[RawRecord]) -> Result<Vec<u8>, TraceError> {
 /// Parses `TCP_TRACE` text (with `threads` ingest workers) and encodes
 /// the records as PTBIN.
 ///
+/// Each worker parses and encodes its chunk straight into record cells
+/// against a table of its own; the tables merge in chunk order, so the
+/// stream is byte-identical to [`encode_refs`] over the whole parse.
+///
 /// # Errors
 ///
 /// Returns [`TraceError::Parse`] for malformed text and
 /// [`TraceError::Config`] for records the format cannot express.
 pub fn encode_text(text: &str, threads: usize) -> Result<Vec<u8>, TraceError> {
-    let refs = crate::ingest::parse_refs_parallel(text, threads)?;
-    encode_refs(&refs)
+    let parts = crate::ingest::map_chunks(text, threads, |chunk| {
+        let mut enc = Ok(Encoder::new());
+        for r in crate::raw::parse_log_iter(chunk) {
+            let r = r?;
+            if let Ok(e) = &mut enc {
+                if let Err(x) = e.push(&r) {
+                    enc = Err(x);
+                }
+            }
+        }
+        Ok::<_, TraceError>(enc)
+    });
+    // A parse error anywhere comes before any encoding error, as when
+    // the whole text is parsed before the first record is encoded.
+    let mut parts = parts
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let mut enc = parts.next().transpose()?.unwrap_or_default();
+    for part in parts {
+        enc.append(part?)?;
+    }
+    Ok(enc.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -683,7 +724,7 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raw::parse_log;
+    use crate::raw::{parse_log, parse_log_iter};
 
     const SAMPLE: &str = "\
 1000 web httpd 7 7 SEND 10.0.0.1:80-192.168.0.9:5000 42
@@ -734,6 +775,69 @@ mod tests {
         // records with eight string fields.
         assert_eq!(reader.string_count(), 6);
         assert_eq!(reader.len(), 4);
+    }
+
+    #[test]
+    fn string_table_keeps_first_seen_order_when_programs_change_in_a_host_section() {
+        let chan = "10.0.0.1:80-192.168.0.9:5000 42";
+        let lines = [
+            "web httpd",
+            "web httpd",
+            "web sshd",
+            "web httpd",
+            "web cron",
+            "app java",
+            "app httpd",
+            "app java",
+            "web cron",
+            "db mysqld",
+            "db web",
+            "db mysqld",
+        ];
+        let text: String = lines
+            .iter()
+            .enumerate()
+            .map(|(ts, hp)| format!("{ts} {hp} 7 7 SEND {chan}\n"))
+            .collect();
+        let refs: Vec<_> = parse_log_iter(&text).collect::<Result<_, _>>().unwrap();
+        let bin = encode_refs(&refs).unwrap();
+        // First-seen order over host, then program, record by record.
+        let mut want: Vec<&str> = Vec::new();
+        for s in lines.iter().flat_map(|hp| hp.split(' ')) {
+            if !want.contains(&s) {
+                want.push(s);
+            }
+        }
+        assert_eq!(Reader::new(&bin).unwrap().strings, want);
+        assert_eq!(decode_refs(&bin).unwrap(), refs);
+        // Chunked encoding merges the per-chunk tables into the same
+        // order, whatever the chunk count.
+        for threads in 1..=8 {
+            assert_eq!(
+                encode_text(&text, threads).unwrap(),
+                bin,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn encode_text_reports_a_parse_error_before_an_encoding_error() {
+        let long = "h".repeat(usize::from(u16::MAX) + 1);
+        let mut text = format!("1 {long} p 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42\n");
+        for ts in 2..40 {
+            text.push_str(&format!(
+                "{ts} web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42\n"
+            ));
+        }
+        assert!(matches!(encode_text(&text, 1), Err(TraceError::Config(_))));
+        text.push_str("40 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 nan\n");
+        for threads in 1..=4 {
+            assert!(matches!(
+                encode_text(&text, threads),
+                Err(TraceError::Parse { .. })
+            ));
+        }
     }
 
     #[test]

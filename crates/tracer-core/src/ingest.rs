@@ -1,10 +1,9 @@
 //! Parallel chunked ingest: whole-buffer parsing of `TCP_TRACE` logs
-//! at hardware saturation.
+//! split across threads.
 //!
-//! The single-threaded [`parse_log_iter`](crate::raw::parse_log_iter)
-//! path tops out well below what the sharded correlator can drain, so
-//! this module applies the one-billion-row-challenge recipe to the
-//! probe log format:
+//! This module only chunks; every line is parsed by
+//! [`RawRecordRef::parse_line`], the one text parser, exactly as the
+//! sequential [`parse_log_iter`](crate::raw::parse_log_iter) parses it:
 //!
 //! 1. the input is read (or handed over) as **one contiguous buffer** —
 //!    no line-at-a-time I/O;
@@ -12,42 +11,23 @@
 //!    boundaries** (each nominal cut is snapped forward to just past
 //!    the next `\n`, so a record straddling a cut belongs wholly to the
 //!    chunk where its line starts);
-//! 3. each chunk is scanned by a worker thread with **SWAR (SIMD
-//!    within a register) wide-word scanning**: newline and delimiter
-//!    search examine eight bytes per `u64` load ([`find_byte`] /
-//!    the whitespace scan in `Fields`), and decimal fields decode
-//!    eight digits at a time with a branchless multiply-shift chain
-//!    (`parse_u64`, the Lemire "parse eight digits" kernel) — all in
-//!    safe Rust, the crate forbids `unsafe`. The **specialised field
-//!    parser** allocates nothing per record and validates no UTF-8 —
-//!    string fields are borrowed sub-slices of the input, split on
-//!    ASCII whitespace;
+//! 3. each chunk is parsed by a worker thread with the sequential line
+//!    discipline (split on `\n`, trim, skip blanks and `#` comments);
+//!    string fields are borrowed sub-slices of the input;
 //! 4. the per-chunk record vectors are concatenated in chunk order, so
 //!    the result is **record-for-record identical** to the sequential
-//!    iterator.
-//!
-//! Equivalence with the sequential path is by construction: the fast
-//! field parser accepts a strict subset of the grammar (plain decimal
-//! digits, canonical dotted-quad IPv4, exact `SEND`/`RECEIVE`), and any
-//! line outside that subset falls back to
-//! [`RawRecordRef::parse_line`], which makes the accept/reject set —
-//! including the error for the first malformed line — identical to
-//! [`parse_log_iter`](crate::raw::parse_log_iter). Chunks are
-//! text-ordered, so the first failing chunk holds the first failing
-//! line.
+//!    iterator, and the first failing chunk holds the first failing
+//!    line — the error is the sequential path's too.
 //!
 //! The [`Pipeline`](crate::pipeline::Pipeline) engages this module for
 //! [`Source::path`](crate::pipeline::Source::path) inputs and for text
 //! sources whenever `PipelineConfig::with_ingest_threads` asks for more
 //! than one thread.
 
-use std::net::Ipv4Addr;
 use std::path::Path;
 
-use crate::activity::{EndpointV4, LocalTime};
 use crate::error::TraceError;
-use crate::intern::Interner;
-use crate::raw::{RawOp, RawRecord, RawRecordRef};
+use crate::raw::{parse_log_iter, RawRecord, RawRecordRef};
 
 /// Upper bound on worker threads: beyond this the split overhead and
 /// memory bandwidth dominate any parse win.
@@ -117,92 +97,6 @@ pub fn split_complete_lines(buf: &[u8]) -> (&[u8], &[u8]) {
     }
 }
 
-// --- SWAR (SIMD-within-a-register) scanning primitives ----------------
-//
-// Everything below is safe Rust: eight-byte windows are read with
-// `u64::from_le_bytes` on bounds-checked subslices, which the compiler
-// lowers to single unaligned loads.
-
-/// Every byte `0x01`.
-const SWAR_LO: u64 = 0x0101_0101_0101_0101;
-/// Every byte `0x80`.
-const SWAR_HI: u64 = 0x8080_8080_8080_8080;
-
-#[inline]
-fn load_le(b: &[u8], i: usize) -> u64 {
-    u64::from_le_bytes(b[i..i + 8].try_into().unwrap())
-}
-
-/// Index of the first `needle` byte at or after position 0, eight
-/// bytes per iteration. The classic `memchr` SWAR kernel: XOR with the
-/// broadcast needle turns matches into zero bytes, and
-/// `(z - 0x01…) & !z & 0x80…` flags zero bytes — borrows can only
-/// flag bytes *above* a true match, so the lowest set flag is exact.
-#[inline]
-fn find_byte(b: &[u8], needle: u8) -> Option<usize> {
-    let bcast = u64::from(needle) * SWAR_LO;
-    let mut i = 0usize;
-    while i + 8 <= b.len() {
-        let z = load_le(b, i) ^ bcast;
-        let hit = z.wrapping_sub(SWAR_LO) & !z & SWAR_HI;
-        if hit != 0 {
-            return Some(i + (hit.trailing_zeros() / 8) as usize);
-        }
-        i += 8;
-    }
-    b[i..].iter().position(|&c| c == needle).map(|j| i + j)
-}
-
-/// Index of the first ASCII-whitespace byte at or after `from` (or
-/// `b.len()`). The wide-word probe flags bytes `< 0x21` (a superset of
-/// ASCII whitespace: the lowest flagged byte is exact, see
-/// [`find_byte`]); the rare non-whitespace control byte inside a token
-/// is verified out and scanning resumes one past it.
-#[inline]
-fn find_ws(b: &[u8], from: usize) -> usize {
-    let mut i = from;
-    while i + 8 <= b.len() {
-        let w = load_le(b, i);
-        let lt = w.wrapping_sub(SWAR_LO * 0x21) & !w & SWAR_HI;
-        if lt != 0 {
-            let j = i + (lt.trailing_zeros() / 8) as usize;
-            if b[j].is_ascii_whitespace() {
-                return j;
-            }
-            i = j + 1;
-            continue;
-        }
-        i += 8;
-    }
-    while i < b.len() && !b[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-/// True when all eight bytes of `w` are ASCII digits (`0x30..=0x39`).
-/// simdjson's digit-validity check: the high nibble of every byte must
-/// be 3, and adding 6 must not carry into the high nibble (which it
-/// does exactly for `0x3A..=0x3F`). A cross-byte carry can only occur
-/// for bytes `>= 0xFA`, which already fail the first term.
-#[inline]
-fn all_digits(w: u64) -> bool {
-    const NIB: u64 = 0xF0F0_F0F0_F0F0_F0F0;
-    (w & NIB) | ((w.wrapping_add(0x0606_0606_0606_0606) & NIB) >> 4) == 0x3333_3333_3333_3333
-}
-
-/// Decodes eight ASCII digits (already validated by [`all_digits`])
-/// into their numeric value with a branchless multiply-shift chain
-/// (Lemire's `parse_eight_digits_swar`): digits combine into 2-digit
-/// bytes, 4-digit 16-bit lanes, then the full 8-digit value.
-#[inline]
-fn eight_digits(w: u64) -> u64 {
-    let v = w.wrapping_sub(0x3030_3030_3030_3030);
-    let pairs = (v.wrapping_mul(1 + (10 << 8)) >> 8) & 0x00FF_00FF_00FF_00FF;
-    let quads = (pairs.wrapping_mul(1 + (100 << 16)) >> 16) & 0x0000_FFFF_0000_FFFF;
-    quads.wrapping_mul(1 + (10_000u64 << 32)) >> 32
-}
-
 /// Splits `text` into at most `chunks` byte spans, each ending just
 /// past a `\n` (except the last, which ends at the buffer end), so no
 /// record straddles a span boundary. Returns fewer spans than asked
@@ -223,10 +117,10 @@ pub fn chunk_spans(text: &str, chunks: usize) -> Vec<(usize, usize)> {
             end = n;
         } else if end < n {
             // Snap forward to just past the next record boundary (a
-            // byte-wise SWAR search: a nominal cut may land inside a
+            // byte-wise search: a nominal cut may land inside a
             // multi-byte character, but `\n` never does, so every span
             // boundary is a character boundary).
-            end = match find_byte(&text.as_bytes()[end..], b'\n') {
+            end = match text.as_bytes()[end..].iter().position(|&b| b == b'\n') {
                 Some(j) => end + j + 1,
                 None => n,
             };
@@ -239,191 +133,29 @@ pub fn chunk_spans(text: &str, chunks: usize) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Parses one chunk with the same line discipline as
-/// [`parse_log_iter`](crate::raw::parse_log_iter): split on `\n`, trim,
-/// skip blanks and `#` comments, stop at the first malformed line.
-fn parse_chunk<'a>(chunk: &'a str, out: &mut Vec<RawRecordRef<'a>>) -> Result<(), TraceError> {
-    let mut rest = chunk;
-    loop {
-        let (line, next) = match find_byte(rest.as_bytes(), b'\n') {
-            Some(i) => (&rest[..i], &rest[i + 1..]),
-            None => (rest, ""),
-        };
-        let t = line.trim();
-        if !t.is_empty() && !t.starts_with('#') {
-            out.push(parse_record(t)?);
-        }
-        if next.is_empty() {
-            return Ok(());
-        }
-        rest = next;
+/// Runs `f` over each of at most `threads` record-aligned chunks of
+/// `text` (`0` = one per core), one scoped thread per chunk, and
+/// returns the results in chunk (= text) order. A text that makes one
+/// chunk is handled on the calling thread.
+pub(crate) fn map_chunks<'t, T: Send>(
+    text: &'t str,
+    threads: usize,
+    f: impl Fn(&'t str) -> T + Sync,
+) -> Vec<T> {
+    let spans = chunk_spans(text, resolve_threads(threads));
+    if spans.len() <= 1 {
+        return vec![f(text)];
     }
-}
-
-/// Parses one trimmed line: the specialised byte-loop parser first,
-/// falling back to [`RawRecordRef::parse_line`] on anything outside
-/// its strict subset so acceptance and errors match the sequential
-/// path exactly.
-#[inline]
-fn parse_record(line: &str) -> Result<RawRecordRef<'_>, TraceError> {
-    match parse_line_fast(line) {
-        Some(r) => Ok(r),
-        None => RawRecordRef::parse_line(line),
-    }
-}
-
-/// Splits `s` into ASCII-whitespace-separated fields without the
-/// iterator adapters of `split_ascii_whitespace` (same token set).
-struct Fields<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl<'a> Fields<'a> {
-    #[inline]
-    fn next(&mut self) -> Option<&'a str> {
-        let b = self.s.as_bytes();
-        let mut i = self.pos;
-        // Gap between fields: almost always a single space, so a byte
-        // loop beats a wide probe here.
-        while i < b.len() && b[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= b.len() {
-            self.pos = i;
-            return None;
-        }
-        // Token body: wide-word delimiter search (both endpoints are
-        // ASCII, hence character boundaries).
-        let end = find_ws(b, i + 1);
-        self.pos = end;
-        Some(&self.s[i..end])
-    }
-}
-
-/// Plain decimal `u64`: digits only (no sign, which the fallback
-/// handles), with overflow checking. Eight digits decode per `u64`
-/// load ([`eight_digits`]); the checked accumulate preserves the
-/// overflow → `None` contract of the digit-at-a-time loop exactly
-/// (for all-digit input both reject precisely when the value exceeds
-/// `u64::MAX`).
-#[inline]
-fn parse_u64(s: &str) -> Option<u64> {
-    let b = s.as_bytes();
-    if b.is_empty() {
-        return None;
-    }
-    let mut v: u64 = 0;
-    let mut i = 0usize;
-    while i + 8 <= b.len() {
-        let w = load_le(b, i);
-        if !all_digits(w) {
-            return None;
-        }
-        v = v.checked_mul(100_000_000)?.checked_add(eight_digits(w))?;
-        i += 8;
-    }
-    for &c in &b[i..] {
-        let d = c.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
-    }
-    Some(v)
-}
-
-#[inline]
-fn parse_u32(s: &str) -> Option<u32> {
-    parse_u64(s).and_then(|v| u32::try_from(v).ok())
-}
-
-/// Canonical dotted-quad IPv4, matching `Ipv4Addr::from_str` exactly:
-/// four decimal octets ≤ 255, no leading zeros, nothing else.
-#[inline]
-fn parse_ipv4(s: &str) -> Option<Ipv4Addr> {
-    let mut octets = [0u8; 4];
-    let mut parts = s.split('.');
-    for o in &mut octets {
-        let p = parts.next()?.as_bytes();
-        if p.is_empty() || p.len() > 3 || (p.len() > 1 && p[0] == b'0') {
-            return None;
-        }
-        let mut v: u32 = 0;
-        for &c in p {
-            let d = c.wrapping_sub(b'0');
-            if d > 9 {
-                return None;
-            }
-            v = v * 10 + u32::from(d);
-        }
-        if v > 255 {
-            return None;
-        }
-        *o = v as u8;
-    }
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(Ipv4Addr::from(octets))
-}
-
-/// `ip:port` endpoint; the port keeps `u16::from_str` semantics
-/// (leading zeros allowed) minus the sign prefixes.
-#[inline]
-fn parse_endpoint(s: &str) -> Option<EndpointV4> {
-    let (ip, port) = s.rsplit_once(':')?;
-    let ip = parse_ipv4(ip)?;
-    let port = parse_u64(port)?;
-    let port = u16::try_from(port).ok()?;
-    Some(EndpointV4::new(ip, port))
-}
-
-/// The byte-loop happy path. Returns `None` for anything outside the
-/// strict grammar subset; the caller then re-parses with the sequential
-/// parser so behaviour (accept set, record values, error text) is
-/// identical by construction.
-fn parse_line_fast(line: &str) -> Option<RawRecordRef<'_>> {
-    let mut f = Fields { s: line, pos: 0 };
-    let ts = parse_u64(f.next()?)?;
-    let hostname = f.next()?;
-    let program = f.next()?;
-    let pid = parse_u32(f.next()?)?;
-    let tid = parse_u32(f.next()?)?;
-    let op = match f.next()? {
-        "SEND" => RawOp::Send,
-        "RECEIVE" => RawOp::Receive,
-        _ => return None,
-    };
-    let chan = f.next()?;
-    let (src, dst) = chan.split_once('-')?;
-    let src = parse_endpoint(src)?;
-    let dst = parse_endpoint(dst)?;
-    let size = parse_u64(f.next()?)?;
-    let mut retrans = false;
-    let mut seq: Option<u64> = None;
-    while let Some(attr) = f.next() {
-        match attr {
-            "retrans" if !retrans => retrans = true,
-            a if a.starts_with("seq=") && seq.is_none() => {
-                seq = Some(parse_u64(&a["seq=".len()..])?);
-            }
-            _ => return None,
-        }
-    }
-    Some(RawRecordRef {
-        ts: LocalTime::from_nanos(ts),
-        hostname,
-        program,
-        pid,
-        tid,
-        op,
-        src,
-        dst,
-        size,
-        tag: 0,
-        retrans,
-        seq,
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = spans
+            .iter()
+            .map(|&(a, b)| s.spawn(move || f(&text[a..b])))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("ingest worker panicked"))
+            .collect()
     })
 }
 
@@ -431,14 +163,11 @@ fn parse_line_fast(line: &str) -> Option<RawRecordRef<'_>> {
 /// first chunk holding an error reports the first malformed line of
 /// the whole input.
 fn concat<T>(results: Vec<Result<Vec<T>, TraceError>>) -> Result<Vec<T>, TraceError> {
-    let mut chunks = Vec::with_capacity(results.len());
-    let mut total = 0usize;
-    for r in results {
-        let v = r?;
-        total += v.len();
-        chunks.push(v);
-    }
-    let mut out = Vec::with_capacity(total);
+    let mut chunks = results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let mut out = chunks.next().unwrap_or_default();
     for v in chunks {
         out.extend(v);
     }
@@ -471,74 +200,33 @@ pub fn parse_refs_parallel(
     text: &str,
     threads: usize,
 ) -> Result<Vec<RawRecordRef<'_>>, TraceError> {
-    let spans = chunk_spans(text, resolve_threads(threads));
-    if spans.len() <= 1 {
-        let mut out = Vec::with_capacity(text.len() / BYTES_PER_RECORD_HINT + 1);
-        parse_chunk(text, &mut out)?;
-        return Ok(out);
-    }
-    let results: Vec<Result<Vec<RawRecordRef<'_>>, TraceError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|&(a, b)| {
-                let chunk = &text[a..b];
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(chunk.len() / BYTES_PER_RECORD_HINT + 1);
-                    parse_chunk(chunk, &mut out).map(|()| out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest worker panicked"))
-            .collect()
-    });
-    concat(results)
+    concat(map_chunks(text, threads, |chunk| {
+        let mut out = Vec::with_capacity(chunk.len() / BYTES_PER_RECORD_HINT + 1);
+        for r in parse_log_iter(chunk) {
+            out.push(r?);
+        }
+        Ok(out)
+    }))
 }
 
 /// Parses a whole log into owned, interned [`RawRecord`]s using
 /// `threads` worker threads (`0` = one per core). Each worker interns
-/// into its own [`Interner`], so allocation stays proportional to
-/// `distinct strings × chunks`, not to the record count; the records
-/// are value-identical to [`parse_log`](crate::raw::parse_log)'s.
+/// into its own [`Interner`](crate::intern::Interner), so allocation
+/// stays proportional to `distinct strings × chunks`, not to the record
+/// count; the records are value-identical to
+/// [`parse_log`](crate::raw::parse_log)'s.
 ///
 /// # Errors
 ///
 /// Returns the first parse error encountered, identical to the
 /// sequential path's.
 pub fn parse_log_parallel(text: &str, threads: usize) -> Result<Vec<RawRecord>, TraceError> {
-    let spans = chunk_spans(text, resolve_threads(threads));
-    if spans.len() <= 1 {
-        return crate::raw::parse_log(text);
-    }
-    let results: Vec<Result<Vec<RawRecord>, TraceError>> = std::thread::scope(|s| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|&(a, b)| {
-                let chunk = &text[a..b];
-                s.spawn(move || {
-                    let mut refs = Vec::with_capacity(chunk.len() / BYTES_PER_RECORD_HINT + 1);
-                    parse_chunk(chunk, &mut refs)?;
-                    let mut interner = Interner::new();
-                    Ok(refs
-                        .iter()
-                        .map(|r| r.to_owned_interned(&mut interner))
-                        .collect())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ingest worker panicked"))
-            .collect()
-    });
-    concat(results)
+    concat(map_chunks(text, threads, crate::raw::parse_log))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raw::parse_log_iter;
 
     fn sequential(text: &str) -> Result<Vec<RawRecordRef<'_>>, TraceError> {
         parse_log_iter(text).collect()
@@ -653,12 +341,12 @@ mod tests {
 
     #[test]
     fn fast_path_falls_back_on_grammar_edges() {
-        // Each of these is accepted or rejected by the sequential
-        // parser in a way the fast path cannot express — the fallback
-        // must keep behaviour identical.
+        // Each of these is accepted or rejected by the general parser
+        // in a way the canonical fast path of `parse_line` declines to
+        // express; the fallback must keep behaviour identical on every
+        // ingest path.
         let edge_lines = [
             "+1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42", // signed int
-            "1000 web httpd 7 7 SEND 10.0.0.1:080-10.0.0.9:5000 42", // zero-padded port
             "1000 web httpd 7 7 SEND 10.0.0.01:80-10.0.0.9:5000 42", // zero-padded octet
             "1000 web httpd 7 7 SEND 10.0.0.256:80-10.0.0.9:5000 42", // octet overflow
             "1000 web httpd 7 7 send 10.0.0.1:80-10.0.0.9:5000 42",  // lowercase op
@@ -668,11 +356,30 @@ mod tests {
             "99999999999999999999999 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42", // overflow
         ];
         for line in edge_lines {
+            assert!(RawRecordRef::parse_canonical(line).is_none(), "{line:?}");
+            let want = RawRecordRef::parse_general(line);
             assert_eq!(
-                parse_record(line),
                 RawRecordRef::parse_line(line),
+                want,
                 "divergence on {line:?}"
             );
+            let text = format!("{line}\n{line}\n");
+            for threads in [1, 2] {
+                assert_eq!(
+                    parse_refs_parallel(&text, threads).map(|v| v[0]),
+                    want,
+                    "{line:?}, {threads} threads"
+                );
+            }
+        }
+        // Edges the fast path does accept agree too: `u16::from_str`
+        // reads a zero-padded port, and every field at its extreme.
+        for line in [
+            "1000 web httpd 7 7 SEND 10.0.0.1:080-10.0.0.9:5000 42",
+            "0 web httpd 4294967295 0 SEND 0.0.0.0:0-255.255.255.255:65535 18446744073709551615 seq=0",
+        ] {
+            assert!(RawRecordRef::parse_canonical(line).is_some(), "{line:?}");
+            assert_eq!(RawRecordRef::parse_line(line), RawRecordRef::parse_general(line));
         }
     }
 
@@ -693,6 +400,9 @@ mod tests {
 
     #[test]
     fn swar_u64_parse_matches_std() {
+        // The fast path decodes decimal fields itself; wherever it
+        // accepts one, the value is `u64::from_str`'s, and wherever it
+        // declines, the general parser's answer stands.
         let cases = [
             "0",
             "7",
@@ -703,7 +413,7 @@ mod tests {
             "18446744073709551615", // u64::MAX
             "18446744073709551616", // u64::MAX + 1 → overflow
             "99999999999999999999999",
-            "1844674407370955161500", // overflows in the tail loop
+            "1844674407370955161500",
             "",
             "12a45678",
             "1234567a",
@@ -714,59 +424,77 @@ mod tests {
             "123 ",
             "seq=9",
         ];
-        for s in cases {
-            assert_eq!(parse_u64(s), s.parse::<u64>().ok(), "input {s:?}");
-        }
-        // `u64::from_str` accepts a leading `+`; the fast path rejects
-        // it so the fallback keeps ownership of signed forms.
-        assert_eq!(parse_u64("+123"), None);
-        // Exhaustive near the eight-digit block boundary.
-        for v in (0u64..200).chain([99_999_999, 100_000_000, 4_294_967_295]) {
-            let s = v.to_string();
-            assert_eq!(parse_u64(&s), Some(v), "value {v}");
-        }
-    }
-
-    #[test]
-    fn swar_find_byte_matches_naive() {
-        let hay = SAMPLE.as_bytes();
-        for needle in [b'\n', b'#', b':', b'-', b'z', 0u8, 0xFF] {
-            for start in 0..hay.len().min(40) {
+        let lines = |s: &str| {
+            [
+                format!("{s} web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42"),
+                format!("1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 {s}"),
+                format!("1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42 seq={s}"),
+            ]
+        };
+        let fields = |r: RawRecordRef<'_>| [r.ts.as_nanos(), r.size, r.seq.unwrap_or(42)];
+        let values: Vec<u64> = (0u64..200)
+            .chain([99_999_999, 100_000_000, 4_294_967_295])
+            .collect();
+        let numbers: Vec<String> = values.iter().map(u64::to_string).collect();
+        for s in cases
+            .iter()
+            .copied()
+            .chain(numbers.iter().map(String::as_str))
+        {
+            for (k, line) in lines(s).iter().enumerate() {
+                let fast = RawRecordRef::parse_canonical(line).map(|r| fields(r)[k]);
+                assert_eq!(fast, s.parse::<u64>().ok(), "field {k} of {line:?}");
                 assert_eq!(
-                    find_byte(&hay[start..], needle),
-                    hay[start..].iter().position(|&c| c == needle),
-                    "needle {needle:#04x} start {start}"
+                    RawRecordRef::parse_line(line),
+                    RawRecordRef::parse_general(line),
+                    "{line:?}"
                 );
             }
         }
-        assert_eq!(find_byte(b"", b'\n'), None);
-        assert_eq!(find_byte(b"short", b't'), Some(4));
+        // `u64::from_str` accepts a leading `+`; the fast path declines
+        // it and the general parser keeps ownership of signed forms.
+        for (k, line) in lines("+123").iter().enumerate() {
+            assert!(RawRecordRef::parse_canonical(line).is_none(), "{line:?}");
+            assert_eq!(
+                RawRecordRef::parse_line(line).map(|r| fields(r)[k]),
+                Ok(123)
+            );
+        }
     }
 
     #[test]
     fn swar_ws_scan_matches_split_ascii_whitespace() {
-        // Includes a non-whitespace control byte (0x0B, vertical tab:
-        // *not* ASCII whitespace) inside a token, multi-space gaps,
-        // tabs, and a token longer than one SWAR word.
+        // A non-whitespace control byte (0x0B, vertical tab: *not*
+        // ASCII whitespace) inside a token, multi-space gaps, tabs, a
+        // long token, a truncated line and an empty one. `fast` says
+        // whether the canonical path reads the line itself.
         let lines = [
-            "1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42",
-            "a\x0bb c",
-            "one  two\tthree   four",
-            "a-very-long-token-spanning-words x",
-            "trailing-token",
-            "",
+            ("1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42", true),
+            ("1000 a\x0bb c 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42", true),
+            (
+                "1000  web\thttpd   7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42",
+                false,
+            ),
+            (
+                "1000 a-very-long-token-spanning-words x 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42",
+                true,
+            ),
+            (
+                "1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42\t",
+                false,
+            ),
+            ("1000 trailing-token", false),
+            ("", false),
         ];
-        for line in lines {
-            let via_fields: Vec<&str> = {
-                let mut f = Fields { s: line, pos: 0 };
-                let mut v = Vec::new();
-                while let Some(t) = f.next() {
-                    v.push(t);
-                }
-                v
-            };
+        for (line, fast) in lines {
             let via_std: Vec<&str> = line.split_ascii_whitespace().collect();
-            assert_eq!(via_fields, via_std, "line {line:?}");
+            let canonical = RawRecordRef::parse_canonical(line);
+            assert_eq!(canonical.is_some(), fast, "line {line:?}");
+            let got = RawRecordRef::parse_line(line);
+            assert_eq!(got, RawRecordRef::parse_general(line), "line {line:?}");
+            for r in canonical.into_iter().chain(got.ok()) {
+                assert_eq!([r.hostname, r.program], via_std[1..3], "line {line:?}");
+            }
         }
     }
 

@@ -54,6 +54,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use crate::activity::{Channel, ContextId, EndpointV4, LocalTime};
@@ -231,6 +232,12 @@ pub struct RawRecordRef<'a> {
 impl<'a> RawRecordRef<'a> {
     /// Parses one `TCP_TRACE` log line without allocating.
     ///
+    /// A canonical line — single spaces between fields, plain decimal
+    /// numbers, canonical dotted-quad addresses — is read in one
+    /// forward pass; any other line is handed to the general
+    /// whitespace-splitting parser, which alone decides what else is
+    /// accepted and what every error says.
+    ///
     /// # Errors
     ///
     /// Returns [`TraceError::Parse`] when the line does not have the
@@ -238,6 +245,68 @@ impl<'a> RawRecordRef<'a> {
     /// (optionally followed by the `seq=`/`retrans` v2 attributes) or a
     /// field is malformed.
     pub fn parse_line(line: &'a str) -> Result<Self, TraceError> {
+        match Self::parse_canonical(line) {
+            Some(r) => Ok(r),
+            None => Self::parse_general(line),
+        }
+    }
+
+    /// The fast path of [`RawRecordRef::parse_line`]. It accepts only
+    /// lines on which the general parser yields the same record, and
+    /// returns `None` for everything else: any other whitespace, a sign,
+    /// an octet with a leading zero or above 255, a number that
+    /// overflows its field, a repeated or unknown attribute.
+    pub(crate) fn parse_canonical(line: &'a str) -> Option<Self> {
+        let mut c = Cursor { s: line, i: 0 };
+        let ts = c.num(u64::MAX)?;
+        let hostname = c.word()?;
+        let program = c.word()?;
+        c.eat(b" ")?;
+        let pid = c.num(u32::MAX.into())? as u32;
+        c.eat(b" ")?;
+        let tid = c.num(u32::MAX.into())? as u32;
+        let op = if c.eat(b" SEND ").is_some() {
+            RawOp::Send
+        } else {
+            c.eat(b" RECEIVE ")?;
+            RawOp::Receive
+        };
+        let src = c.endpoint()?;
+        c.eat(b"-")?;
+        let dst = c.endpoint()?;
+        c.eat(b" ")?;
+        let size = c.num(u64::MAX)?;
+        let mut retrans = false;
+        let mut seq: Option<u64> = None;
+        while c.i < line.len() {
+            c.eat(b" ")?;
+            if !retrans && c.eat(b"retrans").is_some() {
+                retrans = true;
+            } else if seq.is_none() && c.eat(b"seq=").is_some() {
+                seq = Some(c.num(u64::MAX)?);
+            } else {
+                return None;
+            }
+        }
+        Some(RawRecordRef {
+            ts: LocalTime::from_nanos(ts),
+            hostname,
+            program,
+            pid,
+            tid,
+            op,
+            src,
+            dst,
+            size,
+            tag: 0,
+            retrans,
+            seq,
+        })
+    }
+
+    /// The general parser: splits on any ASCII whitespace and parses
+    /// each field with `std`'s `FromStr`. Every error comes from here.
+    pub(crate) fn parse_general(line: &'a str) -> Result<Self, TraceError> {
         let mut it = line.split_ascii_whitespace();
         let mut next = |what: &str| {
             it.next()
@@ -327,6 +396,79 @@ impl<'a> RawRecordRef<'a> {
             retrans: self.retrans,
             seq: self.seq,
         }
+    }
+}
+
+/// A forward cursor over one line, for
+/// [`RawRecordRef::parse_canonical`]. Every method returns `None` when
+/// the bytes at the cursor are not the canonical form it reads.
+struct Cursor<'a> {
+    s: &'a str,
+    i: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Consumes `tok` exactly.
+    #[inline]
+    fn eat(&mut self, tok: &[u8]) -> Option<()> {
+        self.s.as_bytes()[self.i..]
+            .starts_with(tok)
+            .then(|| self.i += tok.len())
+    }
+
+    /// One or more decimal digits whose value is at most `max`.
+    #[inline]
+    fn num(&mut self, max: u64) -> Option<u64> {
+        let b = self.s.as_bytes();
+        let start = self.i;
+        let mut v = 0u64;
+        while let Some(d) = b
+            .get(self.i)
+            .map(|c| c.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+            self.i += 1;
+        }
+        (self.i > start && v <= max).then_some(v)
+    }
+
+    /// A space, then a non-empty field that runs to the next ASCII
+    /// whitespace byte (a character boundary, so the slice is valid).
+    #[inline]
+    fn word(&mut self) -> Option<&'a str> {
+        self.eat(b" ")?;
+        let b = self.s.as_bytes();
+        let start = self.i;
+        while self.i < b.len() && !b[self.i].is_ascii_whitespace() {
+            self.i += 1;
+        }
+        (self.i > start).then(|| &self.s[start..self.i])
+    }
+
+    /// An octet as `Ipv4Addr::from_str` reads one: one to three digits,
+    /// no leading zero, at most 255.
+    #[inline]
+    fn octet(&mut self) -> Option<u8> {
+        let start = self.i;
+        let v = self.num(255)?;
+        let len = self.i - start;
+        (len == 1 || (len <= 3 && self.s.as_bytes()[start] != b'0')).then_some(v as u8)
+    }
+
+    /// `a.b.c.d:port`.
+    #[inline]
+    fn endpoint(&mut self) -> Option<EndpointV4> {
+        let a = self.octet()?;
+        self.eat(b".")?;
+        let b = self.octet()?;
+        self.eat(b".")?;
+        let c = self.octet()?;
+        self.eat(b".")?;
+        let d = self.octet()?;
+        self.eat(b":")?;
+        let port = self.num(u16::MAX.into())? as u16;
+        Some(EndpointV4::new(Ipv4Addr::new(a, b, c, d), port))
     }
 }
 
@@ -1098,6 +1240,139 @@ mod tests {
                 RawRecord::parse_line(bad).is_err(),
             );
         }
+    }
+
+    /// Variants of one line at every edge where the fast path and the
+    /// general parser could part: whitespace, signs, leading zeros,
+    /// overflow, attributes, odd hostnames and every truncation.
+    fn mutations(line: &str) -> Vec<String> {
+        let b = line.as_bytes();
+        let mut out = Vec::new();
+        let mut splice = |at: usize, cut: usize, with: &str| {
+            out.push(format!("{}{with}{}", &line[..at], &line[at + cut..]));
+        };
+        for w in [" ", "\t", "\r", "\n"] {
+            splice(0, 0, w);
+            splice(line.len(), 0, w);
+        }
+        for (i, _) in line.match_indices(' ') {
+            for w in ["  ", "\t", "\r", "\x0c"] {
+                splice(i, 1, w);
+            }
+            splice(i + 1, 0, "+");
+        }
+        splice(0, 0, "+");
+        let mut i = 0;
+        while i < b.len() {
+            if !b[i].is_ascii_digit() {
+                i += 1;
+                continue;
+            }
+            let run = b[i..].iter().take_while(|c| c.is_ascii_digit()).count();
+            splice(i, 0, "0");
+            for v in [
+                "0",
+                "255",
+                "256",
+                "65535",
+                "65536",
+                "4294967295",
+                "4294967296",
+                "18446744073709551615",
+                "18446744073709551616",
+                "00000000000000000000001",
+            ] {
+                splice(i, run, v);
+            }
+            i += run;
+        }
+        for attr in [
+            " seq=",
+            " seq=1 seq=2",
+            " seq=007",
+            " seq=+7",
+            " seq=18446744073709551616",
+            " retrans retrans",
+            " retransX",
+            " retrans seq=7",
+            " seq=7 retrans",
+            " retrans seq=",
+            " extra",
+        ] {
+            splice(line.len(), 0, attr);
+        }
+        let fields: Vec<(usize, &str)> = line
+            .split(' ')
+            .scan(0, |at, f| {
+                let start = *at;
+                *at += f.len() + 1;
+                Some((start, f))
+            })
+            .collect();
+        for &(at, f) in fields.iter().skip(1).take(2) {
+            for name in ["w\u{e9}b", "w\u{1}b", "w\u{b}b", "w\u{a0}b", "\u{3c9}"] {
+                splice(at, f.len(), name);
+            }
+        }
+        if let Some(&(at, f)) = fields.get(5) {
+            for op in ["send", "SENDX", "RECEIVED", "SEN"] {
+                splice(at, f.len(), op);
+            }
+        }
+        for i in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+            out.push(line[..i].to_owned());
+        }
+        out
+    }
+
+    #[test]
+    fn fast_path_is_invisible_on_golden_lines_and_their_mutations() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+        let mut corpora: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "log"))
+            .collect();
+        corpora.sort();
+        assert_eq!(corpora.len(), 12);
+        let check = |line: &str| {
+            let got = RawRecordRef::parse_line(line);
+            assert_eq!(got, RawRecordRef::parse_general(line), "line {line:?}");
+            got.is_ok()
+        };
+        // splitmix64: every golden line gets a few seeded mutations,
+        // every 16th gets all of them.
+        let mut state = 0x5eed_u64;
+        let mut rand = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d4_049b_b133_111b);
+            z ^ (z >> 31)
+        };
+        let (mut records, mut accepted, mut checked) = (0, 0, 0);
+        for path in &corpora {
+            let text = std::fs::read_to_string(path).unwrap();
+            for line in text.lines().filter(|l| !l.starts_with('#')) {
+                records += 1;
+                // Every golden record is canonical: the fast path reads
+                // it without the fallback.
+                assert!(RawRecordRef::parse_canonical(line).is_some(), "{line:?}");
+                check(line);
+                let variants = mutations(line);
+                let picks: Vec<usize> = if records % 16 == 0 {
+                    (0..variants.len()).collect()
+                } else {
+                    (0..6).map(|_| rand() as usize % variants.len()).collect()
+                };
+                for k in picks {
+                    accepted += usize::from(check(&variants[k]));
+                    checked += 1;
+                }
+            }
+        }
+        assert!(records > 11_000, "{records} golden records");
+        // Both sides of the grammar are exercised.
+        assert!(accepted > checked / 10 && accepted < checked / 2);
     }
 
     #[test]

@@ -700,24 +700,33 @@ impl Decode {
                     (done, torn)
                 };
                 let mut out = Vec::new();
-                match std::str::from_utf8(done) {
-                    Ok(text) => {
-                        for line in text.lines() {
-                            let line = line.trim();
-                            if line.is_empty() || line.starts_with('#') {
-                                continue;
+                let mut parse = |text: &str| {
+                    for line in text.lines() {
+                        let line = line.trim();
+                        if line.is_empty() || line.starts_with('#') {
+                            continue;
+                        }
+                        match RawRecordRef::parse_line(line) {
+                            Ok(r) => out.push(r.to_owned_interned(interner)),
+                            Err(_) => {
+                                c.malformed_lines.fetch_add(1, Ordering::Relaxed);
                             }
-                            match RawRecordRef::parse_line(line) {
-                                Ok(r) => out.push(r.to_owned_interned(interner)),
+                        }
+                    }
+                };
+                match std::str::from_utf8(done) {
+                    Ok(text) => parse(text),
+                    // Undecodable bytes cost only the lines holding them:
+                    // each is one bad line, its neighbours still parse.
+                    Err(_) => {
+                        for line in done.split(|&b| b == b'\n') {
+                            match std::str::from_utf8(line) {
+                                Ok(line) => parse(line),
                                 Err(_) => {
                                     c.malformed_lines.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
                         }
-                    }
-                    Err(_) => {
-                        // Treat an undecodable chunk as one bad line.
-                        c.malformed_lines.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 if !torn.is_empty() {
@@ -986,6 +995,21 @@ mod tests {
         cfg.idle_end = Some(Duration::from_millis(400));
         cfg.kpi_every_records = 16;
         cfg
+    }
+
+    #[test]
+    fn an_undecodable_line_costs_only_itself() {
+        let valid = "1000 web httpd 7 7 SEND 10.0.0.1:80-10.0.0.9:5000 42";
+        let mut bytes = format!("{valid}\n").into_bytes();
+        bytes.extend_from_slice(b"\xff junk\n");
+        bytes.extend_from_slice(format!("{valid}\n").as_bytes());
+        let c = SourceCounters::default();
+        let out = Decode::for_kind(SourceKind::Text)
+            .feed(&bytes, false, &c)
+            .unwrap();
+        assert_eq!(out.len(), 2);
+        assert_eq!(c.malformed_lines.load(Ordering::Relaxed), 1);
+        assert_eq!(c.records.load(Ordering::Relaxed), 2);
     }
 
     #[test]
