@@ -1,285 +1,160 @@
 //! Regenerates every table and figure of the PreciseTracer evaluation
-//! (§5) plus the two extension experiments from DESIGN.md and the
-//! paper-scale streaming stress run.
+//! (§5), the two extension experiments, the paper-scale streaming
+//! stress run and the fault-injected online soak.
 //!
 //! ```text
-//! repro [--quick] [--json] [--shards N] [--experiment ID]...
-//!       [all|acc|fig8|...|fig17|ext1|ext2|scale|lb|pooled|lossy|partial]...
+//! repro [--quick] [all|acc|fig8|...|fig17|ext1|ext2|scale|serve]...
 //! ```
 //!
-//! `lb`, `pooled`, `lossy` and `partial` regenerate the post-paper
-//! scenario families (replicated tiers behind a load balancer,
-//! connection pooling with entity reuse, lossy links with
-//! retransmission, and partial sniffer capture over the TCP_TRACE v2
-//! `seq=` lane), reporting correlation precision/recall against ground
-//! truth for the batch and sharded pipelines. `--experiment ID` is an
-//! explicit alias for naming an experiment positionally.
+//! With no id, or with `all`, every experiment runs. `--quick` shrinks
+//! the sessions (smoke mode); the default regenerates at the paper's
+//! session length (2 min up-ramp, 7.5 min runtime, 1 min down-ramp).
+//! An unknown id or option exits 2 before anything is simulated.
 //!
-//! `--quick` shrinks the sessions (smoke mode); the default regenerates
-//! at the paper's session length (2 min up-ramp, 7.5 min runtime, 1 min
-//! down-ramp). `--json` additionally writes the headline numbers of the
-//! instrumented experiments (`fig9`, `scale`) to `BENCH_baseline.json`
-//! in the current directory — the per-commit bench baseline checked
-//! into the repository (see README "Bench baselines").
+//! Each experiment asserts what it reproduces (accuracy, byte-equal
+//! output across modes, memory bounds) and prints its table. The
+//! timings in those tables are for reading the figures; speed is
+//! measured by `ptbench` over the workloads `BENCHMARK.json` declares.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 use baseline::{evaluate, infer_paths, NestingConfig};
-use multitier::{Fault, Mix, NoiseSpec};
+use multitier::Fault;
 use pt_bench::{experiment, header, paper_noise, row, run_and_trace, Scale};
 use simnet::Dist;
-use tracer_core::raw::parse_log;
 use tracer_core::{
-    parse_refs_parallel, BreakdownReport, Cag, Component, CorrelatorConfig, Diagnosis, DiffReport,
-    EngineOptions, FilterSet, Mode, Nanos, PatternAggregator, Pipeline, PipelineConfig,
-    RankerOptions, Source,
+    BreakdownReport, Cag, Component, CorrelatorConfig, Diagnosis, DiffReport, EngineOptions,
+    FilterSet, Mode, Nanos, PatternAggregator, Pipeline, PipelineConfig, RankerOptions, Source,
 };
 
-/// Flat metric collection for `BENCH_baseline.json`.
-#[derive(Default)]
-struct Baseline(Vec<(String, f64)>);
+const USAGE: &str = "usage: repro [--quick] [all|acc|fig8|...|fig17|ext1|ext2|scale|serve]...";
 
-impl Baseline {
-    fn rec(&mut self, key: impl Into<String>, value: f64) {
-        self.0.push((key.into(), value));
-    }
+/// Every experiment id, in the order `all` runs them.
+const IDS: [&str; 15] = [
+    "acc", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+    "ext1", "ext2", "scale", "serve",
+];
 
-    /// Writes the collected metrics as a flat, sorted JSON object —
-    /// trivially diffable between commits.
-    fn write(&self, path: &str) {
-        let mut entries = self.0.clone();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut s = String::from("{\n");
-        for (i, (k, v)) in entries.iter().enumerate() {
-            let val = if v.fract() == 0.0 && v.abs() < 1e15 {
-                format!("{}", *v as i64)
-            } else {
-                format!("{v:.4}")
-            };
-            let comma = if i + 1 < entries.len() { "," } else { "" };
-            s.push_str(&format!("  \"{k}\": {val}{comma}\n"));
-        }
-        s.push_str("}\n");
-        match std::fs::write(path, s) {
-            Ok(()) => eprintln!("wrote bench baseline to {path}"),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
+/// One experiment to run. Figs. 8–11 share one client sweep and
+/// Figs. 12/13 one pair of runs per client count, so each family is a
+/// single entry however many of its ids were named.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Experiment {
+    Acc,
+    /// Figs. 8–11; `figs[i]` prints Fig. `8 + i`.
+    Figs8To11([bool; 4]),
+    Figs12And13,
+    Fig14,
+    Fig15,
+    Fig16,
+    Fig17,
+    Ext1,
+    Ext2,
+    Scale,
+    Serve,
+}
+
+/// Parses the command line (program name excluded) into the session
+/// scale and the experiments to run, each once, in the order first
+/// named. Every id is checked before anything runs.
+fn parse_args(args: &[String]) -> Result<(Scale, Vec<Experiment>), String> {
+    let mut scale = Scale::Paper;
+    let mut ids: Vec<&str> = Vec::new();
+    for a in args {
+        match a.as_str() {
+            "--quick" => scale = Scale::Quick,
+            "all" => ids.extend(IDS),
+            opt if opt.starts_with('-') => return Err(format!("unknown option: {opt}")),
+            id => ids.push(id),
         }
     }
+    if ids.is_empty() {
+        ids.extend(IDS);
+    }
+    let mut experiments: Vec<Experiment> = Vec::new();
+    for id in ids {
+        let e = match id {
+            "acc" => Experiment::Acc,
+            "fig8" | "fig9" | "fig10" | "fig11" => {
+                let fig: usize = id["fig".len()..].parse().expect("matched a fig id");
+                let mut figs = [false; 4];
+                figs[fig - 8] = true;
+                if let Some(Experiment::Figs8To11(have)) = experiments
+                    .iter_mut()
+                    .find(|e| matches!(e, Experiment::Figs8To11(_)))
+                {
+                    have.iter_mut().zip(figs).for_each(|(h, f)| *h |= f);
+                    continue;
+                }
+                Experiment::Figs8To11(figs)
+            }
+            "fig12" | "fig13" => Experiment::Figs12And13,
+            "fig14" => Experiment::Fig14,
+            "fig15" => Experiment::Fig15,
+            "fig16" => Experiment::Fig16,
+            "fig17" => Experiment::Fig17,
+            "ext1" => Experiment::Ext1,
+            "ext2" => Experiment::Ext2,
+            "scale" => Experiment::Scale,
+            "serve" => Experiment::Serve,
+            other => return Err(format!("unknown experiment id: {other}")),
+        };
+        if !experiments.contains(&e) {
+            experiments.push(e);
+        }
+    }
+    Ok((scale, experiments))
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let shards: usize = match args.iter().position(|a| a == "--shards") {
-        None => 4,
-        Some(i) => args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("repro: missing value for --shards");
-                std::process::exit(2);
-            })
-            .parse()
-            .unwrap_or_else(|_| {
-                eprintln!("repro: bad --shards value");
-                std::process::exit(2);
-            }),
-    };
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
-    // `--experiment ID` is sugar for the positional id.
-    let mut explicit: Vec<String> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--experiment" {
-            match args.get(i + 1) {
-                Some(v) => explicit.push(v.clone()),
-                None => {
-                    eprintln!("repro: missing value for --experiment");
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
-    let mut skip_next = false;
-    let mut wanted: Vec<String> = args
-        .into_iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if a == "--shards" || a == "--experiment" {
-                skip_next = true;
-                return false;
-            }
-            a != "--quick" && a != "--json"
-        })
-        .collect();
-    wanted.extend(explicit);
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "acc", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
-            "fig17", "ext1", "ext2", "scale", "serve", "lb", "pooled", "lossy", "partial",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-    let mut base = Baseline::default();
+    let (scale, experiments) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let t0 = Instant::now();
-    for w in &wanted {
-        match w.as_str() {
-            "acc" => acc(scale),
-            "fig8" | "fig9" | "fig10" | "fig11" => figs8_to_11(scale, &wanted, &mut base),
-            "fig12" | "fig13" => figs12_13(scale),
-            "fig14" => fig14(scale),
-            "fig15" => fig15(scale),
-            "fig16" => fig16(scale),
-            "fig17" => fig17(scale),
-            "ext1" => ext1(scale),
-            "ext2" => ext2(scale),
-            "scale" => scale_stream(&mut base, shards),
-            "serve" => serve_soak(scale, &mut base),
-            "lb" | "pooled" | "lossy" | "partial" => scenario(w, scale, shards, &mut base),
-            other => eprintln!("unknown experiment id: {other}"),
+    for e in experiments {
+        match e {
+            Experiment::Acc => acc(scale),
+            Experiment::Figs8To11(figs) => figs8_to_11(scale, figs),
+            Experiment::Figs12And13 => figs12_13(scale),
+            Experiment::Fig14 => fig14(scale),
+            Experiment::Fig15 => fig15(scale),
+            Experiment::Fig16 => fig16(scale),
+            Experiment::Fig17 => fig17(scale),
+            Experiment::Ext1 => ext1(scale),
+            Experiment::Ext2 => ext2(scale),
+            Experiment::Scale => scale_stream(),
+            Experiment::Serve => serve_soak(scale),
         }
-    }
-    if json {
-        // Regression gates against the *checked-in* baseline: a gated
-        // ratio moving > 20% the wrong way fails CI — and leaves the
-        // committed file untouched, so a rerun cannot ratchet the
-        // regressed number into the baseline.
-        let committed = std::fs::read_to_string("BENCH_baseline.json").unwrap_or_default();
-        // Every gate runs (and logs) before the first failure is reported.
-        let gates: Vec<_> = GATES
-            .iter()
-            .map(|g| check_gate(&base, &committed, g))
-            .collect();
-        if let Some(msg) = gates.into_iter().find_map(Result::err) {
-            eprintln!("BENCH REGRESSION: {msg}");
-            eprintln!("baseline file left unchanged");
-            eprintln!("\ntotal wall time: {:?}", t0.elapsed());
-            std::process::exit(1);
-        }
-        base.write("BENCH_baseline.json");
     }
     eprintln!("\ntotal wall time: {:?}", t0.elapsed());
 }
 
-/// A ratio the `--json` run gates against the committed baseline. Both
-/// sides of every ratio are measured in the same run, so machine speed
-/// and runner noise largely cancel; a move of more than 20% in the bad
-/// direction fails the run.
-struct Gate {
-    key: &'static str,
-    what: &'static str,
-    higher_is_better: bool,
-}
-
-/// Batch correlation is the yardstick of the first two and of the
-/// spill ratio: it is the steadiest number a run produces on a host
-/// whose second CPU comes and goes (±2% over three runs, where the
-/// sequential parse — the other candidate — moved ±20%). The price is
-/// that a PR which speeds batch up moves all three and must re-bless
-/// the file, saying so. Core count does not cancel in the threaded
-/// legs, but the committed baseline is recorded on a single-core
-/// container, so multi-core runners only gain and the gates stay
-/// conservative. Recall of the spill tier and content of the
-/// distributed run need no gate: the scale run asserts them outright.
-const GATES: [Gate; 6] = [
-    Gate {
-        key: "scale.sharded_speedup",
-        what: "sharded vs batch correlation",
-        higher_is_better: true,
-    },
-    Gate {
-        key: "scale.ingest_vs_batch",
-        what: "parallel scan vs batch correlation",
-        higher_is_better: true,
-    },
-    Gate {
-        key: "scale.binary_vs_text_ingest",
-        what: "PTBIN decode vs parallel text scan",
-        higher_is_better: true,
-    },
-    Gate {
-        key: "scale.serve_recall",
-        what: "fault-injected serve soak recall",
-        higher_is_better: true,
-    },
-    Gate {
-        key: "scale.spill_vs_batch_wall",
-        what: "spill at the tightest budget vs unbounded batch wall",
-        higher_is_better: false,
-    },
-    Gate {
-        key: "scale.dist_vs_sharded_wall",
-        what: "distributed vs sharded wall",
-        higher_is_better: false,
-    },
-];
-
-/// Checks one gate. A key missing from this run (partial experiment
-/// list) or from the committed file (first run) passes silently.
-fn check_gate(base: &Baseline, committed: &str, gate: &Gate) -> Result<(), String> {
-    let Gate {
-        key,
-        what,
-        higher_is_better,
-    } = *gate;
-    let Some(&(_, current)) = base.0.iter().find(|(k, _)| k == key) else {
-        return Ok(());
-    };
-    let quoted = format!("\"{key}\"");
-    let Some(committed) = committed
-        .lines()
-        .find(|l| l.contains(&quoted))
-        .and_then(|l| l.split(':').nth(1))
-        .and_then(|v| v.trim().trim_end_matches(',').parse::<f64>().ok())
-    else {
-        return Ok(());
-    };
-    let regressed = if higher_is_better {
-        current < committed * 0.8
-    } else {
-        current > committed * 1.2
-    };
-    if regressed {
-        let moved = if higher_is_better {
-            "fell more than 20% below"
-        } else {
-            "grew more than 20% over"
-        };
-        return Err(format!(
-            "{key} ({what}) {current:.3} {moved} the committed baseline {committed:.3}"
-        ));
-    }
-    eprintln!("gate {key} ({what}): measured {current:.3} vs committed {committed:.3} — ok");
-    Ok(())
-}
-
 /// Order- and id-insensitive canonical fingerprint of a CAG set: one
-/// sorted string per CAG covering every vertex field. The sharded
-/// pipeline renumbers ids into canonical root order, so content
-/// equality with the batch path is asserted modulo id/stream position.
-fn cag_fingerprints(cags: &[Cag]) -> Vec<String> {
+/// sorted string per CAG covering every vertex field. The routed
+/// pipelines renumber ids into canonical root order, so content
+/// equality with the batch path is asserted modulo id and stream
+/// position. Without `with_tags` the ground-truth `tags` are left out:
+/// the live daemon re-parses records from disk, which strips them, so
+/// its output is compared to the offline reference on every other
+/// field.
+fn cag_fingerprints(cags: &[Cag], with_tags: bool) -> Vec<String> {
     let mut v: Vec<String> = cags
         .iter()
         .map(|c| {
             c.vertices
                 .iter()
                 .map(|x| {
+                    let tags = if with_tags {
+                        format!("{:?}", x.tags)
+                    } else {
+                        String::new()
+                    };
                     format!(
-                        "{}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?};",
-                        x.ty,
-                        x.ts,
-                        x.ts_last,
-                        x.ctx,
-                        x.channel,
-                        x.size,
-                        x.tags,
-                        x.ctx_parent,
-                        x.msg_parent
+                        "{}|{}|{}|{}|{}|{}|{tags}|{:?}|{:?};",
+                        x.ty, x.ts, x.ts_last, x.ctx, x.channel, x.size, x.ctx_parent, x.msg_parent
                     )
                 })
                 .collect()
@@ -289,15 +164,19 @@ fn cag_fingerprints(cags: &[Cag]) -> Vec<String> {
     v
 }
 
-/// The paper-scale streaming stress run (ROADMAP north star): a ≥10⁶
-/// record session correlated (a) in batch, (b) through the streaming
-/// path under an explicit memory budget, (c) with the adaptive window
-/// and (e) through the sharded parallel pipeline, whose CAG content
-/// must equal the batch path's and whose throughput must beat it; (f)
-/// and (g) walk the spill and adaptive-window budget curves. Panics if accuracy degrades, the budget is exceeded, or the
-/// scenario shrinks below 10⁶ records — the CI scale smoke runs
-/// exactly this.
-fn scale_stream(base: &mut Baseline, shards: usize) {
+/// Shard count of the scale run's sharded leg; the distributed leg
+/// spreads the same number of workers over two routers.
+const SHARDS: usize = 4;
+
+/// The paper-scale streaming stress run: a ≥10⁶ record session
+/// correlated (a) in batch, (b) through the streaming path under an
+/// explicit memory budget, (c) with the adaptive window, (e) through
+/// the sharded and distributed pipelines, whose CAG content must equal
+/// the batch path's; (f) and (g) walk the spill and adaptive-window
+/// budget curves. Panics if accuracy degrades, output diverges, the
+/// budget is exceeded, or the scenario shrinks below 10⁶ records — the
+/// CI scale smoke runs exactly this.
+fn scale_stream() {
     println!("\n== SCALE: 10^6-record session, streaming-first pipeline ==");
     let t = Instant::now();
     let out = multitier::run(multitier::ExperimentConfig::scale());
@@ -320,7 +199,7 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     let t = Instant::now();
     let sharded = Pipeline::new(
         PipelineConfig::from(out.correlator_config(Nanos::from_millis(10)))
-            .with_mode(Mode::Sharded(shards)),
+            .with_mode(Mode::Sharded(SHARDS)),
     )
     .expect("valid config")
     .run(Source::records(out.records.clone()))
@@ -334,8 +213,8 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         "sharded CAG count diverged from batch"
     );
     assert_eq!(
-        cag_fingerprints(&sharded.cags),
-        cag_fingerprints(&corr.cags),
+        cag_fingerprints(&sharded.cags, true),
+        cag_fingerprints(&corr.cags, true),
         "sharded CAG content diverged from the single-threaded path"
     );
     let census = |cags: &[Cag]| {
@@ -356,12 +235,8 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
 
     // (e'') The distributed cluster over the same corpus: router peers
     // hosting sharded workers behind the claim wire protocol, absorbed
-    // by the coordinator's canonical merge. The in-process transport
-    // keeps the measurement about claim encode/route/merge overhead
-    // rather than fork+exec, and the gate compares the
-    // distributed-vs-sharded wall ratio (same run, so machine speed
-    // cancels) against the committed baseline.
-    let (dist_routers, dist_wpr) = (2usize, (shards / 2).max(1));
+    // by the coordinator's canonical merge.
+    let (dist_routers, dist_wpr) = (2usize, SHARDS / 2);
     let t = Instant::now();
     let dist = Pipeline::new(
         PipelineConfig::from(out.correlator_config(Nanos::from_millis(10))).with_mode(
@@ -381,72 +256,10 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         "distributed accuracy regression: {dacc:?}"
     );
     assert_eq!(
-        cag_fingerprints(&dist.cags),
-        cag_fingerprints(&corr.cags),
+        cag_fingerprints(&dist.cags, true),
+        cag_fingerprints(&corr.cags, true),
         "distributed CAG content diverged from the single-threaded path"
     );
-
-    // Ingest front-end: render the same corpus to TCP_TRACE text and
-    // measure the chunked parallel scanner (the `pt` file path) against
-    // the sequential parse and against batch correlation throughput.
-    const INGEST_THREADS: usize = 4;
-    let mut text = String::with_capacity(records * 72);
-    for r in &out.records {
-        text.push_str(&r.to_string());
-        text.push('\n');
-    }
-    // Sub-second parse timings are at the mercy of scheduler steal on
-    // shared runners, so each path takes the best of three tries; the
-    // enforcement lives in the `--json` gate, which compares the
-    // machine-cancelling ingest-vs-batch ratio against the committed
-    // baseline instead of panicking on one noisy sample.
-    let best_of_3 = |f: &dyn Fn() -> usize| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            let n = f();
-            best = best.min(t.elapsed().as_secs_f64());
-            assert_eq!(n, records, "parse lost records");
-        }
-        best
-    };
-    let ingest_seq_secs =
-        best_of_3(&|| parse_log(&text).expect("rendered corpus must parse").len());
-    let ingest_par_secs = best_of_3(&|| {
-        parse_refs_parallel(&text, INGEST_THREADS)
-            .expect("rendered corpus must parse")
-            .len()
-    });
-    // The text parser on one thread: pure parse speed, no thread
-    // fan-out — the floor the chunked scanner builds on. The key keeps
-    // its `swar_` name, which `benchmark/README.md` maps.
-    let swar_seq_secs = best_of_3(&|| {
-        parse_refs_parallel(&text, 1)
-            .expect("rendered corpus must parse")
-            .len()
-    });
-    // PTBIN: the same corpus in the fixed-width binary format. Decode
-    // does no text scanning at all, so its rate is the format's
-    // headline number (gated as binary-vs-text in the --json run).
-    let bin = tracer_core::binfmt::encode_text(&text, INGEST_THREADS)
-        .expect("rendered corpus must encode");
-    let text_bytes = text.len();
-    let binary_enc_secs = best_of_3(&|| {
-        let b = tracer_core::binfmt::encode_text(&text, INGEST_THREADS)
-            .expect("rendered corpus must encode");
-        tracer_core::binfmt::Reader::new(&b)
-            .expect("fresh encoding must validate")
-            .len()
-    });
-    let binary_dec_secs = best_of_3(&|| {
-        tracer_core::binfmt::decode_refs_parallel(&bin, INGEST_THREADS)
-            .expect("fresh encoding must decode")
-            .len()
-    });
-    drop(text);
-    let ingest_rps = records as f64 / ingest_par_secs.max(1e-9);
-    let binary_rps = records as f64 / binary_dec_secs.max(1e-9);
-    let batch_rps = records as f64 / batch_secs.max(1e-9);
 
     // (b) Streaming under an 8 MiB budget (well above the ~2 MiB
     // natural working set: the budget must bound, not distort).
@@ -497,7 +310,7 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
     // residency — every step must stay byte-identical to the unbounded
     // batch run (recall 1.00), and the tightest step must have actually
     // paged state out and back.
-    let batch_prints = cag_fingerprints(&corr.cags);
+    let batch_prints = cag_fingerprints(&corr.cags, true);
     let mut spill_curve = Vec::new();
     for budget in [8 << 20, 4 << 20, 2 << 20, 1 << 20usize] {
         let t = Instant::now();
@@ -513,7 +326,7 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
             "spill at {budget} B budget lost recall: {spacc:?}"
         );
         assert_eq!(
-            cag_fingerprints(&sp.cags),
+            cag_fingerprints(&sp.cags, true),
             batch_prints,
             "spill at {budget} B budget diverged from the unbounded batch run"
         );
@@ -532,8 +345,8 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
 
     // (g) Adaptive window under a budget: the density clamp must keep
     // the window from settling far above the hand-tuned knob when the
-    // buffer working set would not fit, and accuracy per shrink step is
-    // recorded so a clamp regression is visible in the bench JSON.
+    // buffer working set would not fit; accuracy per shrink step is
+    // printed with the clamp count.
     let mut adaptive_steps = Vec::new();
     for budget in [4 << 20, 1 << 20, 256 << 10usize] {
         let (ac, aa) = out
@@ -568,7 +381,7 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         header(&["mode", "records", "corr_s", "rec/s", "peak_MB"])
     );
     let mb = |b: usize| b as f64 / 1e6;
-    let sharded_label = format!("sharded_x{shards}");
+    let sharded_label = format!("sharded_x{SHARDS}");
     for (mode, secs, peak) in [
         ("batch", batch_secs, corr.metrics.peak_bytes),
         ("stream_8MiB", stream_secs, fin.metrics.peak_bytes),
@@ -596,7 +409,7 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         out.service.completed, corr.metrics.ranker.swaps, acorr.metrics.ranker.window_updates,
     );
     println!(
-        "sharded x{shards}: {:.2}x batch throughput ({} reader noise discards, identical CAG/pattern output)",
+        "sharded x{SHARDS}: {:.2}x batch throughput ({} reader noise discards, identical CAG/pattern output)",
         batch_secs / sharded_secs.max(1e-9),
         sharded.metrics.ranker.noise_discards,
     );
@@ -606,22 +419,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
         dist_secs / sharded_secs.max(1e-9),
         records as f64 / dist_secs.max(1e-9),
     );
-    println!(
-        "ingest x{INGEST_THREADS}: {ingest_rps:.0} rec/s parallel scan \
-         ({:.0} rec/s sequential, {:.1}x the batch correlation rate)",
-        records as f64 / ingest_seq_secs.max(1e-9),
-        ingest_rps / batch_rps,
-    );
-    println!(
-        "binary x{INGEST_THREADS}: {binary_rps:.0} rec/s PTBIN decode, \
-         {:.1}x the parallel text scan ({:.1} B/record vs {:.1} text, \
-         encode {:.0} rec/s)",
-        binary_rps / ingest_rps.max(1e-9),
-        bin.len() as f64 / records as f64,
-        text_bytes as f64 / records as f64,
-        records as f64 / binary_enc_secs.max(1e-9),
-    );
-
     println!(
         "{}",
         header(&["spill_budget", "corr_s", "recall", "spilled", "faults"])
@@ -664,127 +461,6 @@ fn scale_stream(base: &mut Baseline, shards: usize) {
             free_window_ns as f64 / 1e6,
         );
     }
-
-    base.rec("scale.records", records as f64);
-    base.rec("scale.requests", out.service.completed as f64);
-    base.rec("scale.sim_secs", sim_secs);
-    base.rec("scale.batch_corr_secs", batch_secs);
-    base.rec(
-        "scale.batch_records_per_sec",
-        records as f64 / batch_secs.max(1e-9),
-    );
-    base.rec(
-        "scale.batch_swap_crossings",
-        corr.metrics.ranker.swaps as f64,
-    );
-    base.rec("scale.stream_corr_secs", stream_secs);
-    base.rec("scale.stream_peak_bytes", fin.metrics.peak_bytes as f64);
-    base.rec("scale.stream_budget_bytes", BUDGET as f64);
-    base.rec("scale.adaptive_corr_secs", adaptive_secs);
-    base.rec(
-        "scale.adaptive_window_updates",
-        acorr.metrics.ranker.window_updates as f64,
-    );
-    base.rec("scale.spill_budget_bytes", spill_budget as f64);
-    base.rec("scale.spill_corr_secs", spill_secs);
-    base.rec("scale.spill_recall", spill_recall);
-    base.rec("scale.spill_spilled", spill_spilled as f64);
-    base.rec("scale.spill_faults", spill_faults as f64);
-    base.rec(
-        "scale.spill_pages_written",
-        spill_metrics.spill_pages_written as f64,
-    );
-    base.rec(
-        "scale.spill_vs_batch_wall",
-        spill_secs / batch_secs.max(1e-9),
-    );
-    for (budget, recall, clamps, window_ns) in &adaptive_steps {
-        let kib = budget >> 10;
-        base.rec(format!("scale.adaptive_budget_recall_{kib}k"), *recall);
-        base.rec(
-            format!("scale.adaptive_budget_clamps_{kib}k"),
-            *clamps as f64,
-        );
-        base.rec(
-            format!("scale.adaptive_budget_window_ns_{kib}k"),
-            *window_ns as f64,
-        );
-    }
-    base.rec("scale.adaptive_free_window_ns", free_window_ns as f64);
-    base.rec("scale.sharded_shards", shards as f64);
-    base.rec("scale.sharded_corr_secs", sharded_secs);
-    base.rec(
-        "scale.sharded_records_per_sec",
-        records as f64 / sharded_secs.max(1e-9),
-    );
-    base.rec("scale.sharded_speedup", batch_secs / sharded_secs.max(1e-9));
-    base.rec("scale.dist_routers", dist_routers as f64);
-    base.rec("scale.dist_workers_per_router", dist_wpr as f64);
-    base.rec("scale.dist_corr_secs", dist_secs);
-    base.rec(
-        "scale.dist_records_per_sec",
-        records as f64 / dist_secs.max(1e-9),
-    );
-    base.rec(
-        "scale.dist_vs_sharded_wall",
-        dist_secs / sharded_secs.max(1e-9),
-    );
-    base.rec("scale.ingest_threads", INGEST_THREADS as f64);
-    base.rec("scale.ingest_records_per_sec", ingest_rps);
-    base.rec(
-        "scale.ingest_seq_records_per_sec",
-        records as f64 / ingest_seq_secs.max(1e-9),
-    );
-    base.rec("scale.ingest_vs_batch", ingest_rps / batch_rps);
-    base.rec(
-        "scale.swar_scan_records_per_sec",
-        records as f64 / swar_seq_secs.max(1e-9),
-    );
-    base.rec("scale.binary_ingest_records_per_sec", binary_rps);
-    base.rec(
-        "scale.binary_encode_records_per_sec",
-        records as f64 / binary_enc_secs.max(1e-9),
-    );
-    base.rec(
-        "scale.binary_bytes_per_record",
-        bin.len() as f64 / records as f64,
-    );
-    base.rec(
-        "scale.binary_vs_text_ingest",
-        binary_rps / ingest_rps.max(1e-9),
-    );
-}
-
-/// The post-paper scenario families (replicated tiers behind a load
-/// balancer, connection pooling with entity reuse, lossy links with
-/// retransmission, partial sniffer capture over TCP_TRACE v2):
-/// simulates the scenario, correlates through the batch and sharded
-/// pipelines, reports precision/recall against ground truth, and
-/// asserts the tier-1 floors (≥ 0.99; ≥ 0.95 at 1% loss and at 2%
-/// capture drop) so CI smoke runs fail on any regression. Throughput
-/// lands under the `scale.*` baseline keys (informational; the
-/// regression gates are the [`GATES`] of the scale and serve runs).
-/// Tag-free variant of [`cag_fingerprints`]: the live daemon re-parses
-/// records from disk, which strips the in-memory ground-truth tags, so
-/// live output is compared to the offline reference on every vertex
-/// field except `tags`.
-fn cag_shape_fingerprints(cags: &[Cag]) -> Vec<String> {
-    let mut v: Vec<String> = cags
-        .iter()
-        .map(|c| {
-            c.vertices
-                .iter()
-                .map(|x| {
-                    format!(
-                        "{}|{}|{}|{}|{}|{}|{:?}|{:?};",
-                        x.ty, x.ts, x.ts_last, x.ctx, x.channel, x.size, x.ctx_parent, x.msg_parent
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    v.sort();
-    v
 }
 
 /// The fault-injected online soak: a fixed-seed corpus is split into
@@ -795,7 +471,7 @@ fn cag_shape_fingerprints(cags: &[Cag]) -> Vec<String> {
 /// lag under a bound, zero sheds under the lossless policy, and recall
 /// against ground truth ≥ 0.95 (bridged through an offline reference on
 /// the same corpus whose accuracy is asserted against truth directly).
-fn serve_soak(scale: Scale, base: &mut Baseline) {
+fn serve_soak(scale: Scale) {
     use multitier::{write_paced, FaultPlan, SourceFault};
     use std::sync::atomic::AtomicBool;
     use tracer_core::serve::{ServeConfig, ServeKpi, ServeSink, Server, SourceSpec};
@@ -979,8 +655,8 @@ fn serve_soak(scale: Scale, base: &mut Baseline) {
     // how many reference paths the live run reproduced shape-for-shape.
     let mut live = sink.sealed.clone();
     live.extend(report.output.cags.iter().cloned());
-    let live_fps = cag_shape_fingerprints(&live);
-    let ref_fps = cag_shape_fingerprints(&reference.cags);
+    let live_fps = cag_fingerprints(&live, false);
+    let ref_fps = cag_fingerprints(&reference.cags, false);
     let mut matched = 0usize;
     let (mut i, mut j) = (0usize, 0usize);
     while i < live_fps.len() && j < ref_fps.len() {
@@ -1018,142 +694,13 @@ fn serve_soak(scale: Scale, base: &mut Baseline) {
         ])
     );
     println!("{stats}");
-    base.rec("scale.serve_records", report.records_in as f64);
-    base.rec("scale.serve_recall", recall);
-    base.rec("scale.serve_p99_seal_lag", report.p99_seal_lag as f64);
-    base.rec(
-        "scale.serve_peak_state_bytes",
-        report.peak_state_bytes as f64,
-    );
-    base.rec("scale.serve_faults", (stalls + restarts + torn) as f64);
 }
 
-fn scenario(id: &str, scale: Scale, shards: usize, base: &mut Baseline) {
-    let (mut cfg, window, floor) = match id {
-        "lb" => (
-            multitier::ExperimentConfig::lb(),
-            tracer_core::Nanos::from_millis(10),
-            0.99,
-        ),
-        "pooled" => (
-            multitier::ExperimentConfig::pooled(),
-            tracer_core::Nanos::from_millis(10),
-            0.99,
-        ),
-        "partial" => (
-            multitier::ExperimentConfig::partial(),
-            tracer_core::Nanos::from_millis(10),
-            0.95,
-        ),
-        _ => (
-            multitier::ExperimentConfig::lossy(),
-            tracer_core::Nanos::from_millis(100),
-            0.95,
-        ),
-    };
-    if scale == Scale::Paper {
-        cfg.clients = 200;
-        cfg.phases = multitier::Phases::quick(60);
-    }
-    println!("\n== scenario {id}: precision/recall vs ground truth ==");
-    let t = Instant::now();
-    let out = multitier::run(cfg);
-    let sim_secs = t.elapsed().as_secs_f64();
-    let records = out.records.len();
-
-    let t = Instant::now();
-    let (corr, acc) = out.correlate(window).expect("valid config");
-    let batch_secs = t.elapsed().as_secs_f64();
-    assert!(
-        acc.precision() >= floor && acc.recall() >= floor,
-        "{id}: batch precision {:.4} / recall {:.4} below {floor}: {acc:?}",
-        acc.precision(),
-        acc.recall()
-    );
-
-    let t = Instant::now();
-    let sharded = Pipeline::new(
-        PipelineConfig::from(out.correlator_config(window)).with_mode(Mode::Sharded(shards)),
-    )
-    .expect("valid config")
-    .run(Source::records(out.records.clone()))
-    .expect("valid config");
-    let sharded_secs = t.elapsed().as_secs_f64();
-    let shacc = out.truth.evaluate(&sharded.cags);
-    assert!(
-        shacc.precision() >= floor && shacc.recall() >= floor,
-        "{id}: sharded precision {:.4} / recall {:.4} below {floor}: {shacc:?}",
-        shacc.precision(),
-        shacc.recall()
-    );
-    assert_eq!(
-        cag_fingerprints(&sharded.cags),
-        cag_fingerprints(&corr.cags),
-        "{id}: sharded CAG content diverged from batch"
-    );
-
-    println!(
-        "{}",
-        header(&[
-            "mode",
-            "records",
-            "corr_s",
-            "rec/s",
-            "precision",
-            "recall",
-            "retrans"
-        ])
-    );
-    for (mode, secs, a, retrans) in [
-        ("batch", batch_secs, &acc, corr.metrics.retrans_dropped),
-        (
-            "sharded",
-            sharded_secs,
-            &shacc,
-            sharded.metrics.retrans_dropped,
-        ),
-    ] {
-        println!(
-            "{}",
-            row(&[
-                mode.to_string(),
-                records.to_string(),
-                format!("{secs:.3}"),
-                format!("{:.0}", records as f64 / secs.max(1e-9)),
-                format!("{:.4}", a.precision()),
-                format!("{:.4}", a.recall()),
-                retrans.to_string(),
-            ])
-        );
-    }
-    println!(
-        "sim {sim_secs:.2}s, {} requests, {} noise records, {} capture-dropped records",
-        out.service.completed,
-        out.truth.noise_records(),
-        out.capture_dropped,
-    );
-    base.rec(format!("scale.{id}_records"), records as f64);
-    base.rec(
-        format!("scale.{id}_records_per_sec"),
-        records as f64 / batch_secs.max(1e-9),
-    );
-    base.rec(
-        format!("scale.{id}_sharded_records_per_sec"),
-        records as f64 / sharded_secs.max(1e-9),
-    );
-    base.rec(format!("scale.{id}_precision"), acc.precision());
-    base.rec(format!("scale.{id}_recall"), acc.recall());
-}
-
-/// Deduplicates the fig8-11 family (they share the same runs) so asking
-/// for several of them only simulates once.
-fn figs8_to_11(scale: Scale, wanted: &[String], base: &mut Baseline) {
-    use std::sync::OnceLock;
-    static DONE: OnceLock<()> = OnceLock::new();
-    if DONE.set(()).is_err() {
-        return;
-    }
-    let want = |id: &str| wanted.iter().any(|w| w == id || w == "all");
+/// Figs. 8–11 from one client sweep; `figs[i]` prints Fig. `8 + i`,
+/// and the window sweep of Figs. 10/11 runs only when one of them is
+/// printed.
+fn figs8_to_11(scale: Scale, figs: [bool; 4]) {
+    let [show8, show9, show10, show11] = figs;
     // One session per client count, reused by Figs. 8, 9, 10 and 11.
     let mut fig8_rows = Vec::new();
     let mut fig9_rows = Vec::new();
@@ -1170,11 +717,7 @@ fn figs8_to_11(scale: Scale, wanted: &[String], base: &mut Baseline) {
         );
         fig8_rows.push((clients, rt.out.service.completed));
         fig9_rows.push((rt.out.service.completed, rt.correlation_time.as_secs_f64()));
-        base.rec(
-            format!("fig9.corr_secs.c{clients}"),
-            rt.correlation_time.as_secs_f64(),
-        );
-        if (want("fig10") || want("fig11")) && [200, 500, 800].contains(&clients) {
+        if (show10 || show11) && [200, 500, 800].contains(&clients) {
             for &w in &windows_ms {
                 let t = Instant::now();
                 let (corr, acc) = rt.out.correlate(Nanos::from_millis(w)).expect("config");
@@ -1188,21 +731,21 @@ fn figs8_to_11(scale: Scale, wanted: &[String], base: &mut Baseline) {
             }
         }
     }
-    if want("fig8") {
+    if show8 {
         println!("\n== Fig. 8: serviced requests vs concurrent clients (Browse_Only) ==");
         println!("{}", header(&["clients", "requests"]));
         for (c, n) in &fig8_rows {
             println!("{}", row(&[c.to_string(), n.to_string()]));
         }
     }
-    if want("fig9") {
+    if show9 {
         println!("\n== Fig. 9: correlation time vs serviced requests (window 10ms) ==");
         println!("{}", header(&["requests", "corr_time_s"]));
         for (n, s) in &fig9_rows {
             println!("{}", row(&[n.to_string(), format!("{s:.3}")]));
         }
     }
-    if want("fig10") {
+    if show10 {
         println!("\n== Fig. 10: correlation time vs sliding window ==");
         let mut cols = vec!["window_ms".to_string()];
         cols.extend(fig10.keys().map(|c| format!("{c}_clients_s")));
@@ -1218,7 +761,7 @@ fn figs8_to_11(scale: Scale, wanted: &[String], base: &mut Baseline) {
             println!("{}", row(&cells));
         }
     }
-    if want("fig11") {
+    if show11 {
         println!("\n== Fig. 11: correlator peak memory vs sliding window ==");
         let mut cols = vec!["window_ms".to_string()];
         cols.extend(fig11.keys().map(|c| format!("{c}_clients_MB")));
@@ -1279,11 +822,6 @@ fn acc(scale: Scale) {
 
 /// Figs. 12/13: probe overhead on throughput and response time.
 fn figs12_13(scale: Scale) {
-    use std::sync::OnceLock;
-    static DONE: OnceLock<()> = OnceLock::new();
-    if DONE.set(()).is_err() {
-        return;
-    }
     println!("\n== Figs. 12/13: RUBiS throughput & response time, probe enabled vs disabled ==");
     println!(
         "{}",
@@ -1634,6 +1172,66 @@ fn ext2(scale: Scale) {
             format!("filtered={}", corr.metrics.filtered_out),
         ])
     );
-    let _ = Mix::browse_only();
-    let _: NoiseSpec = NoiseSpec::none();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Scale, Vec<Experiment>), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_id_is_an_error() {
+        let err = parse(&["--quick", "acc", "nosuch"]).unwrap_err();
+        assert!(err.contains("nosuch"), "{err}");
+    }
+
+    #[test]
+    fn missing_id_is_an_error() {
+        assert!(parse(&[""]).is_err());
+        assert!(parse(&["--quick", "", "acc"]).is_err());
+    }
+
+    #[test]
+    fn removed_ids_and_flags_are_rejected() {
+        for args in [
+            &["lb"][..],
+            &["pooled"],
+            &["lossy"],
+            &["partial"],
+            &["--json", "scale"],
+            &["--shards", "4", "scale"],
+            &["--experiment", "acc"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} was accepted");
+        }
+    }
+
+    #[test]
+    fn all_and_no_id_expand_to_every_family_once() {
+        let (scale, all) = parse(&["all"]).unwrap();
+        assert_eq!(scale, Scale::Paper);
+        assert_eq!(all.len(), 11);
+        assert_eq!(all[1], Experiment::Figs8To11([true; 4]));
+        assert!(all.contains(&Experiment::Figs12And13));
+        assert_eq!(parse(&["--quick"]).unwrap(), (Scale::Quick, all.clone()));
+        assert_eq!(parse(&["scale", "all", "acc"]).unwrap().1.len(), 11);
+    }
+
+    #[test]
+    fn shared_sweeps_run_once() {
+        assert_eq!(
+            parse(&["fig9", "acc", "fig10", "fig9"]).unwrap().1,
+            [
+                Experiment::Figs8To11([false, true, true, false]),
+                Experiment::Acc
+            ]
+        );
+        assert_eq!(
+            parse(&["fig13", "fig12"]).unwrap().1,
+            [Experiment::Figs12And13]
+        );
+    }
 }

@@ -1,14 +1,14 @@
-//! Shared helpers for the benchmark harness: experiment runners and
-//! table formatting used by both the `repro` binary (full paper-scale
-//! regeneration of every figure) and the Criterion benches (timed
-//! micro/meso versions of the same pipelines).
+//! Helpers for the `repro` binary, which regenerates every table and
+//! figure of the paper's evaluation: the standard experiment
+//! configuration per scale, a run-and-correlate runner, and table
+//! formatting. Speed is measured by `ptbench` (`benchmark/`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
-use multitier::{ExperimentConfig, ExperimentOutput, Mix, NoiseSpec, Phases};
+use multitier::{ExperimentConfig, ExperimentOutput, NoiseSpec, Phases};
 use simnet::Dist;
 use tracer_core::{CorrelationOutput, Nanos};
 
@@ -67,11 +67,6 @@ pub struct RunAndTrace {
 /// Runs and correlates with a window.
 pub fn run_and_trace(cfg: ExperimentConfig, window: Nanos) -> RunAndTrace {
     let out = multitier::run(cfg);
-    trace_only(out, window)
-}
-
-/// Correlates an existing run (reusing its log).
-pub fn trace_only(out: ExperimentOutput, window: Nanos) -> RunAndTrace {
     let t = Instant::now();
     let (corr, accuracy) = out.correlate(window).expect("valid correlator config");
     let correlation_time = t.elapsed();
@@ -81,11 +76,6 @@ pub fn trace_only(out: ExperimentOutput, window: Nanos) -> RunAndTrace {
         accuracy,
         correlation_time,
     }
-}
-
-/// The Browse_Only mix (sugar re-export for benches).
-pub fn browse_only() -> Mix {
-    Mix::browse_only()
 }
 
 /// A noise spec matching the paper's ~200K noise activities per session

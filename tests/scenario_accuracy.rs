@@ -78,13 +78,45 @@ fn partial_capture_precision_recall_floor() {
     );
 }
 
+/// Order- and id-insensitive fingerprint of a CAG set: one sorted
+/// string per CAG covering every vertex field. The sharded merge
+/// renumbers ids into canonical root order, so content is compared
+/// modulo id and stream position.
+fn cag_fingerprints(cags: &[Cag]) -> Vec<String> {
+    let mut v: Vec<String> = cags
+        .iter()
+        .map(|c| {
+            c.vertices
+                .iter()
+                .map(|x| {
+                    format!(
+                        "{}|{}|{}|{}|{}|{}|{:?}|{:?}|{:?};",
+                        x.ty,
+                        x.ts,
+                        x.ts_last,
+                        x.ctx,
+                        x.channel,
+                        x.size,
+                        x.tags,
+                        x.ctx_parent,
+                        x.msg_parent
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    v.sort();
+    v
+}
+
 #[test]
 fn sharded_matches_batch_accuracy_on_new_scenarios() {
     // The sharded pipeline must reach the same accuracy as the batch
     // path on every new scenario — in particular on pooling, where
     // session routing must follow channel time order across entities,
     // and on partial capture, where range-based claims must absorb
-    // records the sniffer missed.
+    // records the sniffer missed — and, on every preset, the same CAG
+    // content.
     for (name, cfg, window) in [
         ("lb", rubis::ExperimentConfig::lb(), Nanos::from_millis(10)),
         (
@@ -109,7 +141,7 @@ fn sharded_matches_batch_accuracy_on_new_scenarios() {
         ),
     ] {
         let out = rubis::run(cfg);
-        let (_, batch_acc) = out.correlate(window).unwrap();
+        let (batch, batch_acc) = out.correlate(window).unwrap();
         let sharded = Pipeline::new(
             PipelineConfig::from(out.correlator_config(window)).with_mode(Mode::Sharded(4)),
         )
@@ -130,6 +162,20 @@ fn sharded_matches_batch_accuracy_on_new_scenarios() {
             ),
             "{name}: sharded accuracy diverged from batch"
         );
+        let (b, s) = (
+            cag_fingerprints(&batch.cags),
+            cag_fingerprints(&sharded.cags),
+        );
+        if let Some(i) = (0..b.len().max(s.len())).find(|&i| b.get(i) != s.get(i)) {
+            panic!(
+                "{name}: sharded CAG content diverged from batch ({} vs {} CAGs); \
+                 first difference at sorted CAG {i}:\n batch   {:?}\n sharded {:?}",
+                b.len(),
+                s.len(),
+                b.get(i),
+                s.get(i)
+            );
+        }
     }
 }
 
