@@ -21,13 +21,16 @@
 //! parent belong to the same CAG; [`EngineOptions::thread_reuse_check`]
 //! can disable the check to reproduce the failure mode as an ablation.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::mem::size_of;
 use std::sync::Arc;
 
 use crate::activity::{Activity, ActivityType, Channel, ContextId};
 use crate::cag::{Cag, Vertex};
 use crate::fasthash::FxHashMap;
+use crate::intern::Interner;
 use crate::ranker::MatchOracle;
 use crate::spill::{self, codec, PageExtent, SpillFile};
 
@@ -221,8 +224,22 @@ enum Resolved {
 /// slack across many tiny orphan records.
 const ORPHAN_CHUNK: usize = 128;
 
+/// Slack over twice the live entry count that a lazy index may reach
+/// through stale items before it is dropped, to be rebuilt from its
+/// source of truth when next needed.
+const INDEX_SLACK: usize = 1_024;
+
 /// Spill-tier bookkeeping: which objects are on disk, and the LRU-K
 /// access history driving victim selection.
+///
+/// `lru` holds exactly the resident unfinished CAGs and decides every
+/// victim; `victims` only finds it. The index is a lazy min-heap over
+/// `lru` keys, built from `lru` on the first [`Engine::spill_one`] (a
+/// budget that never binds builds nothing), so picking a victim costs
+/// O(log n) instead of a scan of every resident CAG. From then on every
+/// CAG in `lru` has an item whose key is at most its current key (a
+/// touch only raises a key, and a CAG that enters `lru` pushes its
+/// item); touches push nothing.
 #[derive(Debug)]
 struct SpillState {
     file: Arc<SpillFile>,
@@ -230,18 +247,117 @@ struct SpillState {
     cags: FxHashMap<u64, PageExtent>,
     /// Spilled orphan chunks; a slot is freed when its chunk faults back.
     orphan_chunks: Vec<Option<PageExtent>>,
+    /// The free slots of `orphan_chunks`.
+    free_chunk_slots: Vec<u32>,
     /// Orphan id → chunk slot.
     orphan_index: FxHashMap<u64, u32>,
-    /// LRU-K (K = 2) history per *resident* unfinished CAG: the two most
-    /// recent touch ticks `(previous, last)` on the logical clock
-    /// (`counters.delivered`). Victim = smallest `(previous, last, id)`,
-    /// i.e. the CAG with the largest backward-K distance; the id
-    /// tie-break keeps selection deterministic.
+    /// LRU-K (K = 2) history of every *resident* unfinished CAG, and of
+    /// no other: the two most recent touch ticks `(previous, last)` on
+    /// the logical clock (`counters.delivered`). Victim = smallest
+    /// `(previous, last, id)`, i.e. the CAG with the largest backward-K
+    /// distance; the id tie-break keeps selection deterministic.
     lru: FxHashMap<u64, (u64, u64)>,
+    /// Victim index: min-heap of `(previous, last, id)` (see the type
+    /// docs), `None` until the first spill and after stale items grew it
+    /// past twice `lru`. A popped item that lags its CAG's key is pushed
+    /// back at the current key; one above it, or whose CAG left `lru`,
+    /// is dropped.
+    victims: Option<BinaryHeap<Reverse<LruKey>>>,
+    /// Min-heap of spilled CAG ids, for the unfinished cap's "stalest
+    /// CAG may be on disk" check; `None` until the cap first binds. An
+    /// id no longer in `cags` is dropped when it surfaces.
+    spilled_ids: Option<BinaryHeap<Reverse<u64>>>,
     /// CAGs with `last ≥ pin_epoch` were touched since the correlator's
     /// last sampling boundary and are pinned (spilling the working set
     /// would thrash); advanced by [`Engine::spill_checkpoint`].
     pin_epoch: u64,
+    /// Hostnames and programs of faulted-back CAGs: one `Arc<str>` per
+    /// distinct name for the whole run instead of fresh ones per fault.
+    names: Interner,
+}
+
+/// A victim key, `(previous, last, id)`: smallest spills first.
+type LruKey = (u64, u64, u64);
+
+impl SpillState {
+    /// Indexes a CAG that just entered `lru` with `key`. An index that
+    /// stale items (finished, abandoned or spilled CAGs) have grown past
+    /// twice `lru` is dropped instead, and rebuilt by the next pick: an
+    /// endless run does not grow it.
+    fn index_new(&mut self, key: LruKey) {
+        if let Some(heap) = &mut self.victims {
+            if heap.len() >= 2 * self.lru.len() + INDEX_SLACK {
+                self.victims = None;
+            } else {
+                heap.push(Reverse(key));
+            }
+        }
+    }
+
+    /// The victim the spill tier pages out next: the smallest key among
+    /// unpinned resident CAGs, else (working set fully pinned) the
+    /// smallest among pinned ones. Its item leaves the index.
+    fn pick_victim(&mut self) -> Option<u64> {
+        let lru = &self.lru;
+        let heap = self.victims.get_or_insert_with(|| {
+            lru.iter()
+                .map(|(&id, &(prev, last))| Reverse((prev, last, id)))
+                .collect()
+        });
+        // Pinned candidates, popped in ascending key order.
+        let mut pinned: Vec<LruKey> = Vec::new();
+        let mut victim = None;
+        while let Some(Reverse(item)) = heap.pop() {
+            let id = item.2;
+            let Some(&(prev, last)) = lru.get(&id) else {
+                continue;
+            };
+            let key = (prev, last, id);
+            if item < key {
+                heap.push(Reverse(key));
+            } else if item > key {
+                // A duplicate: the CAG's own item is at most its key.
+            } else if key.1 < self.pin_epoch {
+                victim = Some(id);
+                break;
+            } else {
+                pinned.push(key);
+            }
+        }
+        let mut pinned = pinned.into_iter();
+        if victim.is_none() {
+            victim = pinned.next().map(|k| k.2);
+        }
+        heap.extend(pinned.map(Reverse));
+        victim
+    }
+
+    /// Records a spilled CAG in the spilled-id index, dropping an index
+    /// that faulted-back ids have grown past twice the spilled count.
+    fn index_spilled(&mut self, id: u64) {
+        if let Some(heap) = &mut self.spilled_ids {
+            if heap.len() >= 2 * self.cags.len() + INDEX_SLACK {
+                self.spilled_ids = None;
+            } else {
+                heap.push(Reverse(id));
+            }
+        }
+    }
+
+    /// The smallest spilled CAG id.
+    fn stalest_spilled(&mut self) -> Option<u64> {
+        let cags = &self.cags;
+        let heap = self
+            .spilled_ids
+            .get_or_insert_with(|| cags.keys().map(|&id| Reverse(id)).collect());
+        while let Some(&Reverse(id)) = heap.peek() {
+            if cags.contains_key(&id) {
+                return Some(id);
+            }
+            heap.pop();
+        }
+        None
+    }
 }
 
 /// The CAG construction engine.
@@ -262,9 +378,11 @@ pub struct Engine {
     next_cag_id: u64,
     next_orphan_id: u64,
     counters: EngineCounters,
-    /// Incremental byte accounting for Fig. 11.
+    /// Incremental byte accounting for Fig. 11: vertices and tags of
+    /// resident unfinished CAGs, and vertices of the `finished` buffer.
     vertex_count: usize,
     tag_count: usize,
+    finished_vertices: usize,
     /// Spill tier (enabled by the correlator when a memory budget is
     /// paired with a spill directory).
     spill: Option<Box<SpillState>>,
@@ -295,6 +413,7 @@ impl Engine {
             counters: EngineCounters::default(),
             vertex_count: 0,
             tag_count: 0,
+            finished_vertices: 0,
             spill: None,
         }
     }
@@ -318,6 +437,7 @@ impl Engine {
     pub fn take_finished(&mut self) -> Vec<Cag> {
         self.finished_index.clear();
         self.finished_at.clear();
+        self.finished_vertices = 0;
         std::mem::take(&mut self.finished)
     }
 
@@ -352,6 +472,7 @@ impl Engine {
             if still_latest {
                 if max_lag.is_some_and(|lag| self.counters.delivered.saturating_sub(at) > lag) {
                     self.counters.forced_seals += 1;
+                    self.finished_vertices -= cag.vertices.len();
                     out.push(cag);
                 } else {
                     self.finished_index.insert(cag.id, self.finished.len());
@@ -359,6 +480,7 @@ impl Engine {
                     self.finished_at.push(at);
                 }
             } else {
+                self.finished_vertices -= cag.vertices.len();
                 out.push(cag);
             }
         }
@@ -374,9 +496,14 @@ impl Engine {
             file,
             cags: FxHashMap::default(),
             orphan_chunks: Vec::new(),
+            free_chunk_slots: Vec::new(),
             orphan_index: FxHashMap::default(),
-            lru: FxHashMap::default(),
+            // CAGs already open have no history: they sort first.
+            lru: self.unfinished.keys().map(|&id| (id, (0, 0))).collect(),
+            victims: None,
+            spilled_ids: None,
             pin_epoch: 0,
+            names: Interner::new(),
         }));
     }
 
@@ -404,20 +531,7 @@ impl Engine {
         let Some(sp) = self.spill.as_deref_mut() else {
             return false;
         };
-        let mut best: Option<(u64, u64, u64)> = None;
-        let mut best_pinned: Option<(u64, u64, u64)> = None;
-        for &id in self.unfinished.keys() {
-            let (prev, last) = sp.lru.get(&id).copied().unwrap_or((0, 0));
-            let key = (prev, last, id);
-            if last < sp.pin_epoch {
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            } else if best_pinned.is_none_or(|b| key < b) {
-                best_pinned = Some(key);
-            }
-        }
-        if let Some((_, _, id)) = best.or(best_pinned) {
+        if let Some(id) = sp.pick_victim() {
             let cag = self.unfinished.remove(&id).expect("victim is resident");
             self.vertex_count -= cag.vertices.len();
             self.tag_count -= cag.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
@@ -426,6 +540,7 @@ impl Engine {
             self.counters.spilled_bytes += buf.len() as u64;
             let ext = sp.file.put(buf);
             sp.cags.insert(id, ext);
+            sp.index_spilled(id);
             sp.lru.remove(&id);
             self.counters.spilled_cags += 1;
             return true;
@@ -453,17 +568,13 @@ impl Engine {
         self.counters.spilled_orphans += ids.len() as u64;
         self.counters.spilled_bytes += buf.len() as u64;
         let ext = sp.file.put(buf);
-        let slot = sp
-            .orphan_chunks
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or_else(|| {
-                sp.orphan_chunks.push(None);
-                sp.orphan_chunks.len() - 1
-            });
-        sp.orphan_chunks[slot] = Some(ext);
+        let slot = sp.free_chunk_slots.pop().unwrap_or_else(|| {
+            sp.orphan_chunks.push(None);
+            (sp.orphan_chunks.len() - 1) as u32
+        });
+        sp.orphan_chunks[slot as usize] = Some(ext);
         for id in ids {
-            sp.orphan_index.insert(id, slot as u32);
+            sp.orphan_index.insert(id, slot);
         }
         true
     }
@@ -489,15 +600,15 @@ impl Engine {
         };
         if let Some(ext) = sp.cags.remove(&id) {
             let bytes = sp.file.get(ext);
-            let cag = spill::decode_cag(&bytes);
+            let cag = spill::decode_cag(&bytes, &mut sp.names);
             self.vertex_count += cag.vertices.len();
             self.tag_count += cag.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
             self.unfinished.insert(id, cag);
             self.counters.spill_faults += 1;
-        } else if !self.unfinished.contains_key(&id) {
-            // A context's latest vertex is usually in a CAG that has
-            // finished or was drained; a touch recorded for it would
-            // never be removed.
+        } else if !sp.lru.contains_key(&id) {
+            // Not resident either: a context's latest vertex is usually
+            // in a CAG that has finished or was drained; a touch
+            // recorded for it would never be removed.
             return;
         }
         self.touch_cag(id);
@@ -513,6 +624,7 @@ impl Engine {
         let ext = sp.orphan_chunks[slot as usize]
             .take()
             .expect("indexed chunk is live");
+        sp.free_chunk_slots.push(slot);
         let bytes = sp.file.get(ext);
         let mut d = codec::Dec::new(&bytes);
         let n = d.count(33); // id, type, channel, size
@@ -537,7 +649,7 @@ impl Engine {
         let spilled: Vec<(u64, PageExtent)> = sp.cags.drain().collect();
         for (id, ext) in spilled {
             let bytes = sp.file.get(ext);
-            let cag = spill::decode_cag(&bytes);
+            let cag = spill::decode_cag(&bytes, &mut sp.names);
             self.vertex_count += cag.vertices.len();
             self.tag_count += cag.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
             self.unfinished.insert(id, cag);
@@ -546,14 +658,24 @@ impl Engine {
     }
 
     /// Records a touch of CAG `id` at the current logical time,
-    /// shifting its LRU-K history.
+    /// shifting its LRU-K history. A CAG new to the history joins the
+    /// victim index; a touch of a known one only raises its key, which
+    /// the index catches up with when the CAG's item surfaces.
     fn touch_cag(&mut self, id: u64) {
-        if let Some(sp) = self.spill.as_deref_mut() {
-            let now = self.counters.delivered;
-            let e = sp.lru.entry(id).or_insert((0, 0));
-            if e.1 != now {
-                e.0 = e.1;
-                e.1 = now;
+        let Some(sp) = self.spill.as_deref_mut() else {
+            return;
+        };
+        let now = self.counters.delivered;
+        match sp.lru.entry(id) {
+            Entry::Occupied(e) => {
+                let e = e.into_mut();
+                if e.1 != now {
+                    *e = (e.1, now);
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert((0, now));
+                sp.index_new((0, now, id));
             }
         }
     }
@@ -615,6 +737,10 @@ impl Engine {
     /// fault back in first — the spill tier never costs recall.
     pub fn take_unfinished(&mut self) -> Vec<Cag> {
         self.fault_all_spilled_cags();
+        if let Some(sp) = self.spill.as_deref_mut() {
+            sp.lru.clear();
+            sp.victims = None;
+        }
         let cags: Vec<Cag> = std::mem::take(&mut self.unfinished).into_values().collect();
         self.vertex_count -= cags.iter().map(|c| c.vertices.len()).sum::<usize>();
         self.tag_count -= cags
@@ -627,7 +753,8 @@ impl Engine {
 
     /// Approximate resident bytes of all engine state (index maps,
     /// unfinished CAGs, buffered finished CAGs, orphans). Used for the
-    /// Fig. 11 memory experiment.
+    /// Fig. 11 memory experiment. O(1): the correlator reads it every
+    /// sampling boundary and in its budget loop.
     pub fn approx_bytes(&self) -> usize {
         self.approx_breakdown().iter().sum()
     }
@@ -643,11 +770,7 @@ impl Engine {
             + self.mmap_order.len() * size_of::<Channel>();
         let cmap = self.cmap.len() * (size_of::<ContextId>() + size_of::<VRef>() + 32);
         let orph = self.orphans.len() * (size_of::<Orphan>() + 16);
-        let fin: usize = self
-            .finished
-            .iter()
-            .map(|c| c.vertices.len() * size_of::<Vertex>())
-            .sum();
+        let fin = self.finished_vertices * size_of::<Vertex>();
         [vert, pend, cmap, orph, fin]
     }
 
@@ -842,7 +965,10 @@ impl Engine {
         // The cap counts spilled CAGs too — the spill tier bounds
         // memory, not the total amount of live state.
         while self.unfinished.len() + self.spilled_len() > self.opts.unfinished_cap {
-            if let Some(&stalest_spilled) = self.spill.as_deref().and_then(|s| s.cags.keys().min())
+            if let Some(stalest_spilled) = self
+                .spill
+                .as_deref_mut()
+                .and_then(SpillState::stalest_spilled)
             {
                 // CAG ids are assigned in BEGIN order, so the globally
                 // stalest CAG may be on disk; fault it back so the
@@ -886,6 +1012,7 @@ impl Engine {
                 // finished buffer, which approx_bytes counts separately.
                 self.vertex_count -= done.vertices.len();
                 self.tag_count -= done.vertices.iter().map(|v| v.tags.len()).sum::<usize>();
+                self.finished_vertices += done.vertices.len();
                 self.finished.push(done);
                 self.finished_at.push(self.counters.delivered);
                 self.counters.cags_finished += 1;
@@ -1422,6 +1549,73 @@ mod tests {
             assert_eq!(history, e.unfinished_len(), "after request {i}");
         }
         assert_eq!(e.take_unfinished().len(), 60);
+        assert!(e.spill.as_ref().unwrap().lru.is_empty());
+    }
+
+    #[test]
+    fn victim_index_is_built_on_the_first_spill_and_stays_bounded() {
+        let mut e = Engine::default();
+        let file = SpillFile::create(&std::env::temp_dir()).unwrap();
+        e.enable_spill(Arc::new(file));
+        let index_len = |e: &Engine| {
+            let sp = e.spill.as_ref().unwrap();
+            sp.victims.as_ref().map(BinaryHeap::len)
+        };
+        for tid in 100..160 {
+            let src = format!("192.168.1.9:{}", 1024 + tid);
+            e.deliver(act(
+                ActivityType::Begin,
+                1_000,
+                "web",
+                "httpd",
+                tid,
+                &src,
+                WEB_FRONT,
+                1,
+                0,
+            ));
+        }
+        // A spill tier that never binds builds no index.
+        for _ in 0..3_000 {
+            two_tier_request(&mut e);
+            e.take_finished();
+        }
+        let sp = e.spill.as_ref().unwrap();
+        assert!(sp.victims.is_none() && sp.spilled_ids.is_none());
+        assert!(e.spill_one());
+        // One item per resident CAG, the victim's popped.
+        assert_eq!(index_len(&e), Some(59));
+        // Touching resident CAGs pushes nothing: the index catches up
+        // when their items surface.
+        for i in 0..5_000u32 {
+            let tid = 101 + i % 59;
+            let out = format!("10.0.0.1:{}", 20_000 + tid);
+            e.deliver(act(
+                ActivityType::Send,
+                2_000 + u64::from(i),
+                "web",
+                "httpd",
+                tid,
+                &out,
+                APP_IN,
+                1,
+                0,
+            ));
+            assert_eq!(index_len(&e), Some(59), "after touch {i}");
+        }
+        // Endless churn after a spill: every BEGIN pushes an item that
+        // its END leaves stale, yet the index never outgrows twice the
+        // resident count plus the slack.
+        for i in 0..10_000u32 {
+            two_tier_request(&mut e);
+            if i.is_multiple_of(3) {
+                e.take_finished();
+            }
+            let len = index_len(&e).unwrap_or(0);
+            assert!(len <= 2 * 60 + INDEX_SLACK, "{len} items after request {i}");
+        }
+        assert!(e.spill_one());
+        assert_eq!(e.spilled_len(), 2);
     }
 
     #[test]
@@ -2236,6 +2430,60 @@ mod tests {
     }
 
     #[test]
+    fn finished_buffer_bytes_are_a_running_count() {
+        let mut e = Engine::default();
+        let check = |e: &Engine| {
+            let walk: usize = e.finished.iter().map(|c| c.vertices.len()).sum();
+            assert_eq!(e.approx_breakdown()[4], walk * size_of::<Vertex>());
+            e.assert_counts_match_state();
+        };
+        two_tier_request(&mut e);
+        check(&e);
+        // A trailing END chunk amends the finished CAG in place.
+        e.deliver(act(
+            ActivityType::End,
+            5_100,
+            "web",
+            "httpd",
+            7,
+            WEB_FRONT,
+            CLIENT,
+            100,
+            7,
+        ));
+        assert_eq!(e.counters().end_amends, 1);
+        check(&e);
+        // Its END is still the context's latest vertex: it stays.
+        assert!(e.take_sealed(None).is_empty());
+        check(&e);
+        // The thread serves the next request, which seals the first.
+        two_tier_request(&mut e);
+        assert_eq!(e.finished_len(), 2);
+        assert_eq!(e.take_sealed(None).len(), 1);
+        check(&e);
+        // A lag bound force-seals the second.
+        e.deliver(act(
+            ActivityType::Send,
+            6_000,
+            "app",
+            "java",
+            99,
+            "10.0.0.2:9100",
+            "10.0.0.3:3306",
+            1,
+            0,
+        ));
+        assert_eq!(e.take_sealed(Some(0)).len(), 1);
+        assert_eq!(e.counters().forced_seals, 1);
+        check(&e);
+        two_tier_request(&mut e);
+        check(&e);
+        assert_eq!(e.take_finished().len(), 1);
+        check(&e);
+        assert_eq!(e.approx_breakdown()[4], 0);
+    }
+
+    #[test]
     fn approx_bytes_grows_with_state() {
         let mut e = Engine::default();
         let empty = e.approx_bytes();
@@ -2264,5 +2512,131 @@ mod tests {
         }
         assert_eq!(e.unfinished_len(), 2);
         assert_eq!(e.counters().abandoned_cags, 2);
+    }
+
+    impl Engine {
+        /// The linear scan `spill_one` made over every resident CAG
+        /// before it had an index: the reference the index must agree
+        /// with.
+        fn scan_victim(&self) -> Option<u64> {
+            let sp = self.spill.as_deref()?;
+            let mut best: Option<LruKey> = None;
+            let mut best_pinned: Option<LruKey> = None;
+            for &id in self.unfinished.keys() {
+                let (prev, last) = sp.lru.get(&id).copied().unwrap_or((0, 0));
+                let key = (prev, last, id);
+                if key.1 < sp.pin_epoch {
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                } else if best_pinned.is_none_or(|b| key < b) {
+                    best_pinned = Some(key);
+                }
+            }
+            best.or(best_pinned).map(|k| k.2)
+        }
+
+        /// Asserts that every running count equals the sum it stands
+        /// for.
+        fn assert_counts_match_state(&self) {
+            let resident = self.unfinished.values().flat_map(|c| &c.vertices);
+            assert_eq!(self.vertex_count, resident.clone().count());
+            assert_eq!(
+                self.tag_count,
+                resident.map(|v| v.tags.len()).sum::<usize>()
+            );
+            let finished: usize = self.finished.iter().map(|c| c.vertices.len()).sum();
+            assert_eq!(self.finished_vertices, finished);
+        }
+    }
+
+    /// One activity of the random traffic below: `kind` picks the
+    /// record shape, `a` and `b` its thread and channel, from a small
+    /// universe so that contexts and channels collide often (merges,
+    /// chunked BEGINs and ENDs, trailing-END amends, thread reuse,
+    /// orphan chains).
+    fn random_activity(kind: u8, a: u8, b: u8, ts: u64) -> Activity {
+        let web = 1 + u32::from(a % 4);
+        let app = 1 + u32::from(a % 3);
+        let client = format!("192.168.0.9:{}", 5_000 + u32::from(b % 3));
+        let web_out = format!("10.0.0.1:{}", 4_000 + u32::from(b % 4));
+        let (ty, host, tid, src, dst) = match kind {
+            0 => (ActivityType::Begin, "web", web, client.as_str(), WEB_FRONT),
+            1 => (ActivityType::Send, "web", web, web_out.as_str(), APP_IN),
+            2 => (ActivityType::Receive, "app", app, web_out.as_str(), APP_IN),
+            3 => (ActivityType::Send, "app", app, APP_IN, web_out.as_str()),
+            4 => (ActivityType::Receive, "web", web, APP_IN, web_out.as_str()),
+            _ => (ActivityType::End, "web", web, WEB_FRONT, client.as_str()),
+        };
+        let prog = if host == "web" { "httpd" } else { "java" };
+        let size = 1 + u64::from(b % 3);
+        act(ty, ts, host, prog, tid, src, dst, size, ts)
+    }
+
+    proptest::proptest! {
+        /// Over seeded random BEGIN / SEND / RECEIVE / END traffic mixed
+        /// with spills, sampling boundaries and drains, the victim index
+        /// picks the CAG the linear scan picks at every step, and the
+        /// running byte counts equal their sums. Faults happen through
+        /// `resolve_ctx` and message parents; a small unfinished cap
+        /// abandons CAGs, spilled ones included. The spilling engine's
+        /// output equals a spill-free engine's.
+        #[test]
+        fn victim_index_picks_the_scan_victim_at_every_step(
+            ops in proptest::collection::vec((0u8..12, 0u8..16, 0u8..16), 1..400),
+            capped in 0u8..2,
+        ) {
+            let opts = EngineOptions {
+                unfinished_cap: if capped == 1 { 6 } else { 1 << 20 },
+                ..EngineOptions::default()
+            };
+            let mut e = Engine::new(opts.clone());
+            let mut reference = Engine::new(opts);
+            e.enable_spill(Arc::new(SpillFile::create(&std::env::temp_dir()).unwrap()));
+            let (mut out, mut ref_out) = (Vec::new(), Vec::new());
+            for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+                match kind {
+                    0..=6 => {
+                        let kind = if kind == 6 { 5 } else { kind };
+                        let rec = random_activity(kind, a, b, step as u64 + 1);
+                        e.deliver(rec.clone());
+                        reference.deliver(rec);
+                    }
+                    7 | 8 => {
+                        let want = e.scan_victim();
+                        let spilled = e.counters.spilled_cags;
+                        e.spill_one();
+                        let sp = e.spill.as_ref().unwrap();
+                        match want {
+                            Some(id) => assert!(
+                                sp.cags.contains_key(&id),
+                                "step {step}: the scan picks {id}"
+                            ),
+                            None => assert_eq!(e.counters.spilled_cags, spilled),
+                        }
+                    }
+                    9 => e.spill_checkpoint(),
+                    10 => {
+                        let lag = (b % 2 == 0).then_some(u64::from(a));
+                        out.extend(e.take_sealed(lag));
+                        ref_out.extend(reference.take_sealed(lag));
+                    }
+                    _ => {
+                        out.extend(e.take_finished());
+                        ref_out.extend(reference.take_finished());
+                    }
+                }
+                e.assert_counts_match_state();
+                let sp = e.spill.as_deref_mut().unwrap();
+                let min = sp.cags.keys().min().copied();
+                assert_eq!(sp.stalest_spilled(), min);
+            }
+            out.extend(e.take_finished());
+            out.extend(e.take_unfinished());
+            ref_out.extend(reference.take_finished());
+            ref_out.extend(reference.take_unfinished());
+            e.assert_counts_match_state();
+            assert_eq!(out, ref_out);
+        }
     }
 }

@@ -24,7 +24,15 @@
 //! * **Victim selection** — which object to spill is the caller's
 //!   policy; the engine uses LRU-K (K = 2) access history over
 //!   unfinished CAGs with objects touched since the last sampling
-//!   boundary treated as pinned (see `engine::SpillState`).
+//!   boundary treated as pinned (see `engine::SpillState`). It finds
+//!   each victim in a lazy min-heap over that history, built on the
+//!   first spill, at O(log n) per victim rather than a scan of every
+//!   resident CAG.
+//! * **Objects** — a CAG is encoded into a buffer sized once to the
+//!   object, and decoded on a fault with hostnames and programs taken
+//!   from one interner the engine keeps for the run, so a fault
+//!   allocates no string seen before. The PTDC wire protocol encodes
+//!   CAGs the same way and decodes each frame with names of its own.
 //!
 //! The file is created in the configured spill directory with a
 //! `pt-spill-` prefix and removed on drop; `pt serve` additionally
@@ -284,9 +292,11 @@ pub fn sweep_process_spill_files(dir: &Path) -> usize {
 }
 
 /// Serializes a CAG into a compact spill object (little-endian, string
-/// contexts length-prefixed and re-interned on decode).
+/// contexts length-prefixed and re-interned on decode). `buf` grows
+/// once, by the object's exact size.
 pub(crate) fn encode_cag(cag: &crate::cag::Cag, buf: &mut Vec<u8>) {
     use codec::*;
+    buf.reserve(encoded_len(cag));
     put_u64(buf, cag.id);
     put_u8(buf, cag.finished as u8);
     put_u32(buf, cag.vertices.len() as u32);
@@ -309,10 +319,20 @@ pub(crate) fn encode_cag(cag: &crate::cag::Cag, buf: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a CAG spill object produced by [`encode_cag`].
-pub(crate) fn decode_cag(bytes: &[u8]) -> crate::cag::Cag {
+/// The number of bytes [`encode_cag`] writes for `cag`.
+fn encoded_len(cag: &crate::cag::Cag) -> usize {
+    let vertex = |v: &crate::cag::Vertex| {
+        MIN_VERTEX_BYTES + v.ctx.hostname.len() + v.ctx.program.len() + 8 * v.tags.len()
+    };
+    MIN_CAG_BYTES + cag.vertices.iter().map(vertex).sum::<usize>()
+}
+
+/// Decodes a CAG spill object produced by [`encode_cag`], taking its
+/// hostnames and programs from `names` (the engine keeps one for the
+/// run, so a fault allocates no string it has seen before).
+pub(crate) fn decode_cag(bytes: &[u8], names: &mut crate::intern::Interner) -> crate::cag::Cag {
     let mut d = codec::Dec::new(bytes);
-    let cag = decode_cag_from(&mut d);
+    let cag = decode_cag_with(&mut d, names);
     d.finish().expect("corrupt CAG spill object");
     cag
 }
@@ -328,7 +348,10 @@ const MIN_VERTEX_BYTES: usize = 77;
 /// Hostname and program strings are shared within the decoded CAG, as
 /// they were before it was encoded. Malformed input marks `d` failed.
 pub(crate) fn decode_cag_from(d: &mut codec::Dec<'_>) -> crate::cag::Cag {
-    let mut names = crate::intern::Interner::new();
+    decode_cag_with(d, &mut crate::intern::Interner::new())
+}
+
+fn decode_cag_with(d: &mut codec::Dec<'_>, names: &mut crate::intern::Interner) -> crate::cag::Cag {
     let id = d.u64();
     let finished = d.u8() != 0;
     let n = d.count(MIN_VERTEX_BYTES);
@@ -629,6 +652,51 @@ mod tests {
     #[test]
     fn create_in_missing_dir_errors() {
         assert!(SpillFile::create(Path::new("/nonexistent-spill-dir-pt")).is_err());
+    }
+
+    #[test]
+    fn cag_objects_are_sized_exactly_and_share_names_across_faults() {
+        use crate::activity::{ActivityType, Channel, ContextId, LocalTime};
+        use crate::cag::{Cag, Vertex};
+        let vertex = |i: u64, host: &str, tags: Vec<u64>| Vertex {
+            ty: ActivityType::Send,
+            ts: LocalTime::from_nanos(i),
+            ts_last: LocalTime::from_nanos(i + 1),
+            ctx: ContextId::new(host, "httpd", 1, i as u32),
+            channel: Channel::new(
+                "10.0.0.1:4000".parse().unwrap(),
+                "10.0.0.2:9000".parse().unwrap(),
+            ),
+            size: 10 * i,
+            tags,
+            ctx_parent: i.checked_sub(1).map(|p| p as usize),
+            msg_parent: None,
+        };
+        let cag = Cag {
+            id: 7,
+            vertices: vec![
+                vertex(0, "web1", vec![]),
+                vertex(1, "app-server-2", vec![3, 4]),
+                vertex(2, "web1", vec![5]),
+            ],
+            finished: false,
+        };
+        let mut buf = Vec::new();
+        encode_cag(&cag, &mut buf);
+        assert_eq!(buf.len(), encoded_len(&cag));
+        let mut names = crate::intern::Interner::new();
+        let a = decode_cag(&buf, &mut names);
+        let b = decode_cag(&buf, &mut names);
+        assert_eq!((&a, &b), (&cag, &cag));
+        assert_eq!(names.len(), 3);
+        for (x, y) in a.vertices.iter().zip(&b.vertices) {
+            assert!(std::sync::Arc::ptr_eq(&x.ctx.hostname, &y.ctx.hostname));
+            assert!(std::sync::Arc::ptr_eq(&x.ctx.program, &y.ctx.program));
+        }
+        // The PTDC decoder reads the same bytes with names of its own.
+        let mut d = codec::Dec::new(&buf);
+        assert_eq!(decode_cag_from(&mut d), cag);
+        d.finish().unwrap();
     }
 
     #[test]
