@@ -1,7 +1,7 @@
 //! The PreciseTracer facade: configuration and the streaming-first
 //! correlation pipeline.
 //!
-//! [`StreamingCorrelator`] is the one correlation path of the
+//! `StreamingCorrelator` is the one correlation path of the
 //! single-instance modes: records are pushed incrementally (`push` →
 //! `poll` → `finish`), candidates flow through the
 //! [`crate::ranker::Ranker`]/[`crate::engine::Engine`] loop, and
@@ -22,20 +22,28 @@
 //! pushes of overlapping multi-host traffic can reorder emission —
 //! an online ranker cannot see records that have not arrived — but the
 //! produced CAGs are the same (pinned by the streaming property tests).
+//!
+//! Everything after candidate selection — sampling boundaries,
+//! sealing, the context GC, the memory budget and the spill tier — is
+//! an `EngineRunner`. A shard worker of the routed modes is one on its
+//! own: its candidates arrive already selected.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::access::{AccessPointSpec, Classifier};
-use crate::activity::{Activity, Nanos};
+use crate::activity::{Activity, Channel, Nanos};
 use crate::cag::Cag;
 use crate::engine::Engine;
 use crate::error::TraceError;
+use crate::fasthash::FxHashMap;
 use crate::filter::FilterSet;
 use crate::intern::Interner;
 use crate::metrics::CorrelatorMetrics;
 use crate::ranker::{RankStep, Ranker};
-use crate::raw::{RangeDedup, RawRecord, RawRecordRef};
+use crate::raw::{IngestDecision, RangeDedup, RawOp, RawRecord, RawRecordRef};
+use crate::spill::{PageExtent, SpillFile};
 
 pub use crate::engine::EngineOptions;
 pub use crate::ranker::{RankerOptions, WindowPolicy};
@@ -68,7 +76,7 @@ pub struct CorrelatorConfig {
     /// CAGs, orphan chains and range-dedup coverage to disk and faults
     /// them back on touch, so a budgeted run stays byte-identical to an
     /// unbounded one.
-    pub spill_dir: Option<std::path::PathBuf>,
+    pub spill_dir: Option<PathBuf>,
     /// Sealing-latency bound (SLO) for streaming consumers: a finished
     /// CAG normally leaves the engine only once its context moves on
     /// (so trailing END chunks can still amend it), which under
@@ -79,48 +87,7 @@ pub struct CorrelatorConfig {
     /// default) waits indefinitely — the only mode whose emission is
     /// timing-independent, so goldens use it.
     pub max_seal_lag: Option<u64>,
-    /// Sharded mode only: evict the session router's per-channel
-    /// claim/role entries once a channel has been idle for this many
-    /// staged records (a record-count horizon, so it needs no clock).
-    /// Only fully drained channels (no queued claims, no staged sends,
-    /// no waiting receives) are evicted, so routing stays correct; an
-    /// evicted channel merely forgets its last-shard drift fallback and
-    /// its shared-role history, both of which rebuild on the next
-    /// activity. Defaults to
-    /// [`DEFAULT_CHANNEL_IDLE_HORIZON`] so endless streams stay bounded
-    /// out of the box; `None` (set via `with_channel_idle_horizon(0)`)
-    /// never evicts.
-    pub channel_idle_horizon: Option<u64>,
-    /// Sharded mode only: bounded-age settle rule for deferred-receive
-    /// and noise lanes. A lane whose head receive cannot be routed yet
-    /// (its channel's send bytes are still in flight on another lane)
-    /// normally parks until the matching send stages — which on a
-    /// stream that never delivers that send (a dead peer, a dropped
-    /// capture) would buffer the lane forever. Once a parked lane has
-    /// buffered this many records behind its undecidable head, the head
-    /// is settled as if the stream had ended: routed on the
-    /// drift/affinity fallback or discarded as noise, and counted in
-    /// [`crate::ranker::RankerCounters::aged_settles`]. Defaults to
-    /// [`DEFAULT_LANE_SETTLE_DEPTH`]; `None` (set via
-    /// `with_lane_settle_depth(0)`) parks indefinitely, the pre-serve
-    /// finish-only behavior.
-    pub lane_settle_depth: Option<u64>,
 }
-
-/// Default [`CorrelatorConfig::channel_idle_horizon`]: a channel whose
-/// claims and roles have been fully drained for this many staged
-/// records is forgotten. Conservative — orders of magnitude beyond any
-/// real keep-alive lull at typical record rates, so reconnecting
-/// channels keep their drift fallback, while abandoned channels stop
-/// accumulating.
-pub const DEFAULT_CHANNEL_IDLE_HORIZON: u64 = 65_536;
-
-/// Default [`CorrelatorConfig::lane_settle_depth`]: a parked lane that
-/// buffers this many records behind an undecidable head receive has its
-/// head force-settled. Conservative — a healthy lane clears its head as
-/// soon as the matching send stages, which is bounded by the capture's
-/// reordering skew, not by traffic volume.
-pub const DEFAULT_LANE_SETTLE_DEPTH: u64 = 65_536;
 
 impl CorrelatorConfig {
     /// A default configuration for a service with the given access spec.
@@ -134,8 +101,6 @@ impl CorrelatorConfig {
             memory_budget: None,
             spill_dir: None,
             max_seal_lag: None,
-            channel_idle_horizon: Some(DEFAULT_CHANNEL_IDLE_HORIZON),
-            lane_settle_depth: Some(DEFAULT_LANE_SETTLE_DEPTH),
         }
     }
 
@@ -145,17 +110,11 @@ impl CorrelatorConfig {
         self
     }
 
-    /// Sets the window policy (static knob vs adaptive latency
-    /// tracking).
-    pub fn with_window_policy(mut self, policy: WindowPolicy) -> Self {
-        self.ranker.window_policy = policy;
+    /// Enables adaptive windowing ([`WindowPolicy::Adaptive`]: `p99 × 4`
+    /// clamped to `[1 ms, 10 s]`).
+    pub fn with_adaptive_window(mut self) -> Self {
+        self.ranker.window_policy = WindowPolicy::Adaptive;
         self
-    }
-
-    /// Enables adaptive windowing with the default `p99 × 4` policy
-    /// clamped to `[1ms, 10s]`.
-    pub fn with_adaptive_window(self) -> Self {
-        self.with_window_policy(WindowPolicy::adaptive_default())
     }
 
     /// Sets the explicit resident-memory budget in bytes.
@@ -166,7 +125,7 @@ impl CorrelatorConfig {
 
     /// Sets the spill tier's directory (see
     /// [`CorrelatorConfig::spill_dir`]).
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+    pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
     }
@@ -175,22 +134,6 @@ impl CorrelatorConfig {
     /// candidates (see [`CorrelatorConfig::max_seal_lag`]).
     pub fn with_max_seal_lag(mut self, lag: u64) -> Self {
         self.max_seal_lag = Some(lag);
-        self
-    }
-
-    /// Evicts idle per-channel router state after `records` staged
-    /// records; `0` disables eviction entirely (see
-    /// [`CorrelatorConfig::channel_idle_horizon`]).
-    pub fn with_channel_idle_horizon(mut self, records: u64) -> Self {
-        self.channel_idle_horizon = (records != 0).then_some(records);
-        self
-    }
-
-    /// Force-settles a parked lane's head receive once `depth` records
-    /// have buffered behind it; `0` parks indefinitely (see
-    /// [`CorrelatorConfig::lane_settle_depth`]).
-    pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
-        self.lane_settle_depth = (depth != 0).then_some(depth);
         self
     }
 
@@ -212,43 +155,16 @@ impl CorrelatorConfig {
         self
     }
 
-    /// Validates the window settings alone (used by harnesses that feed
-    /// pre-classified activities and need no access points).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Config`] when the static window is zero or
-    /// the adaptive clamp bounds are degenerate.
-    pub fn validate_window(&self) -> Result<(), TraceError> {
-        match self.ranker.window_policy {
-            WindowPolicy::Static => {
-                if self.ranker.window == Nanos::ZERO {
-                    return Err(TraceError::config("sliding time window must be > 0"));
-                }
-            }
-            WindowPolicy::Adaptive { slack, min, max } => {
-                if min == Nanos::ZERO {
-                    return Err(TraceError::config("adaptive window min must be > 0"));
-                }
-                if max < min {
-                    return Err(TraceError::config("adaptive window max must be >= min"));
-                }
-                if slack == 0 {
-                    return Err(TraceError::config("adaptive window slack must be > 0"));
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Config`] when the window is zero or no
-    /// access point is configured.
+    /// Returns [`TraceError::Config`] when the static window is zero or
+    /// no access point is configured.
     pub fn validate(&self) -> Result<(), TraceError> {
-        self.validate_window()?;
+        if self.ranker.window_policy == WindowPolicy::Static && self.ranker.window == Nanos::ZERO {
+            return Err(TraceError::config("sliding time window must be > 0"));
+        }
         if self.access.is_empty() {
             return Err(TraceError::config(
                 "no frontend port configured; no request would ever BEGIN",
@@ -256,6 +172,32 @@ impl CorrelatorConfig {
         }
         Ok(())
     }
+
+    /// The fields an [`EngineRunner`] reads.
+    pub(crate) fn worker(&self) -> WorkerConfig {
+        WorkerConfig {
+            engine: self.engine.clone(),
+            mem_sample_every: self.mem_sample_every,
+            memory_budget: self.memory_budget,
+            spill_dir: self.spill_dir.clone(),
+            max_seal_lag: self.max_seal_lag,
+        }
+    }
+}
+
+/// The part of a [`CorrelatorConfig`] that drives an engine, and the
+/// whole configuration a shard worker gets (a PTDC router's Hello
+/// carries exactly this): routed candidates arrive already selected,
+/// so access points, filters and ranker options stay with the
+/// front-end. See the [`CorrelatorConfig`] field of the same name for
+/// each.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct WorkerConfig {
+    pub(crate) engine: EngineOptions,
+    pub(crate) mem_sample_every: u64,
+    pub(crate) memory_budget: Option<usize>,
+    pub(crate) spill_dir: Option<PathBuf>,
+    pub(crate) max_seal_lag: Option<u64>,
 }
 
 /// The result of a correlation run.
@@ -324,6 +266,187 @@ impl CorrelationOutput {
 /// How many noise victims are kept for diagnostics.
 const NOISE_SAMPLE_CAP: usize = 32;
 
+/// How many new `cmap` entries accumulate between periodic
+/// stale-context sweeps (each sweep is O(contexts)).
+const CMAP_GC_GROWTH: usize = 1_024;
+
+/// Correlation state kept beside an engine, which the memory budget
+/// counts together with it: a `StreamingCorrelator`'s window buffers
+/// and range-dedup coverage. A shard worker keeps none (`()`).
+pub(crate) trait Beside {
+    /// Bytes of the ranker's window buffers, which the memory gauge
+    /// counts.
+    fn window_bytes(&self) -> usize {
+        0
+    }
+    /// Bytes of state that pages out once the engine has nothing cold
+    /// left; the budget counts them, the gauge does not.
+    fn spillable_bytes(&self) -> usize {
+        0
+    }
+    /// Pages one entry of that state out; `false` when none is resident.
+    fn spill_one(&mut self) -> bool {
+        false
+    }
+}
+
+impl Beside for () {}
+
+/// An engine and what drives it between candidates: sampling
+/// boundaries, sealing, the context GC, the memory budget and the spill
+/// tier. A shard worker is exactly this; a `StreamingCorrelator` puts
+/// ingest and a ranker in front of one.
+#[derive(Debug)]
+pub(crate) struct EngineRunner {
+    pub(crate) engine: Engine,
+    /// Spill tier backing file (present iff a memory budget is set);
+    /// shared with the engine.
+    spill_file: Option<Arc<SpillFile>>,
+    mem_sample_every: u64,
+    memory_budget: Option<usize>,
+    max_seal_lag: Option<u64>,
+    since_sample: u64,
+    /// Context count after the last context GC, so the O(contexts)
+    /// sweep only reruns once enough new entries piled up.
+    last_prune_contexts: usize,
+    /// Sealed CAGs extracted at sampling boundaries, awaiting the next
+    /// `poll`/`finish`.
+    ready: Vec<Cag>,
+    cags_finished: u64,
+    peak_bytes: usize,
+    started: Instant,
+}
+
+impl EngineRunner {
+    /// A runner over a fresh engine; with a memory budget, also the
+    /// spill file it pages into.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error when the spill file cannot be
+    /// created.
+    pub(crate) fn new(config: &WorkerConfig) -> Result<Self, TraceError> {
+        let mut engine = Engine::new(config.engine.clone());
+        let mut spill_file = None;
+        if config.memory_budget.is_some() {
+            let dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+            let file = Arc::new(SpillFile::create(&dir).map_err(|e| {
+                TraceError::config(format!(
+                    "cannot create spill file in {}: {e}",
+                    dir.display()
+                ))
+            })?);
+            engine.enable_spill(Arc::clone(&file));
+            spill_file = Some(file);
+        }
+        Ok(EngineRunner {
+            engine,
+            spill_file,
+            mem_sample_every: config.mem_sample_every,
+            memory_budget: config.memory_budget,
+            max_seal_lag: config.max_seal_lag,
+            since_sample: 0,
+            last_prune_contexts: 0,
+            ready: Vec::new(),
+            cags_finished: 0,
+            peak_bytes: 0,
+            started: Instant::now(),
+        })
+    }
+
+    /// Delivers one candidate; every `mem_sample_every`-th one ends at
+    /// a sampling boundary.
+    pub(crate) fn deliver(&mut self, a: Activity, beside: &mut impl Beside) {
+        self.engine.deliver(a);
+        self.since_sample += 1;
+        if self.since_sample >= self.mem_sample_every.max(1) {
+            self.since_sample = 0;
+            self.sample(beside);
+        }
+    }
+
+    /// One sampling boundary: extract sealed CAGs (completed paths
+    /// stream out, so the memory gauge measures the *working* state the
+    /// window bounds), enforce the memory budget, update the gauge.
+    fn sample(&mut self, beside: &mut impl Beside) {
+        let sealed = self.engine.take_sealed(self.max_seal_lag);
+        self.cags_finished += sealed.len() as u64;
+        self.ready.extend(sealed);
+        if self.memory_budget.is_none()
+            && self.engine.context_count() >= self.last_prune_contexts + CMAP_GC_GROWTH
+        {
+            // Periodic context GC outside budget mode: endless-input
+            // runs without a budget must not grow dead cmap entries
+            // (behavior-neutral — only Stale entries are dropped —
+            // and surfaced in `EngineCounters::pruned_contexts`).
+            self.engine.prune_stale_contexts();
+            self.last_prune_contexts = self.engine.context_count();
+        }
+        if let Some(budget) = self.memory_budget {
+            self.spill_to_budget(budget, beside);
+        }
+        let cur = beside.window_bytes() + self.engine.approx_bytes();
+        self.peak_bytes = self.peak_bytes.max(cur);
+    }
+
+    /// Budget enforcement: page cold state out (unfinished CAGs, orphan
+    /// chains, then the state beside the engine) until resident state
+    /// fits. Nothing is dropped — output stays byte-identical to an
+    /// unbounded run; only faults pay latency.
+    fn spill_to_budget(&mut self, budget: usize, beside: &mut impl Beside) {
+        while beside.window_bytes() + self.engine.approx_bytes() + beside.spillable_bytes() > budget
+        {
+            if self.engine.spill_one() || beside.spill_one() {
+                continue;
+            }
+            // The resident floor (window buffers, mmap/cmap) remains;
+            // reclaim dead contexts, then accept being over.
+            if self.engine.context_count() >= self.last_prune_contexts + CMAP_GC_GROWTH {
+                self.engine.prune_stale_contexts();
+                self.last_prune_contexts = self.engine.context_count();
+            }
+            break;
+        }
+        // New sampling boundary: the CAGs touched by the next batch of
+        // candidates are the working set and stay pinned.
+        self.engine.spill_checkpoint();
+    }
+
+    /// Ends the run: every CAG sealed so far, then the ones still held
+    /// for a trailing END, then the deformed paths, with the engine's
+    /// metrics.
+    pub(crate) fn finish(&mut self, beside: &impl Beside) -> CorrelationOutput {
+        let mut cags = std::mem::take(&mut self.ready);
+        // Flush CAGs still held for potential trailing-END amendment.
+        let flushed = self.engine.take_finished();
+        self.cags_finished += flushed.len() as u64;
+        cags.extend(flushed);
+        let unfinished = self.engine.take_unfinished();
+        let final_bytes = beside.window_bytes() + self.engine.approx_bytes();
+        let mut metrics = CorrelatorMetrics {
+            cags_finished: self.cags_finished,
+            cags_unfinished: unfinished.len() as u64,
+            engine: *self.engine.counters(),
+            peak_bytes: self.peak_bytes.max(final_bytes),
+            final_bytes,
+            wall: self.started.elapsed(),
+            ..CorrelatorMetrics::default()
+        };
+        if let Some(file) = &self.spill_file {
+            let st = file.stats();
+            metrics.spill_pages_written = st.pages_written;
+            metrics.spill_pages_read = st.pages_read;
+            metrics.spill_queue_hits = st.queue_hits;
+        }
+        CorrelationOutput {
+            cags,
+            unfinished,
+            metrics,
+            noise_samples: Vec::new(),
+        }
+    }
+}
+
 /// Online correlation: push records as they arrive, poll finished CAGs.
 ///
 /// This is the correlation path of both single-instance modes; a batch
@@ -343,164 +466,38 @@ const NOISE_SAMPLE_CAP: usize = 32;
 /// (push/poll/finish map one-to-one).
 #[derive(Debug)]
 pub(crate) struct StreamingCorrelator {
+    front: Front,
+    runner: EngineRunner,
+    noise_samples: Vec<Activity>,
+    /// Set by `finish`; all further calls return `TraceError::Finished`.
+    finished: bool,
+}
+
+/// What a [`StreamingCorrelator`] keeps in front of its engine: ingest
+/// (range dedup, filters, classification) and candidate selection.
+#[derive(Debug)]
+struct Front {
     classifier: Classifier,
     filters: FilterSet,
     /// Shares the hostname and program strings of borrowed records.
     interner: Interner,
     ranker: Ranker,
-    engine: Engine,
     /// Ingest-stage duplicate-range elimination: v2 `seq=` offset
     /// arithmetic, v1 `retrans` marker fallback.
     range_dedup: RangeDedup,
-    metrics: CorrelatorMetrics,
-    /// Spill tier backing file (present iff a memory budget is set);
-    /// shared with the engine.
-    spill_file: Option<Arc<crate::spill::SpillFile>>,
     /// Range-dedup coverage entries currently paged out, by key.
-    spilled_dedup: crate::fasthash::FxHashMap<
-        (crate::activity::Channel, crate::raw::RawOp),
-        crate::spill::PageExtent,
-    >,
-    mem_sample_every: u64,
-    memory_budget: Option<usize>,
-    max_seal_lag: Option<u64>,
-    since_sample: u64,
-    started: Instant,
-    noise_samples: Vec<Activity>,
-    /// Sealed CAGs extracted at sampling boundaries, awaiting the next
-    /// `poll`/`finish`.
-    ready: Vec<Cag>,
-    /// Direct-delivery mode: activities pushed are already valid
-    /// candidates (ordered and matched by an upstream ranker-equivalent
-    /// such as the sharded router) and go straight to the engine; the
-    /// in-process ranker is bypassed entirely.
-    direct: bool,
-    /// Context count after the last budget-pressure context GC, so the
-    /// O(contexts) sweep only reruns once enough new entries piled up.
-    last_prune_contexts: usize,
-    /// Set by `finish`; all further calls return `TraceError::Finished`.
-    finished: bool,
+    spilled_dedup: FxHashMap<(Channel, RawOp), PageExtent>,
+    /// The runner's spill file, if any.
+    spill_file: Option<Arc<SpillFile>>,
+    /// Ingest and ranking counters; the runner's metrics hold the rest.
+    metrics: CorrelatorMetrics,
 }
 
-impl StreamingCorrelator {
-    /// Creates a streaming correlator.
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when [`CorrelatorConfig::validate`]
-    /// fails.
-    pub fn new(config: CorrelatorConfig) -> Result<Self, TraceError> {
-        config.validate()?;
-        Self::build(config)
-    }
-
-    /// Creates a streaming correlator for pre-classified activities
-    /// (window validation only; no access points needed because
-    /// `push_activity` never classifies).
-    pub(crate) fn for_activities(config: CorrelatorConfig) -> Result<Self, TraceError> {
-        config.validate_window()?;
-        Self::build(config)
-    }
-
-    /// Creates a **direct-delivery** correlator: pushed activities are
-    /// already valid candidates — causally ordered per execution
-    /// entity, each RECEIVE fully covered by previously pushed SENDs,
-    /// noise removed — as produced by the sharded session router, so
-    /// they go straight to the engine without per-instance ranking.
-    /// Sampling, sealing, the memory budget and the context GC behave
-    /// exactly as in ranked mode.
-    pub(crate) fn direct_for_activities(config: CorrelatorConfig) -> Result<Self, TraceError> {
-        config.validate_window()?;
-        let mut sc = Self::build(config)?;
-        sc.direct = true;
-        Ok(sc)
-    }
-
-    fn build(config: CorrelatorConfig) -> Result<Self, TraceError> {
-        let mut ranker = Ranker::new(config.ranker);
-        // Under the adaptive policy the budget additionally caps the
-        // window itself — window buffers cannot spill, so their ceiling
-        // must scale with what the budget can hold.
-        ranker.set_adaptive_budget(config.memory_budget);
-        let mut engine = Engine::new(config.engine.clone());
-        let mut spill_file = None;
-        if config.memory_budget.is_some() {
-            let dir = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-            let file = Arc::new(crate::spill::SpillFile::create(&dir).map_err(|e| {
-                TraceError::config(format!(
-                    "cannot create spill file in {}: {e}",
-                    dir.display()
-                ))
-            })?);
-            engine.enable_spill(Arc::clone(&file));
-            spill_file = Some(file);
-        }
-        Ok(StreamingCorrelator {
-            classifier: Classifier::new(config.access.clone()),
-            filters: config.filters.clone(),
-            interner: Interner::new(),
-            ranker,
-            engine,
-            range_dedup: RangeDedup::new(),
-            metrics: CorrelatorMetrics::default(),
-            spill_file,
-            spilled_dedup: crate::fasthash::FxHashMap::default(),
-            mem_sample_every: config.mem_sample_every,
-            memory_budget: config.memory_budget,
-            max_seal_lag: config.max_seal_lag,
-            since_sample: 0,
-            started: Instant::now(),
-            noise_samples: Vec::new(),
-            ready: Vec::new(),
-            direct: false,
-            last_prune_contexts: 0,
-            finished: false,
-        })
-    }
-
-    /// `Err(Finished)` once [`Self::finish`] ran.
-    pub(crate) fn guard(&self) -> Result<(), TraceError> {
-        if self.finished {
-            Err(TraceError::Finished)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Pushes one raw record (routed to its node's queue).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push(&mut self, mut rec: RawRecord) -> Result<(), TraceError> {
-        if let Some(size) = self.admit(&rec.as_record_ref())? {
-            rec.size = size;
-            self.ranker.push(self.classifier.classify(&rec));
-        }
-        Ok(())
-    }
-
-    /// Zero-copy counterpart of [`Self::push`]: the borrowed record is
-    /// deduplicated and filtered before anything is allocated, and its
-    /// strings are interned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
-        if let Some(size) = self.admit(r)? {
-            let r = RawRecordRef { size, ..*r };
-            let act = self.classifier.classify_ref(&r, &mut self.interner);
-            self.ranker.push(act);
-        }
-        Ok(())
-    }
-
+impl Front {
     /// The ingest stage of both pushes: range dedup, then the attribute
     /// filters. Returns the record's effective size, or `None` when it
     /// is dropped.
-    fn admit(&mut self, r: &RawRecordRef<'_>) -> Result<Option<u64>, TraceError> {
-        self.guard()?;
+    fn admit(&mut self, r: &RawRecordRef<'_>) -> Option<u64> {
         self.metrics.records_in += 1;
         // Fault the channel's spilled dedup coverage back before the
         // decision — a spilled entry is live state, and deciding
@@ -521,152 +518,33 @@ impl StreamingCorrelator {
             // `retrans` marker): the kernel already delivered these
             // bytes; admitting the record would break Rule 1's byte
             // exactness on the channel.
-            crate::raw::IngestDecision::Drop => {
+            IngestDecision::Drop => {
                 self.metrics.retrans_dropped += 1;
-                return Ok(None);
+                return None;
             }
-            crate::raw::IngestDecision::Admit(size) => size,
+            IngestDecision::Admit(size) => size,
         };
         if !self.filters.admits_raw(r) {
             self.metrics.filtered_out += 1;
-            return Ok(None);
+            return None;
         }
-        Ok(Some(size))
+        Some(size)
+    }
+}
+
+impl Beside for Front {
+    fn window_bytes(&self) -> usize {
+        self.ranker.approx_bytes()
     }
 
-    /// Pushes one pre-classified activity (no access-point
-    /// classification; attribute filters still apply).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push_activity(&mut self, act: Activity) -> Result<(), TraceError> {
-        self.guard()?;
-        self.metrics.records_in += 1;
-        if !self.filters.admits(&act) {
-            self.metrics.filtered_out += 1;
-            return Ok(());
-        }
-        if self.direct {
-            // Already a valid candidate: deliver without ranking.
-            self.engine.deliver(act);
-            self.since_sample += 1;
-            if self.since_sample >= self.mem_sample_every.max(1) {
-                self.since_sample = 0;
-                self.sample();
-            }
-            return Ok(());
-        }
-        self.ranker.push(act);
-        Ok(())
-    }
-
-    /// Drops the engine's context binding for `ctx`. Used by the
-    /// sharded reader when an execution entity's records migrate to a
-    /// different shard: the batch engine would have re-bound the
-    /// entity's `cmap` entry there, so a binding left behind here is
-    /// stale and must not resolve for later records.
-    pub(crate) fn forget_ctx(&mut self, ctx: &crate::activity::ContextId) {
-        self.engine.forget_ctx(ctx);
-    }
-
-    /// Runs the correlation loop until more input is needed, returning
-    /// the CAGs sealed at sampling boundaries in the meantime.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn poll(&mut self) -> Result<Vec<Cag>, TraceError> {
-        self.guard()?;
-        self.pump();
-        Ok(std::mem::take(&mut self.ready))
-    }
-
-    /// Drives the ranker/engine loop until it needs input or the
-    /// sources are exhausted. Sealed CAGs are extracted — and the memory
-    /// budget enforced — only at candidate-count sampling boundaries, so
-    /// the emitted sequence does not depend on poll cadence.
-    fn pump(&mut self) {
-        loop {
-            match self.ranker.rank(&self.engine) {
-                RankStep::Candidate(a) => {
-                    self.engine.deliver(a);
-                    self.since_sample += 1;
-                    if self.since_sample >= self.mem_sample_every.max(1) {
-                        self.since_sample = 0;
-                        self.sample();
-                    }
-                }
-                RankStep::Noise(a) => {
-                    if self.noise_samples.len() < NOISE_SAMPLE_CAP {
-                        self.noise_samples.push(a);
-                    }
-                }
-                RankStep::NeedInput | RankStep::Exhausted => break,
-            }
-        }
-    }
-
-    /// How many new `cmap` entries accumulate between periodic
-    /// stale-context sweeps (each sweep is O(contexts)).
-    const CMAP_GC_GROWTH: usize = 1_024;
-
-    /// One sampling boundary: extract sealed CAGs (completed paths
-    /// stream out, so the memory gauge measures the *working* state the
-    /// window bounds), enforce the memory budget, update the gauge.
-    fn sample(&mut self) {
-        let sealed = self.engine.take_sealed(self.max_seal_lag);
-        self.metrics.cags_finished += sealed.len() as u64;
-        self.ready.extend(sealed);
-        if self.memory_budget.is_none()
-            && self.engine.context_count() >= self.last_prune_contexts + Self::CMAP_GC_GROWTH
-        {
-            // Periodic context GC outside budget mode: endless-input
-            // runs without a budget must not grow dead cmap entries
-            // (behavior-neutral — only Stale entries are dropped —
-            // and surfaced in `EngineCounters::pruned_contexts`).
-            self.engine.prune_stale_contexts();
-            self.last_prune_contexts = self.engine.context_count();
-        }
-        if let Some(budget) = self.memory_budget {
-            self.spill_to_budget(budget);
-        }
-        let cur = self.ranker.approx_bytes() + self.engine.approx_bytes();
-        self.metrics.peak_bytes = self.metrics.peak_bytes.max(cur);
-    }
-
-    /// Budget enforcement: page cold state out (unfinished CAGs, orphan
-    /// chains, then range-dedup coverage) until resident state fits.
-    /// Nothing is dropped — output stays byte-identical to
-    /// an unbounded run; only faults pay latency.
-    fn spill_to_budget(&mut self, budget: usize) {
-        while self.ranker.approx_bytes()
-            + self.engine.approx_bytes()
-            + self.range_dedup.approx_bytes()
-            > budget
-        {
-            if self.engine.spill_one() {
-                continue;
-            }
-            if self.spill_dedup_one() {
-                continue;
-            }
-            // The resident floor (window buffers, mmap/cmap) remains;
-            // reclaim dead contexts, then accept being over.
-            if self.engine.context_count() >= self.last_prune_contexts + Self::CMAP_GC_GROWTH {
-                self.engine.prune_stale_contexts();
-                self.last_prune_contexts = self.engine.context_count();
-            }
-            break;
-        }
-        // New sampling boundary: the CAGs touched by the next batch of
-        // candidates are the working set and stay pinned.
-        self.engine.spill_checkpoint();
+    /// The v2 range-dedup coverage (empty on v1 streams).
+    fn spillable_bytes(&self) -> usize {
+        self.range_dedup.approx_bytes()
     }
 
     /// Pages the coldest range-dedup coverage entry out to the spill
-    /// file. Returns `false` when no coverage remains resident.
-    fn spill_dedup_one(&mut self) -> bool {
+    /// file.
+    fn spill_one(&mut self) -> bool {
         let Some(file) = self.spill_file.as_ref() else {
             return false;
         };
@@ -678,12 +556,117 @@ impl StreamingCorrelator {
         self.metrics.spilled_dedup_entries += 1;
         true
     }
+}
+
+impl StreamingCorrelator {
+    /// Creates a streaming correlator.
+    ///
+    /// # Errors
+    ///
+    /// Returns a configuration error when [`CorrelatorConfig::validate`]
+    /// fails or the spill file cannot be created.
+    pub fn new(config: CorrelatorConfig) -> Result<Self, TraceError> {
+        config.validate()?;
+        let runner = EngineRunner::new(&config.worker())?;
+        let mut ranker = Ranker::new(config.ranker);
+        // Under the adaptive policy the budget additionally caps the
+        // window itself — window buffers cannot spill, so their ceiling
+        // must scale with what the budget can hold.
+        ranker.set_adaptive_budget(config.memory_budget);
+        Ok(StreamingCorrelator {
+            front: Front {
+                classifier: Classifier::new(config.access),
+                filters: config.filters,
+                interner: Interner::new(),
+                ranker,
+                range_dedup: RangeDedup::new(),
+                spilled_dedup: FxHashMap::default(),
+                spill_file: runner.spill_file.clone(),
+                metrics: CorrelatorMetrics::default(),
+            },
+            runner,
+            noise_samples: Vec::new(),
+            finished: false,
+        })
+    }
+
+    /// `Err(Finished)` once [`Self::finish`] ran.
+    pub(crate) fn guard(&self) -> Result<(), TraceError> {
+        if self.finished {
+            Err(TraceError::Finished)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Pushes one raw record (routed to its node's queue).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Finished`] after [`Self::finish`].
+    pub fn push(&mut self, mut rec: RawRecord) -> Result<(), TraceError> {
+        self.guard()?;
+        if let Some(size) = self.front.admit(&rec.as_record_ref()) {
+            rec.size = size;
+            let act = self.front.classifier.classify(&rec);
+            self.front.ranker.push(act);
+        }
+        Ok(())
+    }
+
+    /// Zero-copy counterpart of [`Self::push`]: the borrowed record is
+    /// deduplicated and filtered before anything is allocated, and its
+    /// strings are interned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Finished`] after [`Self::finish`].
+    pub fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
+        self.guard()?;
+        let f = &mut self.front;
+        if let Some(size) = f.admit(r) {
+            let r = RawRecordRef { size, ..*r };
+            let act = f.classifier.classify_ref(&r, &mut f.interner);
+            f.ranker.push(act);
+        }
+        Ok(())
+    }
+
+    /// Runs the correlation loop until more input is needed, returning
+    /// the CAGs sealed at sampling boundaries in the meantime.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Finished`] after [`Self::finish`].
+    pub fn poll(&mut self) -> Result<Vec<Cag>, TraceError> {
+        self.guard()?;
+        self.pump();
+        Ok(std::mem::take(&mut self.runner.ready))
+    }
+
+    /// Drives the ranker/engine loop until it needs input or the
+    /// sources are exhausted. Sealed CAGs are extracted — and the memory
+    /// budget enforced — only at candidate-count sampling boundaries, so
+    /// the emitted sequence does not depend on poll cadence.
+    fn pump(&mut self) {
+        loop {
+            match self.front.ranker.rank(&self.runner.engine) {
+                RankStep::Candidate(a) => self.runner.deliver(a, &mut self.front),
+                RankStep::Noise(a) => {
+                    if self.noise_samples.len() < NOISE_SAMPLE_CAP {
+                        self.noise_samples.push(a);
+                    }
+                }
+                RankStep::NeedInput | RankStep::Exhausted => break,
+            }
+        }
+    }
 
     /// Current approximate resident bytes (window buffers + engine
     /// state + the v2 range-dedup coverage, which is empty on v1
     /// streams) — the online-memory guarantee of the streaming mode.
     pub fn approx_bytes(&self) -> usize {
-        self.ranker.approx_bytes() + self.engine.approx_bytes() + self.range_dedup.approx_bytes()
+        self.front.window_bytes() + self.runner.engine.approx_bytes() + self.front.spillable_bytes()
     }
 
     /// Live spill-tier counters `(objects spilled so far, faults so
@@ -691,10 +674,11 @@ impl StreamingCorrelator {
     /// when the spill tier is off. For KPI streams; the final metrics
     /// carry the full breakdown.
     pub fn spill_counters(&self) -> (u64, u64) {
-        let e = self.engine.counters();
+        let e = self.runner.engine.counters();
+        let m = &self.front.metrics;
         (
-            e.spilled_cags + e.spilled_orphans + self.metrics.spilled_dedup_entries,
-            e.spill_faults + self.metrics.spill_dedup_faults,
+            e.spilled_cags + e.spilled_orphans + m.spilled_dedup_entries,
+            e.spill_faults + m.spill_dedup_faults,
         )
     }
 
@@ -702,7 +686,7 @@ impl StreamingCorrelator {
     /// estimate).
     #[cfg(test)]
     pub fn current_window(&self) -> Nanos {
-        self.ranker.current_window()
+        self.front.ranker.current_window()
     }
 
     /// Closes all streams, drains everything and returns the final
@@ -716,42 +700,19 @@ impl StreamingCorrelator {
     pub fn finish(&mut self) -> Result<CorrelationOutput, TraceError> {
         self.guard()?;
         self.finished = true;
-        self.ranker.close_all();
+        self.front.ranker.close_all();
         self.pump();
-        let mut cags = std::mem::take(&mut self.ready);
-        // Flush CAGs still held for potential trailing-END amendment.
-        let flushed = self.engine.take_finished();
-        self.metrics.cags_finished += flushed.len() as u64;
-        cags.extend(flushed);
-        let unfinished = self.engine.take_unfinished();
-        self.metrics.seq_dedup_ranges = self.range_dedup.seq_dedup_ranges;
-        self.metrics.v2_records = self.range_dedup.v2_records;
-        self.metrics.seq_gaps = self.range_dedup.seq_gaps;
-        let mut metrics = std::mem::take(&mut self.metrics);
-        metrics.wall = self.started.elapsed();
-        metrics.final_bytes = self.ranker.approx_bytes() + self.engine.approx_bytes();
-        metrics.peak_bytes = metrics.peak_bytes.max(metrics.final_bytes);
-        metrics.cags_unfinished = unfinished.len() as u64;
-        metrics.ranker = *self.ranker.counters();
-        metrics.engine = *self.engine.counters();
-        if let Some(file) = &self.spill_file {
-            let st = file.stats();
-            metrics.spill_pages_written = st.pages_written;
-            metrics.spill_pages_read = st.pages_read;
-            metrics.spill_queue_hits = st.queue_hits;
-        }
-        if self.direct {
-            // No in-process ranker ran; candidate selection happened
-            // upstream (one candidate per delivered activity).
-            metrics.ranker.enqueued = metrics.engine.delivered;
-            metrics.ranker.candidates = metrics.engine.delivered;
-        }
-        Ok(CorrelationOutput {
-            cags,
-            unfinished,
-            metrics,
-            noise_samples: std::mem::take(&mut self.noise_samples),
-        })
+        let f = &mut self.front;
+        let mut out = self.runner.finish(f);
+        f.metrics.seq_dedup_ranges = f.range_dedup.seq_dedup_ranges;
+        f.metrics.v2_records = f.range_dedup.v2_records;
+        f.metrics.seq_gaps = f.range_dedup.seq_gaps;
+        f.metrics.ranker = *f.ranker.counters();
+        // The front's counters and the runner's are disjoint fields, so
+        // folding one into the other is their union.
+        out.metrics.absorb(&f.metrics);
+        out.noise_samples = std::mem::take(&mut self.noise_samples);
+        Ok(out)
     }
 }
 
@@ -986,15 +947,15 @@ mod tests {
     #[test]
     fn close_host_on_unknown_host_is_a_noop() {
         let mut sc = StreamingCorrelator::new(CorrelatorConfig::new(access())).unwrap();
-        assert!(!sc.ranker.close_host("nonexistent"));
+        assert!(!sc.front.ranker.close_host("nonexistent"));
         sc.push(
             "1000 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120"
                 .parse()
                 .unwrap(),
         )
         .unwrap();
-        assert!(sc.ranker.close_host("web"));
-        assert!(!sc.ranker.close_host("still-unknown"));
+        assert!(sc.front.ranker.close_host("web"));
+        assert!(!sc.front.ranker.close_host("still-unknown"));
         // Closing an unknown host must not fabricate an empty open queue
         // that would wedge the drain.
         let out = sc.finish().unwrap();
@@ -1218,24 +1179,6 @@ mod tests {
             2_000,
             "the clamp must not lose requests"
         );
-    }
-
-    #[test]
-    fn adaptive_config_rejects_degenerate_bounds() {
-        let access = AccessPointSpec::new([80], ["10.0.0.1".parse().unwrap()]);
-        let bad =
-            CorrelatorConfig::new(access.clone()).with_window_policy(WindowPolicy::Adaptive {
-                slack: 4,
-                min: Nanos::from_millis(10),
-                max: Nanos::from_millis(1),
-            });
-        assert!(StreamingCorrelator::new(bad).is_err());
-        let zero_slack = CorrelatorConfig::new(access).with_window_policy(WindowPolicy::Adaptive {
-            slack: 0,
-            min: Nanos::from_millis(1),
-            max: Nanos::from_secs(1),
-        });
-        assert!(StreamingCorrelator::new(zero_slack).is_err());
     }
 
     #[test]

@@ -33,14 +33,14 @@
 //!   is **byte-identical** to single-process `Mode::Sharded` with the
 //!   same total shard count, on every corpus and over every transport.
 //!
-//! ## Wire protocol (PTDC v3)
+//! ## Wire protocol (PTDC v4)
 //!
 //! Length-prefixed binary frames in PTBIN style (little-endian,
 //! length-prefixed strings, incremental interning):
 //!
 //! ```text
 //!  frame   := type:u8 len:u32 payload[len]
-//!  Hello   := magic:u32 version:u32 router:u32 workers:u32 config
+//!  Hello   := magic:u32 version:u32 router:u32 workers:u32 worker-config
 //!  Claim   := worker:u32 count:u32 msg[count]     (coordinator → router)
 //!  Finish  := (empty)                             (coordinator → router)
 //!  Output  := worker:u32 correlation-output       (router → coordinator)
@@ -48,8 +48,12 @@
 //!  msg     := 0 act | 1 forget-ctx
 //! ```
 //!
-//! The config and the counters in an Output frame are encoded from one
-//! field list per struct (`wire::Field`), the same list that folds
+//! A Hello carries only what a worker reads: the engine options, the
+//! sampling period, the (per-worker) memory budget, the spill directory
+//! and the sealing-lag bound. Access points, filters and ranker options
+//! stay with the coordinator, whose router selects every candidate. The
+//! worker config and the counters in an Output frame are encoded from
+//! one field list per struct (`wire::Field`), the same list that folds
 //! per-shard counters (`absorb`). Context strings use **incremental
 //! interning**: the first occurrence of a hostname/program travels as
 //! `u32::MAX + len + bytes` and enters both sides' tables; every later
@@ -80,7 +84,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 
-use crate::correlator::{CorrelationOutput, CorrelatorConfig};
+use crate::correlator::{CorrelationOutput, CorrelatorConfig, WorkerConfig};
 use crate::error::TraceError;
 use crate::shard::{worker_config, RoutedCorrelator, ShardMsg, ShardSink, WorkerBlock, MAX_SHARDS};
 use crate::spill::codec::Dec;
@@ -158,23 +162,19 @@ macro_rules! counters {
 pub(crate) use {counters, fields};
 
 pub(crate) mod wire {
-    use std::net::Ipv4Addr;
     use std::time::Duration;
 
     use super::*;
-    use crate::access::AccessPointSpec;
-    use crate::activity::{Activity, ContextId, LocalTime, Nanos};
+    use crate::activity::{Activity, ContextId, LocalTime};
     use crate::cag::Cag;
     use crate::engine::EngineOptions;
-    use crate::filter::FilterSet;
-    use crate::ranker::{RankerOptions, WindowPolicy};
     use crate::spill::codec::{
         get_channel, put_activity_type, put_channel, put_str, put_u32, put_u64, put_u8,
     };
     use crate::spill::{decode_cag_from, encode_cag, MIN_CAG_BYTES};
 
     pub const MAGIC: u32 = 0x5054_4443; // "PTDC"
-    pub const VERSION: u32 = 3;
+    pub const VERSION: u32 = 4;
 
     pub const FRAME_HELLO: u8 = 1;
     pub const FRAME_CLAIM: u8 = 2;
@@ -276,9 +276,7 @@ pub(crate) mod wire {
     scalars! {
         u64: |v| v, |d| d.u64();
         usize: |v| v as u64, |d| narrow(d);
-        u32: |v| v.into(), |d| narrow(d);
         bool: |v| v.into(), |d| d.u64() != 0;
-        Nanos: |v| v.0, |d| Nanos(d.u64());
         Duration: |v| v.as_nanos() as u64, |d| Duration::from_nanos(d.u64());
     }
 
@@ -312,83 +310,16 @@ pub(crate) mod wire {
         }
     }
 
-    impl Field for WindowPolicy {
-        fn put(&self, buf: &mut Vec<u8>) {
-            match self {
-                WindowPolicy::Static => put_u8(buf, 0),
-                WindowPolicy::Adaptive { slack, min, max } => {
-                    put_u8(buf, 1);
-                    slack.put(buf);
-                    min.put(buf);
-                    max.put(buf);
-                }
-            }
-        }
-        fn get(d: &mut Dec<'_>) -> Self {
-            match d.u8() {
-                0 => WindowPolicy::Static,
-                1 => WindowPolicy::Adaptive {
-                    slack: Field::get(d),
-                    min: Field::get(d),
-                    max: Field::get(d),
-                },
-                t => {
-                    d.fail(format!("unknown window policy {t}"));
-                    WindowPolicy::Static
-                }
-            }
-        }
-    }
-
-    impl Field for AccessPointSpec {
-        fn put(&self, buf: &mut Vec<u8>) {
-            put_u32(buf, self.frontend_ports().count() as u32);
-            self.frontend_ports().for_each(|p| put_u64(buf, p.into()));
-            put_u32(buf, self.internal_ips().count() as u32);
-            self.internal_ips()
-                .for_each(|ip| put_u64(buf, u32::from(ip).into()));
-        }
-        fn get(d: &mut Dec<'_>) -> Self {
-            let ports: Vec<u16> = (0..d.count(8)).map(|_| narrow(d)).collect();
-            let ips: Vec<Ipv4Addr> = (0..d.count(8)).map(|_| narrow::<u32>(d).into()).collect();
-            AccessPointSpec::new(ports, ips)
-        }
-    }
-
-    /// Not shipped: workers receive pre-filtered activities.
-    impl Field for FilterSet {
-        fn put(&self, _: &mut Vec<u8>) {}
-        fn get(_: &mut Dec<'_>) -> Self {
-            FilterSet::new()
-        }
-    }
-
-    fields!(RankerOptions {
-        window,
-        window_policy,
-        swap,
-        fetch_boost,
-        noise_discard,
-    });
     fields!(EngineOptions {
         merge_segments,
         thread_reuse_check,
-        amend_finished,
-        pending_cap,
-        orphan_cap,
-        unfinished_cap,
     });
-    fields!(CorrelatorConfig {
-        access,
-        filters,
-        ranker,
+    fields!(WorkerConfig {
         engine,
         mem_sample_every,
         memory_budget,
         spill_dir,
         max_seal_lag,
-        channel_idle_horizon,
-        lane_settle_depth,
     });
     fields!(CorrelationOutput {
         cags,
@@ -595,7 +526,7 @@ fn serve_inner<R: Read, W: Write>(
     }
     d.u32(); // the router's index: only the coordinator's errors name it
     let workers = d.u32() as usize;
-    let cfg = CorrelatorConfig::get(&mut d);
+    let cfg = WorkerConfig::get(&mut d);
     d.finish().map_err(|e| malformed("hello", e))?;
     if workers == 0 || workers > MAX_SHARDS {
         return Err(proto(format!("worker count {workers} out of range")));
@@ -798,7 +729,7 @@ impl Cluster {
     /// Connects `routers` peers over `transport` and sends each its
     /// Hello with `worker_cfg`.
     fn connect(
-        worker_cfg: &CorrelatorConfig,
+        worker_cfg: &WorkerConfig,
         routers: usize,
         workers_per_router: usize,
         transport: &RouterTransport,
@@ -1042,7 +973,7 @@ fn socketpair_peer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::{Activity, ActivityType, Channel, ContextId, LocalTime, Nanos};
+    use crate::activity::{Activity, ActivityType, Channel, ContextId, LocalTime};
     use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
     use crate::shard::tests::{access, cluster_log, sharded};
     use crate::spill::codec::put_u32;
@@ -1192,14 +1123,24 @@ mod tests {
         bytes
     }
 
+    /// The spill directory [`hello_body`] ships; a router that accepts
+    /// the Hello creates it.
+    fn hello_spill_dir() -> String {
+        let dir = std::env::temp_dir().join(format!("pt-dist-hello-{}", std::process::id()));
+        dir.to_string_lossy().into_owned()
+    }
+
     /// The body of a Hello for router 0 with one worker, as `version`
-    /// sends it.
+    /// sends it: a budgeted worker, so the spill directory is shipped.
     fn hello_body(version: u32) -> Vec<u8> {
         let mut buf = Vec::new();
         for word in [wire::MAGIC, version, 0, 1] {
             put_u32(&mut buf, word);
         }
-        CorrelatorConfig::new(access()).put(&mut buf);
+        let cfg = CorrelatorConfig::new(access())
+            .with_memory_budget(1 << 20)
+            .with_spill_dir(hello_spill_dir());
+        cfg.worker().put(&mut buf);
         buf
     }
 
@@ -1244,11 +1185,11 @@ mod tests {
     fn router_refuses_what_it_cannot_trust() {
         let hello = frame(wire::FRAME_HELLO, &hello_body(wire::VERSION));
         let after_hello = |ty: u8, body: &[u8]| [hello.clone(), frame(ty, body)].concat();
-        // A v2 coordinator's config is laid out differently: refuse at
-        // the version word, before parsing it.
+        // A v3 coordinator ships its whole config: refuse at the
+        // version word, before parsing it.
         refused(
-            &frame(wire::FRAME_HELLO, &hello_body(2)),
-            "router protocol: protocol version 2 (this router speaks 3)",
+            &frame(wire::FRAME_HELLO, &hello_body(3)),
+            "router protocol: protocol version 3 (this router speaks 4)",
         );
         // The 9-byte frame that used to panic the router: magic only.
         refused(
@@ -1268,21 +1209,32 @@ mod tests {
             let bytes = after_hello(wire::FRAME_CLAIM, &body[..cut]);
             refused(&bytes, "router protocol: decoding claim");
         }
-        // Counts the frame cannot hold size nothing: a Hello with
-        // u32::MAX frontend ports, a Claim of u32::MAX messages. A
-        // port that does not fit a u16 is refused, not truncated.
-        let mut lying = hello_body(wire::VERSION);
-        lying[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        // A spill directory longer than the frame, or not UTF-8, is
+        // refused; so is a worker count out of range.
+        let body = hello_body(wire::VERSION);
+        // The directory's length word, before its bytes and the
+        // one-byte `None` of `max_seal_lag`.
+        let dir_len = body.len() - 1 - hello_spill_dir().len() - 4;
+        let mut lying = body.clone();
+        lying[dir_len..dir_len + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         refused(
             &frame(wire::FRAME_HELLO, &lying),
-            "router protocol: decoding hello: count 4294967295 exceeds",
+            "router protocol: decoding hello: truncated",
         );
-        let mut wide = hello_body(wire::VERSION);
-        wide[20..28].copy_from_slice(&70_000u64.to_le_bytes());
+        let mut garbled = body.clone();
+        garbled[dir_len + 4] = 0xff;
         refused(
-            &frame(wire::FRAME_HELLO, &wide),
-            "router protocol: decoding hello: value 70000 out of range",
+            &frame(wire::FRAME_HELLO, &garbled),
+            "router protocol: decoding hello: string is not UTF-8",
         );
+        let mut idle = body;
+        idle[12..16].copy_from_slice(&0u32.to_le_bytes());
+        refused(
+            &frame(wire::FRAME_HELLO, &idle),
+            "router protocol: worker count 0 out of range",
+        );
+        // Counts the frame cannot hold size nothing: a Claim of
+        // u32::MAX messages.
         let mut lying = claim_body();
         lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         refused(
@@ -1303,6 +1255,9 @@ mod tests {
             &after_hello(wire::FRAME_CLAIM, &unknown_ty),
             "router protocol: decoding claim: unknown activity type code 9",
         );
+        // The accepted Hellos created the spill directory; their workers'
+        // spill files are gone.
+        std::fs::remove_dir(hello_spill_dir()).unwrap();
     }
 
     #[test]
@@ -1401,39 +1356,34 @@ mod tests {
     }
 
     #[test]
-    fn config_survives_the_wire_exhaustively() {
-        let mut cfg = CorrelatorConfig::new(access());
-        cfg.ranker.window = Nanos::from_millis(7);
-        cfg.ranker.window_policy = crate::ranker::WindowPolicy::Adaptive {
-            slack: 3,
-            min: Nanos(1_000),
-            max: Nanos(9_000_000),
+    fn worker_config_survives_the_wire_exhaustively() {
+        // Every field away from its default, so a field the list drops
+        // or two it swaps cannot pass unnoticed.
+        let cfg = WorkerConfig {
+            engine: crate::engine::EngineOptions {
+                merge_segments: false,
+                thread_reuse_check: false,
+            },
+            mem_sample_every: 17,
+            memory_budget: Some(1 << 22),
+            spill_dir: Some(PathBuf::from("/tmp/pt-dist-wire-test")),
+            max_seal_lag: Some(33),
         };
-        cfg.ranker.swap = false;
-        cfg.ranker.fetch_boost = 9;
-        cfg.ranker.noise_discard = false;
-        cfg.engine.merge_segments = false;
-        cfg.engine.pending_cap = 77;
-        cfg.mem_sample_every = 17;
-        cfg.memory_budget = Some(1 << 22);
-        cfg.spill_dir = Some(PathBuf::from("/tmp/pt-dist-wire-test"));
-        cfg.max_seal_lag = Some(33);
-        cfg.channel_idle_horizon = Some(44);
-        cfg.lane_settle_depth = Some(55);
-
         let mut buf = Vec::new();
         cfg.put(&mut buf);
         let mut d = Dec::new(&buf);
-        let back = CorrelatorConfig::get(&mut d);
+        let back = WorkerConfig::get(&mut d);
         d.finish().unwrap();
-        // Filters are deliberately not shipped (workers see
-        // pre-filtered activities); everything else must survive.
-        let strip = |c: &CorrelatorConfig| {
-            let mut c = c.clone();
-            c.filters = crate::filter::FilterSet::new();
-            format!("{c:?}")
-        };
-        assert_eq!(strip(&cfg), strip(&back));
+        assert_eq!(back, cfg);
+        // The coordinator ships what the worker reads of its config,
+        // with the budget split across the workers.
+        let mut full = CorrelatorConfig::new(access());
+        full.engine = cfg.engine.clone();
+        full.mem_sample_every = 17;
+        full.memory_budget = Some(4 << 22);
+        full.spill_dir = cfg.spill_dir.clone();
+        full.max_seal_lag = Some(33);
+        assert_eq!(worker_config(&full, 4), cfg);
     }
 
     #[test]

@@ -45,15 +45,6 @@ pub struct EngineOptions {
     /// the same CAG (§4.2 lines 29-32). Disabling reproduces the
     /// thread-pool mis-correlation the paper warns about.
     pub thread_reuse_check: bool,
-    /// Merge trailing END segments into the already-output CAG.
-    pub amend_finished: bool,
-    /// Maximum unmatched pending sends retained in `mmap` before the
-    /// oldest are evicted (bounds memory under send-side noise).
-    pub pending_cap: usize,
-    /// Maximum orphan (non-CAG) vertices retained for context chains.
-    pub orphan_cap: usize,
-    /// Maximum unfinished CAGs retained before the oldest are abandoned.
-    pub unfinished_cap: usize,
 }
 
 impl Default for EngineOptions {
@@ -61,13 +52,15 @@ impl Default for EngineOptions {
         EngineOptions {
             merge_segments: true,
             thread_reuse_check: true,
-            amend_finished: true,
-            pending_cap: 1 << 20,
-            orphan_cap: 1 << 20,
-            unfinished_cap: 1 << 20,
         }
     }
 }
+
+/// How many unmatched pending sends, orphan vertices and unfinished
+/// CAGs the engine retains, each, before it evicts (or abandons) the
+/// oldest: a bound on memory under noise, far above any live working
+/// set.
+const STATE_CAP: usize = 1 << 20;
 
 /// Counters describing everything the engine did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,11 +92,11 @@ pub struct EngineCounters {
     pub reuse_suppressed_edges: u64,
     /// Vertices that landed in the orphan pool (noise chains).
     pub orphan_vertices: u64,
-    /// Pending sends evicted by `pending_cap`.
+    /// Pending sends evicted by the pending-send cap (2^20).
     pub evicted_pendings: u64,
-    /// Orphans evicted by `orphan_cap`.
+    /// Orphans evicted by the orphan cap (2^20).
     pub evicted_orphans: u64,
-    /// Unfinished CAGs abandoned by `unfinished_cap`.
+    /// Unfinished CAGs abandoned by the unfinished-CAG cap (2^20).
     pub abandoned_cags: u64,
     /// Dead `cmap` entries dropped by the context GC (budget pressure
     /// or the periodic no-budget sweep).
@@ -364,6 +357,10 @@ impl SpillState {
 #[derive(Debug)]
 pub struct Engine {
     opts: EngineOptions,
+    /// The eviction caps, [`STATE_CAP`] each outside tests.
+    pending_cap: usize,
+    orphan_cap: usize,
+    unfinished_cap: usize,
     unfinished: BTreeMap<u64, Cag>,
     finished: Vec<Cag>,
     /// `counters.delivered` at the moment each `finished` entry closed,
@@ -399,6 +396,9 @@ impl Engine {
     pub fn new(opts: EngineOptions) -> Self {
         Engine {
             opts,
+            pending_cap: STATE_CAP,
+            orphan_cap: STATE_CAP,
+            unfinished_cap: STATE_CAP,
             unfinished: BTreeMap::new(),
             finished: Vec::new(),
             finished_at: Vec::new(),
@@ -711,7 +711,7 @@ impl Engine {
 
     /// Drops `cmap` entries that no longer resolve to live state
     /// (their CAG/orphan was drained or evicted). Behavior-neutral:
-    /// every consumer treats a [`Resolved::Stale`] entry exactly like
+    /// every consumer treats a stale entry exactly like
     /// an absent one — this only reclaims the memory. Returns the
     /// number pruned; counted in [`EngineCounters::pruned_contexts`].
     pub fn prune_stale_contexts(&mut self) -> usize {
@@ -851,7 +851,7 @@ impl Engine {
             },
         );
         self.counters.orphan_vertices += 1;
-        while self.orphans.len() > self.opts.orphan_cap {
+        while self.orphans.len() > self.orphan_cap {
             self.orphans.pop_first();
             self.counters.evicted_orphans += 1;
         }
@@ -892,7 +892,7 @@ impl Engine {
         if self.mmap_order.len() > 2 * self.pending_count + 1_024 {
             self.compact_mmap_order();
         }
-        while self.pending_count > self.opts.pending_cap {
+        while self.pending_count > self.pending_cap {
             // Evict the globally oldest pending send.
             if let Some(ch) = self.mmap_order.pop_front() {
                 if let Some(q) = self.mmap.get_mut(&ch) {
@@ -964,7 +964,7 @@ impl Engine {
         self.cmap.insert(a.ctx, VRef::Cag { cag: id, v: 0 });
         // The cap counts spilled CAGs too — the spill tier bounds
         // memory, not the total amount of live state.
-        while self.unfinished.len() + self.spilled_len() > self.opts.unfinished_cap {
+        while self.unfinished.len() + self.spilled_len() > self.unfinished_cap {
             if let Some(stalest_spilled) = self
                 .spill
                 .as_deref_mut()
@@ -1022,11 +1022,7 @@ impl Engine {
                 v,
                 ty,
                 channel,
-            }) if self.opts.amend_finished
-                && self.opts.merge_segments
-                && ty == ActivityType::End
-                && channel == a.channel =>
-            {
+            }) if self.opts.merge_segments && ty == ActivityType::End && channel == a.channel => {
                 // Trailing chunk of a chunked response.
                 let idx = self.finished_index[&cag];
                 let vx = &mut self.finished[idx].vertices[v];
@@ -2243,10 +2239,10 @@ mod tests {
 
     #[test]
     fn pending_cap_evicts_oldest() {
-        let mut e = Engine::new(EngineOptions {
+        let mut e = Engine {
             pending_cap: 2,
-            ..EngineOptions::default()
-        });
+            ..Engine::default()
+        };
         for i in 0..4u64 {
             e.deliver(act(
                 ActivityType::Send,
@@ -2261,6 +2257,31 @@ mod tests {
             ));
         }
         assert_eq!(e.counters().evicted_pendings, 2);
+    }
+
+    #[test]
+    fn orphan_cap_evicts_oldest() {
+        let mut e = Engine {
+            orphan_cap: 2,
+            ..Engine::default()
+        };
+        // Sends from four contexts with no open CAG: four orphan chains.
+        for i in 0..4u64 {
+            e.deliver(act(
+                ActivityType::Send,
+                1_000 + i,
+                "db",
+                "mysqld",
+                90 + i as u32,
+                "10.0.0.3:3306",
+                "9.9.9.9:1000",
+                64,
+                0,
+            ));
+        }
+        assert_eq!(e.counters().orphan_vertices, 4);
+        assert_eq!(e.counters().evicted_orphans, 2);
+        assert_eq!(e.orphans.keys().copied().collect::<Vec<_>>(), [2, 3]);
     }
 
     #[test]
@@ -2493,10 +2514,10 @@ mod tests {
 
     #[test]
     fn unfinished_cap_abandons_oldest() {
-        let mut e = Engine::new(EngineOptions {
+        let mut e = Engine {
             unfinished_cap: 2,
-            ..EngineOptions::default()
-        });
+            ..Engine::default()
+        };
         for i in 0..4u64 {
             e.deliver(act(
                 ActivityType::Begin,
@@ -2586,12 +2607,12 @@ mod tests {
             ops in proptest::collection::vec((0u8..12, 0u8..16, 0u8..16), 1..400),
             capped in 0u8..2,
         ) {
-            let opts = EngineOptions {
-                unfinished_cap: if capped == 1 { 6 } else { 1 << 20 },
-                ..EngineOptions::default()
+            let cap = if capped == 1 { 6 } else { STATE_CAP };
+            let engine = || Engine {
+                unfinished_cap: cap,
+                ..Engine::default()
             };
-            let mut e = Engine::new(opts.clone());
-            let mut reference = Engine::new(opts);
+            let (mut e, mut reference) = (engine(), engine());
             e.enable_spill(Arc::new(SpillFile::create(&std::env::temp_dir()).unwrap()));
             let (mut out, mut ref_out) = (Vec::new(), Vec::new());
             for (step, (kind, a, b)) in ops.into_iter().enumerate() {

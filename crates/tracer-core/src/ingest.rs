@@ -3,7 +3,7 @@
 //!
 //! This module only chunks; every line is parsed by
 //! [`RawRecordRef::parse_line`], the one text parser, exactly as the
-//! sequential [`parse_log_iter`](crate::raw::parse_log_iter) parses it:
+//! sequential [`crate::raw::parse_log_iter`] parses it:
 //!
 //! 1. the input is read (or handed over) as **one contiguous buffer** —
 //!    no line-at-a-time I/O;
@@ -38,7 +38,7 @@ const MAX_THREADS: usize = 64;
 const BYTES_PER_RECORD_HINT: usize = 48;
 
 /// Resolves a user-facing thread count: `0` means "one per available
-/// core" (capped), anything else is clamped to [`MAX_THREADS`].
+/// core" (capped), anything else is clamped to `1..=64`.
 #[must_use]
 pub fn resolve_threads(threads: usize) -> usize {
     let n = if threads == 0 {
@@ -177,7 +177,7 @@ fn concat<T>(results: Vec<Result<Vec<T>, TraceError>>) -> Result<Vec<T>, TraceEr
 /// Parses a whole log into borrowed [`RawRecordRef`]s using `threads`
 /// worker threads (`0` = one per core). The result is record-for-record
 /// identical to collecting
-/// [`parse_log_iter`](crate::raw::parse_log_iter).
+/// [`crate::raw::parse_log_iter`].
 ///
 /// # Errors
 ///

@@ -68,14 +68,11 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
-
 use crate::access::AccessPointSpec;
-use crate::activity::{Activity, Nanos};
+use crate::activity::Nanos;
 use crate::cag::Cag;
 use crate::correlator::{
     CorrelationOutput, CorrelatorConfig, EngineOptions, RankerOptions, StreamingCorrelator,
-    WindowPolicy,
 };
 use crate::dist::RouterTransport;
 use crate::error::TraceError;
@@ -117,7 +114,7 @@ pub enum Mode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// The correlation knobs shared by every mode (access points,
-    /// filters, window policy, memory budget, sealing SLO, router GC).
+    /// filters, window policy, memory budget, sealing SLO).
     pub correlator: CorrelatorConfig,
     /// Which execution strategy [`Pipeline::run`] uses.
     pub mode: Mode,
@@ -167,14 +164,7 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the window policy (static knob vs adaptive latency
-    /// tracking).
-    pub fn with_window_policy(mut self, policy: WindowPolicy) -> Self {
-        self.correlator = self.correlator.with_window_policy(policy);
-        self
-    }
-
-    /// Enables adaptive windowing with the default `p99 × 4` policy.
+    /// Enables adaptive windowing (`p99 × 4` clamped to `[1 ms, 10 s]`).
     pub fn with_adaptive_window(mut self) -> Self {
         self.correlator = self.correlator.with_adaptive_window();
         self
@@ -197,22 +187,6 @@ impl PipelineConfig {
     /// [`CorrelatorConfig::max_seal_lag`]).
     pub fn with_max_seal_lag(mut self, lag: u64) -> Self {
         self.correlator = self.correlator.with_max_seal_lag(lag);
-        self
-    }
-
-    /// Evicts idle per-channel router state in sharded mode; `0`
-    /// disables the GC (see
-    /// [`CorrelatorConfig::channel_idle_horizon`]).
-    pub fn with_channel_idle_horizon(mut self, records: u64) -> Self {
-        self.correlator = self.correlator.with_channel_idle_horizon(records);
-        self
-    }
-
-    /// Force-settles parked lane heads in sharded mode once `depth`
-    /// records buffer behind them; `0` parks indefinitely (see
-    /// [`CorrelatorConfig::lane_settle_depth`]).
-    pub fn with_lane_settle_depth(mut self, depth: u64) -> Self {
-        self.correlator = self.correlator.with_lane_settle_depth(depth);
         self
     }
 
@@ -352,25 +326,6 @@ impl Source<'_> {
     pub fn binary_path(path: impl Into<std::path::PathBuf>) -> Source<'static> {
         Source::BinaryPath(path.into())
     }
-
-    /// A source draining an arbitrary record iterator (collected up
-    /// front; use [`Pipeline::session`] to push records incrementally
-    /// without collecting).
-    pub fn collected(records: impl IntoIterator<Item = RawRecord>) -> Source<'static> {
-        Source::Records(records.into_iter().collect())
-    }
-}
-
-impl FromIterator<RawRecord> for Source<'static> {
-    fn from_iter<T: IntoIterator<Item = RawRecord>>(records: T) -> Self {
-        Source::Records(records.into_iter().collect())
-    }
-}
-
-impl From<Vec<RawRecord>> for Source<'static> {
-    fn from(records: Vec<RawRecord>) -> Self {
-        Source::Records(records)
-    }
 }
 
 impl<'a> From<&'a str> for Source<'a> {
@@ -439,26 +394,6 @@ impl Pipeline {
         let mut session = self.session()?;
         input.stage_into(&mut session.inner, self.config.ingest_threads)?;
         Ok(session)
-    }
-
-    /// Correlates pre-classified activity streams (one per host, in any
-    /// order) — the harness path for synthetic activities. Runs through
-    /// the single-instance correlator regardless of mode (the sharded
-    /// reader routes raw records, not activities).
-    ///
-    /// # Errors
-    ///
-    /// Returns a configuration error when the window settings are
-    /// invalid.
-    pub fn run_activities(
-        &self,
-        streams: Vec<(Arc<str>, Vec<Activity>)>,
-    ) -> Result<CorrelationOutput, TraceError> {
-        let mut sc = StreamingCorrelator::for_activities(self.config.correlator.clone())?;
-        for act in streams.into_iter().flat_map(|(_, acts)| acts) {
-            sc.push_activity(act)?;
-        }
-        sc.finish()
     }
 
     /// Opens an incremental session: push records (or raw log lines) as
@@ -725,11 +660,7 @@ mod tests {
             let p = Pipeline::new(PipelineConfig::new(access()).with_mode(mode)).unwrap();
             let from_text = p.run(Source::text(three_tier_log())).unwrap();
             let from_records = p.run(Source::records(records.clone())).unwrap();
-            let from_iter = p
-                .run(records.iter().cloned().collect::<Source<'static>>())
-                .unwrap();
             assert_eq!(render(&from_text), render(&from_records), "{mode:?}");
-            assert_eq!(render(&from_text), render(&from_iter), "{mode:?}");
         }
     }
 
@@ -888,8 +819,7 @@ mod tests {
             .with_memory_budget(1 << 20)
             .with_spill_dir("/tmp/pt-spill-test")
             .with_max_seal_lag(64)
-            .with_channel_idle_horizon(10_000)
-            .with_lane_settle_depth(512)
+            .with_adaptive_window()
             .with_ingest_threads(4)
             .with_mode(Mode::Sharded(0));
         assert_eq!(cfg.correlator.ranker.window, Nanos::from_millis(5));
@@ -899,13 +829,10 @@ mod tests {
             Some(std::path::Path::new("/tmp/pt-spill-test"))
         );
         assert_eq!(cfg.correlator.max_seal_lag, Some(64));
-        assert_eq!(cfg.correlator.channel_idle_horizon, Some(10_000));
-        assert_eq!(cfg.correlator.lane_settle_depth, Some(512));
-        let off = PipelineConfig::new(access())
-            .with_channel_idle_horizon(0)
-            .with_lane_settle_depth(0);
-        assert_eq!(off.correlator.channel_idle_horizon, None);
-        assert_eq!(off.correlator.lane_settle_depth, None);
+        assert_eq!(
+            cfg.correlator.ranker.window_policy,
+            crate::ranker::WindowPolicy::Adaptive
+        );
         assert_eq!(cfg.ingest_threads, 4);
         assert_eq!(cfg.mode, Mode::Sharded(0));
     }

@@ -79,36 +79,24 @@ impl MatchOracle for NoOracle {
 /// window online from observed per-channel round-trip latencies: each
 /// node's SEND→RECEIVE round trip on a channel pair is measured in that
 /// node's *own* local time (so clock skew cancels), aggregated per
-/// `(src ip, dst ip)` pair, and the window tracks
-/// `p99 × slack`, clamped to `[min, max]`. This automates the §4.3
-/// accuracy-vs-memory trade-off: the window follows the service's
-/// in-flight span instead of being a hand-tuned constant.
+/// `(src ip, dst ip)` pair, and the window tracks `p99 × 4`, clamped
+/// to `[1 ms, 10 s]`. This automates the §4.3 accuracy-vs-memory
+/// trade-off: the window follows the service's in-flight span instead
+/// of being a hand-tuned constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowPolicy {
     /// Fixed window from [`RankerOptions::window`].
     Static,
     /// Window follows observed per-channel latency quantiles.
-    Adaptive {
-        /// Multiplier applied to the p99 round-trip latency.
-        slack: u32,
-        /// Lower clamp (also the starting window before any samples).
-        min: Nanos,
-        /// Upper clamp.
-        max: Nanos,
-    },
+    Adaptive,
 }
 
-impl WindowPolicy {
-    /// The default adaptive policy: `p99 × 4`, clamped to
-    /// `[1ms, 10s]`.
-    pub const fn adaptive_default() -> Self {
-        WindowPolicy::Adaptive {
-            slack: 4,
-            min: Nanos::from_millis(1),
-            max: Nanos::from_secs(10),
-        }
-    }
-}
+/// The adaptive window is the worst p99 round trip times this.
+const ADAPTIVE_SLACK: u64 = 4;
+/// The adaptive window's lower clamp, and its value before any sample.
+const ADAPTIVE_MIN: Nanos = Nanos::from_millis(1);
+/// The adaptive window's upper clamp.
+const ADAPTIVE_MAX: Nanos = Nanos::from_secs(10);
 
 /// Ranker tunables and ablation switches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,8 +151,7 @@ pub struct RankerCounters {
     /// RECEIVEs discarded as noise (`is_noise`).
     pub noise_discards: u64,
     /// Sharded mode: parked lane heads force-settled by the
-    /// bounded-age settle rule
-    /// ([`crate::correlator::CorrelatorConfig::lane_settle_depth`])
+    /// bounded-age settle rule (65,536 records buffered behind them)
     /// before end of input.
     pub aged_settles: u64,
     /// Blocked RECEIVEs force-delivered although their pending send had
@@ -323,11 +310,11 @@ struct AdaptiveState {
     hists: FxHashMap<(Ipv4Addr, Ipv4Addr), [u64; 64]>,
     /// Samples seen since the last window recomputation.
     since_update: u64,
-    /// The current adaptive window (clamped p99 × slack).
+    /// The current adaptive window (clamped p99 × 4).
     current: Nanos,
     /// Memory budget folded into the clamp (see
-    /// [`Ranker::set_adaptive_budget`]); `None` leaves the policy's
-    /// static `max` as the only ceiling.
+    /// [`Ranker::set_adaptive_budget`]); `None` leaves the 10 s clamp
+    /// as the only ceiling.
     budget: Option<usize>,
     /// High-water mark of buffered activities since the last window
     /// update — the density sample the budget clamp divides by.
@@ -423,7 +410,7 @@ impl Ranker {
     pub fn new(opts: RankerOptions) -> Self {
         let current = match opts.window_policy {
             WindowPolicy::Static => opts.window,
-            WindowPolicy::Adaptive { min, .. } => min,
+            WindowPolicy::Adaptive => ADAPTIVE_MIN,
         };
         Ranker {
             opts,
@@ -493,7 +480,7 @@ impl Ranker {
     pub fn current_window(&self) -> Nanos {
         match self.opts.window_policy {
             WindowPolicy::Static => self.opts.window,
-            WindowPolicy::Adaptive { .. } => self.adaptive.current,
+            WindowPolicy::Adaptive => self.adaptive.current,
         }
     }
 
@@ -716,15 +703,15 @@ impl Ranker {
     /// then applies the memory-budget ceiling (see
     /// [`Ranker::set_adaptive_budget`]).
     fn update_adaptive_window(&mut self) {
-        let WindowPolicy::Adaptive { slack, min, max } = self.opts.window_policy else {
+        if self.opts.window_policy == WindowPolicy::Static {
             return;
-        };
+        }
         let peak = std::mem::take(&mut self.adaptive.interval_peak);
         let span = self.adaptive.current.0.max(1);
         self.adaptive.peak_density = self.adaptive.peak_density.max(peak as f64 / span as f64);
         if let Some(p99) = self.adaptive.worst_p99() {
-            let want = p99.0.saturating_mul(u64::from(slack.max(1)));
-            let mut hi = max.0;
+            let want = p99.0.saturating_mul(ADAPTIVE_SLACK);
+            let mut hi = ADAPTIVE_MAX.0;
             if let Some(budget) = self.adaptive.budget {
                 if self.adaptive.peak_density > 0.0 {
                     // Project the span whose buffers would fill the
@@ -740,7 +727,8 @@ impl Ranker {
                     }
                 }
             }
-            self.adaptive.current = Nanos(want.clamp(min.0, hi.max(min.0)));
+            let min = ADAPTIVE_MIN.0;
+            self.adaptive.current = Nanos(want.clamp(min, hi.max(min)));
             self.counters.window_updates += 1;
         }
         self.counters.adaptive_window_ns = self.adaptive.current.0;

@@ -17,10 +17,8 @@
 //!   and the ranker's sliding window; the drain removes every spill
 //!   artifact the process created;
 //! * sharded router state is bounded by the bounded-age settle rule
-//!   ([`crate::correlator::CorrelatorConfig::lane_settle_depth`]) and
-//!   the channel-idle GC
-//!   ([`crate::correlator::CorrelatorConfig::channel_idle_horizon`]),
-//!   both on by default;
+//!   and the channel-idle GC, both fixed at 65,536 records (see
+//!   [`crate::shard`]);
 //! * ingest state is one torn element per source (carry buffer or
 //!   [`crate::binfmt::StreamDecoder`] fragment);
 //! * the source → correlator queue is a bounded channel with an

@@ -5,14 +5,14 @@
 //! access-point session, but sessions are independent: every activity
 //! of a request — its BEGIN at the access point, the internal
 //! SEND/RECEIVE cascade, the final END — belongs to exactly one client
-//! session. [`RoutedCorrelator`] exploits that:
+//! session. The routed front-end (`RoutedCorrelator`) exploits that:
 //!
 //! ```text
 //!            front-end (one reader)            ShardSink (workers)
-//!  text ─→ parse (zero-copy) ─→ classify ─→ ┌─ shard 0: StreamingCorrelator ─┐
-//!            + filter + route                ├─ shard 1: StreamingCorrelator ─┤─→ merge
-//!            (session affinity)              ├─ ...                           │  (canonical
-//!                                            └─ shard N-1 ──────────────────-┘   re-sequence)
+//!  text ─→ parse (zero-copy) ─→ classify ─→ ┌─ shard 0: EngineRunner ─┐
+//!            + filter + route                ├─ shard 1: EngineRunner ─┤─→ merge
+//!            (session affinity)              ├─ ...                    │  (canonical
+//!                                            └─ shard N-1 ─────────────┘   re-sequence)
 //! ```
 //!
 //! * The **front-end** parses borrowed [`RawRecordRef`]s (no per-record
@@ -26,9 +26,12 @@
 //!   4,096 messages — to its `ShardSink` from inside the routing pass.
 //! * The **sink** is the only thing `Mode::Sharded` and
 //!   `Mode::Distributed` differ in. `WorkerBlock` gives each shard a
-//!   worker thread owning a [`StreamingCorrelator`], fed through a
-//!   bounded SPSC channel (back-pressure bounds memory), which
-//!   correlates its shard's sessions while the reader keeps parsing.
+//!   worker thread owning an engine runner, fed through a bounded SPSC
+//!   channel (back-pressure bounds memory), which correlates its
+//!   shard's sessions while the reader keeps parsing. The router has
+//!   already selected every candidate — causal order, Rule-1 byte
+//!   coverage, noise removed — so a worker holds no ranker, classifier,
+//!   filter or dedup state: it delivers, seals, spills and counts.
 //!   The PTDC cluster of [`crate::dist`] writes the same batches as
 //!   Claim frames to router peers — each of which runs a `WorkerBlock`.
 //! * The **merge** stage re-sequences the union of all sealed CAGs into
@@ -73,8 +76,7 @@ use std::time::Instant;
 use crate::access::Classifier;
 use crate::activity::{Activity, ActivityType, ContextId, EndpointV4};
 use crate::cag::Cag;
-use crate::correlator::StreamingCorrelator;
-use crate::correlator::{CorrelationOutput, CorrelatorConfig};
+use crate::correlator::{CorrelationOutput, CorrelatorConfig, EngineRunner, WorkerConfig};
 use crate::error::TraceError;
 use crate::fasthash::{FxBuildHasher, FxHashMap};
 use crate::filter::FilterSet;
@@ -103,6 +105,30 @@ pub const MAX_SHARDS: usize = 256;
 
 /// How many reader-side noise victims are kept for diagnostics.
 const NOISE_SAMPLE_CAP: usize = 32;
+
+/// Channel-idle GC horizon: the router forgets a channel's claim and
+/// role entries once the channel has been fully drained (no queued
+/// claims, no staged sends, no waiting receives) for this many staged
+/// records — a record-count horizon, so it needs no clock. Routing stays
+/// correct; an evicted channel merely forgets its drift fallback and
+/// shared-role history, which rebuild on its next activity.
+/// Conservative: orders of magnitude beyond any real keep-alive lull at
+/// typical record rates, so endless streams stay bounded while
+/// reconnecting channels keep their fallback.
+const CHANNEL_IDLE_HORIZON: u64 = 65_536;
+
+/// Bounded-age settle depth: a lane whose head receive cannot be routed
+/// yet (its send bytes are still in flight on another lane) parks until
+/// the matching send stages, which on a stream that never delivers that
+/// send (a dead peer, a dropped capture) would buffer the lane forever.
+/// Once this many records buffer behind the undecidable head, it is
+/// settled as if the stream had ended — routed on the drift/affinity
+/// fallback or discarded as noise — and counted in
+/// [`crate::ranker::RankerCounters::aged_settles`]. Conservative: a
+/// healthy lane clears its head as soon as the matching send stages,
+/// which is bounded by the capture's reordering skew, not by traffic
+/// volume.
+const LANE_SETTLE_DEPTH: u64 = 65_536;
 
 /// Google's jump consistent hash: maps `key` to a bucket in `[0, n)`
 /// such that growing `n` only moves ~`1/n` of the keys — resharding a
@@ -322,11 +348,13 @@ struct SessionRouter {
     any_shared: bool,
     /// Staged activity count across lanes.
     staged: usize,
-    /// Channel-idle GC horizon in staged records (`None` = never).
+    /// Channel-idle GC horizon in staged records
+    /// ([`CHANNEL_IDLE_HORIZON`]; `None`, in tests only, never evicts).
     idle_horizon: Option<u64>,
     /// Bounded-age settle rule: force-settle a lane's undecidable head
-    /// receive once this many records buffer behind it (`None` = only
-    /// at end of input).
+    /// receive once this many records buffer behind it
+    /// ([`LANE_SETTLE_DEPTH`]; `None`, in tests only, settles at end of
+    /// input alone).
     settle_depth: Option<u64>,
     /// Heads settled early by the bounded-age rule (diagnostics).
     aged_settles: u64,
@@ -360,12 +388,7 @@ struct SessionRouter {
 }
 
 impl SessionRouter {
-    fn new(
-        shards: u32,
-        idle_horizon: Option<u64>,
-        settle_depth: Option<u64>,
-        route_orphans: bool,
-    ) -> Self {
+    fn new(shards: u32) -> Self {
         SessionRouter {
             shards,
             hasher: FxBuildHasher::default(),
@@ -377,8 +400,8 @@ impl SessionRouter {
             roles: FxHashMap::default(),
             any_shared: false,
             staged: 0,
-            idle_horizon,
-            settle_depth,
+            idle_horizon: Some(CHANNEL_IDLE_HORIZON),
+            settle_depth: Some(LANE_SETTLE_DEPTH),
             aged_settles: 0,
             records_staged: 0,
             last_sweep: 0,
@@ -386,7 +409,7 @@ impl SessionRouter {
             forced_routes: 0,
             noise_discards: 0,
             noise_samples: Vec::new(),
-            route_orphans,
+            route_orphans: false,
             orphan_dropped: 0,
             evicted: Vec::new(),
         }
@@ -1180,12 +1203,7 @@ impl ReaderCore {
             filters: config.filters.clone(),
             interner: Interner::new(),
             range_dedup: RangeDedup::new(),
-            router: SessionRouter::new(
-                shards,
-                config.channel_idle_horizon,
-                config.lane_settle_depth,
-                false,
-            ),
+            router: SessionRouter::new(shards),
             records_in: 0,
             filtered_out: 0,
             retrans_dropped: 0,
@@ -1288,12 +1306,6 @@ impl ReaderCore {
         for mut out in outputs {
             all.append(&mut out.cags);
             all.append(&mut out.unfinished);
-            // The reader already counted raw records and filter/retrans
-            // drops; worker-side records_in would double-count the
-            // survivors.
-            out.metrics.records_in = 0;
-            out.metrics.filtered_out = 0;
-            out.metrics.retrans_dropped = 0;
             metrics.absorb(&out.metrics);
             noise_samples.append(&mut out.noise_samples);
             noise_samples.truncate(NOISE_SAMPLE_CAP);
@@ -1325,39 +1337,35 @@ impl ReaderCore {
     }
 }
 
-/// Derives the per-worker correlator config for a cluster of `n`
-/// workers: workers receive pre-classified, pre-filtered activities
-/// (filters cleared), and a configured memory budget splits evenly so
-/// the configured total still bounds resident correlation state.
-pub(crate) fn worker_config(config: &CorrelatorConfig, n: usize) -> CorrelatorConfig {
-    let mut wc = config.clone();
-    wc.filters = FilterSet::new();
+/// Derives the per-worker config for a cluster of `n` workers: a
+/// configured memory budget splits evenly so the configured total still
+/// bounds resident correlation state.
+pub(crate) fn worker_config(config: &CorrelatorConfig, n: usize) -> WorkerConfig {
+    let mut wc = config.worker();
     if let Some(b) = wc.memory_budget {
         wc.memory_budget = Some((b / n).max(1));
     }
     wc
 }
 
-/// One shard worker's drain loop: correlate batches as they arrive,
-/// stream sealed CAGs out, finish when the feeding side hangs up.
-fn run_worker(
-    mut sc: StreamingCorrelator,
-    rx: Receiver<Vec<ShardMsg>>,
-) -> Result<CorrelationOutput, TraceError> {
-    let mut cags = Vec::new();
+/// One shard worker's drain loop: deliver batches as they arrive,
+/// finish when the feeding side hangs up.
+fn run_worker(mut runner: EngineRunner, rx: Receiver<Vec<ShardMsg>>) -> CorrelationOutput {
     for batch in rx {
         for msg in batch {
             match msg {
-                ShardMsg::Act(a) => sc.push_activity(a)?,
-                ShardMsg::ForgetCtx(ctx) => sc.forget_ctx(&ctx),
+                ShardMsg::Act(a) => runner.deliver(a, &mut ()),
+                ShardMsg::ForgetCtx(ctx) => runner.engine.forget_ctx(&ctx),
             }
         }
-        cags.extend(sc.poll()?);
     }
-    let mut out = sc.finish()?;
-    cags.append(&mut out.cags);
-    out.cags = cags;
-    Ok(out)
+    let mut out = runner.finish(&());
+    // Candidate selection happened in the router: one candidate per
+    // delivered activity.
+    let delivered = out.metrics.engine.delivered;
+    out.metrics.ranker.enqueued = delivered;
+    out.metrics.ranker.candidates = delivered;
+    out
 }
 
 /// Where routed shard batches go — the single point of variation
@@ -1376,8 +1384,8 @@ pub(crate) trait ShardSink: Send {
     fn collect(&mut self) -> Result<Vec<CorrelationOutput>, TraceError>;
 }
 
-/// The thread sink: one direct-delivery correlator per shard, each on
-/// its own thread behind a bounded channel. [`Mode::Sharded`] runs one
+/// The thread sink: one engine runner per shard, each on its own thread
+/// behind a bounded channel. [`Mode::Sharded`] runs one
 /// block; a distributed router peer ([`crate::dist::serve_router`])
 /// runs one for its slice of the global shards.
 ///
@@ -1385,26 +1393,23 @@ pub(crate) trait ShardSink: Send {
 #[derive(Debug)]
 pub(crate) struct WorkerBlock {
     txs: Vec<SyncSender<Vec<ShardMsg>>>,
-    workers: Vec<JoinHandle<Result<CorrelationOutput, TraceError>>>,
+    workers: Vec<JoinHandle<CorrelationOutput>>,
 }
 
 impl WorkerBlock {
     /// Spawns `n` workers running `worker_cfg` (see [`worker_config`]).
-    pub(crate) fn spawn(worker_cfg: &CorrelatorConfig, n: usize) -> Result<Self, TraceError> {
+    pub(crate) fn spawn(worker_cfg: &WorkerConfig, n: usize) -> Result<Self, TraceError> {
         let mut block = WorkerBlock {
             txs: Vec::with_capacity(n),
             workers: Vec::with_capacity(n),
         };
         for _ in 0..n {
-            // Direct delivery: the router already performed candidate
-            // selection (causal order, Rule-1 byte coverage, noise
-            // removal), so workers run the engine without re-ranking.
-            let sc = StreamingCorrelator::direct_for_activities(worker_cfg.clone())?;
+            let runner = EngineRunner::new(worker_cfg)?;
             let (tx, rx) = sync_channel(CHANNEL_BATCHES);
             block.txs.push(tx);
             block
                 .workers
-                .push(std::thread::spawn(move || run_worker(sc, rx)));
+                .push(std::thread::spawn(move || run_worker(runner, rx)));
         }
         Ok(block)
     }
@@ -1428,7 +1433,7 @@ impl ShardSink for WorkerBlock {
         let joined: Vec<_> = self.workers.drain(..).map(JoinHandle::join).collect();
         joined
             .into_iter()
-            .map(|out| out.map_err(|_| TraceError::config("shard worker panicked"))?)
+            .map(|out| out.map_err(|_| TraceError::config("shard worker panicked")))
             .collect()
     }
 }
@@ -1582,9 +1587,8 @@ impl RoutedCorrelator {
     /// defers inside the router — including untraced-peer noise,
     /// because a not-yet-arrived send is indistinguishable from one
     /// that never existed. Such heads settle at [`Self::finish`], or
-    /// earlier under the bounded-age settle rule
-    /// ([`CorrelatorConfig::lane_settle_depth`], on by default), which
-    /// keeps router state bounded on endless noisy streams.
+    /// earlier under the bounded-age settle rule ([`LANE_SETTLE_DEPTH`]),
+    /// which keeps router state bounded on endless noisy streams.
     ///
     /// # Errors
     ///
@@ -1700,6 +1704,33 @@ pub(crate) mod tests {
                 "10.0.0.3".parse().unwrap(),
             ],
         )
+    }
+
+    impl SessionRouter {
+        /// A router without idle GC or bounded-age settling that routes
+        /// orphan chains too.
+        fn bare(shards: u32) -> Self {
+            let mut router = SessionRouter::new(shards);
+            router.idle_horizon = None;
+            router.settle_depth = None;
+            router.route_orphans = true;
+            router
+        }
+    }
+
+    /// A sharded run over `log`'s records, staged whole, with `tune`
+    /// applied to the session router first.
+    fn sharded_with(
+        tune: impl FnOnce(&mut SessionRouter),
+        shards: usize,
+        log: &str,
+    ) -> CorrelationOutput {
+        let mut rc = RoutedCorrelator::sharded(&CorrelatorConfig::new(access()), shards).unwrap();
+        tune(&mut rc.core.router);
+        for rec in parse_log(log).unwrap() {
+            rc.stage(rec);
+        }
+        rc.finish().unwrap()
     }
 
     /// A whole-source run of the sharded pipeline.
@@ -2033,7 +2064,7 @@ pub(crate) mod tests {
         // state and fall back once the claim routes it.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let mut router = SessionRouter::new(4, None, None, true);
+        let mut router = SessionRouter::bare(4);
         let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
         let mut feed = |router: &mut SessionRouter, line: String| {
             let rec: RawRecord = line.parse().unwrap();
@@ -2101,7 +2132,8 @@ pub(crate) mod tests {
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
         let run = |horizon: Option<u64>| {
-            let mut router = SessionRouter::new(4, horizon, None, true);
+            let mut router = SessionRouter::bare(4);
+            router.idle_horizon = horizon;
             let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
             let mut grow_peak = 0usize;
             for i in 0..400u64 {
@@ -2151,11 +2183,7 @@ pub(crate) mod tests {
         // evicted, so output is byte-identical with and without GC.
         let log = two_session_log();
         let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log));
-        let gc = sharded(
-            CorrelatorConfig::new(access()).with_channel_idle_horizon(4),
-            3,
-            Source::text(&log),
-        );
+        let gc = sharded_with(|r| r.idle_horizon = Some(4), 3, &log);
         assert_eq!(format!("{:?}", gc.cags), format!("{:?}", base.cags));
         assert_eq!(gc.unfinished.len(), base.unfinished.len());
         assert_eq!(
@@ -2176,7 +2204,8 @@ pub(crate) mod tests {
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
         let run = |depth: Option<u64>| {
-            let mut router = SessionRouter::new(4, None, depth, true);
+            let mut router = SessionRouter::bare(4);
+            router.settle_depth = depth;
             let mut sink = |_m: ShardMsg, _s: u32| -> Result<(), TraceError> { Ok(()) };
             for i in 0..200u64 {
                 let line = format!(
@@ -2224,11 +2253,7 @@ pub(crate) mod tests {
         // default run byte-for-byte on a live log.
         let log = two_session_log();
         let base = sharded(CorrelatorConfig::new(access()), 3, Source::text(&log));
-        let eager = sharded(
-            CorrelatorConfig::new(access()).with_lane_settle_depth(1),
-            3,
-            Source::text(&log),
-        );
+        let eager = sharded_with(|r| r.settle_depth = Some(1), 3, &log);
         assert_eq!(format!("{:?}", eager.cags), format!("{:?}", base.cags));
         assert_eq!(eager.unfinished.len(), base.unfinished.len());
     }
@@ -2269,8 +2294,9 @@ pub(crate) mod tests {
         // one `RangeDedup` coverage entry per (channel, op) forever;
         // with one, a drained channel's coverage is evicted together
         // with its router claims, and the memory gauge shrinks.
-        let run = |cfg: CorrelatorConfig| {
-            let mut sc = RoutedCorrelator::sharded(&cfg, 2).unwrap();
+        let run = |horizon: Option<u64>| {
+            let mut sc = RoutedCorrelator::sharded(&CorrelatorConfig::new(access()), 2).unwrap();
+            sc.core.router.idle_horizon = horizon;
             let mut peak = 0usize;
             for i in 0..400u64 {
                 let port = 4001 + i;
@@ -2288,8 +2314,8 @@ pub(crate) mod tests {
             }
             (sc.approx_router_bytes(), peak)
         };
-        let (no_gc, _) = run(CorrelatorConfig::new(access()));
-        let (gc, gc_peak) = run(CorrelatorConfig::new(access()).with_channel_idle_horizon(64));
+        let (no_gc, _) = run(None);
+        let (gc, gc_peak) = run(Some(64));
         assert!(
             gc < no_gc,
             "evicting drained channels' coverage must shrink the reader: {gc} vs {no_gc}"
@@ -2307,7 +2333,7 @@ pub(crate) mod tests {
         // lane until finish.
         let config = CorrelatorConfig::new(access());
         let classifier = Classifier::new(config.access.clone());
-        let mut router = SessionRouter::new(4, None, None, true);
+        let mut router = SessionRouter::bare(4);
         let mut routed: Vec<(Activity, u32)> = Vec::new();
         let feed = |router: &mut SessionRouter, line: &str, out: &mut Vec<(Activity, u32)>| {
             let rec: RawRecord = line.parse().unwrap();

@@ -268,7 +268,7 @@ proptest! {
         );
         let config = CorrelatorConfig::new(access)
             .with_window(Nanos::from_millis(s.window_ms));
-        let out = Pipeline::new(config.into()).unwrap().run(records.into()).unwrap();
+        let out = Pipeline::new(config.into()).unwrap().run(Source::records(records)).unwrap();
         prop_assert_eq!(out.cags.len(), truth.len(), "{}", out.metrics.summary());
         let mut got: Vec<Vec<u64>> = out.cags.iter().map(|c| c.sorted_tags()).collect();
         got.sort();
@@ -295,7 +295,7 @@ proptest! {
             ["10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap(), "10.0.0.3".parse().unwrap()],
         );
         let config = CorrelatorConfig::new(access).with_window(Nanos::from_millis(10));
-        let out = Pipeline::new(config.into()).unwrap().run(records.into()).unwrap();
+        let out = Pipeline::new(config.into()).unwrap().run(Source::records(records)).unwrap();
         let vertex_send_total: u64 = out
             .cags
             .iter()
@@ -317,8 +317,8 @@ proptest! {
         );
         let base = CorrelatorConfig::new(access).with_window(Nanos::from_millis(s.window_ms));
         let weak = base.clone().with_ranker(RankerOptions { swap: false, ..base.ranker });
-        let full = Pipeline::new(base.into()).unwrap().run(records.clone().into()).unwrap();
-        let weak_out = Pipeline::new(weak.into()).unwrap().run(records.into()).unwrap();
+        let full = Pipeline::new(base.into()).unwrap().run(Source::records(records.clone())).unwrap();
+        let weak_out = Pipeline::new(weak.into()).unwrap().run(Source::records(records)).unwrap();
         prop_assert_eq!(full.cags.len(), truth.len());
         prop_assert!(weak_out.cags.len() <= full.cags.len());
     }

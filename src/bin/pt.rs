@@ -226,10 +226,12 @@ impl ParsedArgs {
     }
 }
 
-/// The correlation options shared by `correlate`, `patterns` and
-/// `diff`; `--dot` is patterns-only so the other subcommands reject it
-/// instead of silently ignoring it.
-const CORRELATE_VALUE_OPTS: &[&str] = &[
+/// The correlation options every correlating subcommand (`correlate`,
+/// `patterns`, `diff`, `serve`) takes, all read by [`correlator_from`].
+/// A subcommand adds its own: `--ingest-threads` for the file
+/// commands, `--dot` for `patterns` and `--stats` for `correlate`, so
+/// the others reject those instead of silently ignoring them.
+const CORRELATION_VALUE_OPTS: &[&str] = &[
     "--port",
     "--internal",
     "--window-ms",
@@ -240,26 +242,22 @@ const CORRELATE_VALUE_OPTS: &[&str] = &[
     "--workers-per-router",
     "--router-addr",
     "--max-seal-lag",
-    "--ingest-threads",
 ];
-const PATTERNS_VALUE_OPTS: &[&str] = &[
-    "--port",
-    "--internal",
-    "--window-ms",
-    "--memory-budget",
-    "--spill-dir",
-    "--shards",
-    "--routers",
-    "--workers-per-router",
-    "--router-addr",
-    "--max-seal-lag",
-    "--ingest-threads",
-    "--dot",
-];
-const CORRELATE_BOOL_OPTS: &[&str] = &["--adaptive-window", "--stats"];
-/// `--stats` is correlate-only, so `patterns`/`diff` reject it instead
-/// of silently accepting a no-op (same convention as `--dot`).
-const ANALYSIS_BOOL_OPTS: &[&str] = &["--adaptive-window"];
+const CORRELATION_BOOL_OPTS: &[&str] = &["--adaptive-window"];
+
+/// Parses a correlating subcommand's arguments: the correlation options
+/// plus the subcommand's own.
+fn parse_correlating(
+    raw: &[String],
+    value_opts: &[&'static str],
+    bool_opts: &[&'static str],
+) -> Result<ParsedArgs, String> {
+    ParsedArgs::parse(
+        raw,
+        &[CORRELATION_VALUE_OPTS, value_opts].concat(),
+        &[CORRELATION_BOOL_OPTS, bool_opts].concat(),
+    )
+}
 
 fn access_from(args: &ParsedArgs) -> Result<AccessPointSpec, String> {
     let port: u16 = args.parse_opt("--port")?.ok_or("missing --port")?;
@@ -267,12 +265,6 @@ fn access_from(args: &ParsedArgs) -> Result<AccessPointSpec, String> {
     let ips: Result<Vec<Ipv4Addr>, _> = internal.split(',').map(str::parse).collect();
     let ips = ips.map_err(|_| "bad --internal list")?;
     Ok(AccessPointSpec::new([port], ips))
-}
-
-fn window_from(args: &ParsedArgs) -> Result<Nanos, String> {
-    Ok(Nanos::from_millis(
-        args.parse_opt("--window-ms")?.unwrap_or(10),
-    ))
 }
 
 /// Parses a byte count with optional k/m/g suffix (powers of 1024).
@@ -296,40 +288,29 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("bad --memory-budget {s:?}"))
 }
 
-/// Applies the shared budget flags: `--memory-budget` and
-/// `--spill-dir`.
-fn apply_budget_opts(
-    mut config: CorrelatorConfig,
-    args: &ParsedArgs,
-) -> Result<CorrelatorConfig, String> {
+/// Builds the pipeline configuration from the correlation options (and
+/// `--ingest-threads`, 1 when the subcommand has none), validating
+/// every flag by name before anything touches the filesystem. Without
+/// `--shards` or `--routers` the mode is batch.
+fn correlator_from(args: &ParsedArgs) -> Result<PipelineConfig, String> {
+    let access = access_from(args)?;
+    let window = Nanos::from_millis(args.parse_opt("--window-ms")?.unwrap_or(10));
+    let mut config = CorrelatorConfig::new(access).with_window(window);
+    if args.flag("--adaptive-window") {
+        config = config.with_adaptive_window();
+    }
     if let Some(budget) = args.opt("--memory-budget") {
         config = config.with_memory_budget(parse_bytes(budget)?);
     }
     if let Some(dir) = args.opt("--spill-dir") {
         config = config.with_spill_dir(dir);
     }
-    Ok(config)
-}
-
-fn correlate_file(
-    path: &str,
-    args: &ParsedArgs,
-) -> Result<(CorrelationOutput, AccessPointSpec), String> {
-    // Validate every flag before touching the filesystem, so a bad
-    // flag is always reported by name.
-    let access = access_from(args)?;
-    let window = window_from(args)?;
-    let mut config = CorrelatorConfig::new(access.clone()).with_window(window);
-    if args.flag("--adaptive-window") {
-        config = config.with_adaptive_window();
-    }
-    config = apply_budget_opts(config, args)?;
     if let Some(lag) = args.parse_opt::<u64>("--max-seal-lag")? {
         config = config.with_max_seal_lag(lag);
     }
     let shards = args.parse_opt::<usize>("--shards")?;
-    if (shards.is_some() || args.opt("--routers").is_some())
-        && (args.flag("--adaptive-window") || args.opt("--window-ms").is_some())
+    let (mode, router_transport) = mode_from(args, shards)?;
+    if mode != Mode::Batch && (args.flag("--adaptive-window") || args.opt("--window-ms").is_some())
     {
         // The sharded router sequences by causal claims, not by a
         // sliding time window; workers deliver directly to engines.
@@ -338,25 +319,25 @@ fn correlate_file(
              --window-ms/--adaptive-window only affect single-instance mode"
         );
     }
-    // One facade for every mode: every mode ingests the file zero-copy
-    // and emits canonical root order (same bytes for any mode and shard
-    // count).
-    let (mode, router_transport) = mode_from(args, shards)?;
-    let pipeline = Pipeline::new(PipelineConfig {
+    Ok(PipelineConfig {
         correlator: config,
         mode,
         // 1 = single-threaded parse (default); 0 = one per core.
         ingest_threads: args.parse_opt::<usize>("--ingest-threads")?.unwrap_or(1),
         router_transport,
     })
-    .map_err(|e| e.to_string())?;
+}
+
+/// Correlates one log file, text or PTBIN, in every mode through the
+/// one facade: zero-copy ingest, canonical root order.
+fn correlate_file(path: &str, config: &PipelineConfig) -> Result<CorrelationOutput, String> {
+    let pipeline = Pipeline::new(config.clone()).map_err(|e| e.to_string())?;
     let source = if sniff_ptbin(path)? {
         Source::binary_path(path)
     } else {
         Source::path(path)
     };
-    let out = pipeline.run(source).map_err(|e| format!("{path}: {e}"))?;
-    Ok((out, access))
+    pipeline.run(source).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Resolves the correlation mode from `--shards` / `--routers` /
@@ -585,19 +566,9 @@ impl ServeSink for StdoutSink {
 }
 
 fn serve_cmd(raw: &[String]) -> Result<(), String> {
-    let args = ParsedArgs::parse(
+    let args = parse_correlating(
         raw,
         &[
-            "--port",
-            "--internal",
-            "--window-ms",
-            "--memory-budget",
-            "--spill-dir",
-            "--shards",
-            "--routers",
-            "--workers-per-router",
-            "--router-addr",
-            "--max-seal-lag",
             "--format",
             "--idle-end-ms",
             "--shed",
@@ -605,27 +576,16 @@ fn serve_cmd(raw: &[String]) -> Result<(), String> {
             "--kpi-every",
             "--poll-ms",
         ],
-        &["--adaptive-window", "--print-paths"],
+        &["--print-paths"],
     )?;
     if args.positionals.is_empty() {
         return Err("missing source file(s)".into());
     }
-    let access = access_from(&args)?;
-    let mut config = CorrelatorConfig::new(access).with_window(window_from(&args)?);
-    if args.flag("--adaptive-window") {
-        config = config.with_adaptive_window();
+    let mut pipeline = correlator_from(&args)?;
+    if pipeline.mode == Mode::Batch {
+        // A shard-less, router-less daemon runs the streaming engine.
+        pipeline.mode = Mode::Streaming;
     }
-    config = apply_budget_opts(config, &args)?;
-    if let Some(lag) = args.parse_opt::<u64>("--max-seal-lag")? {
-        config = config.with_max_seal_lag(lag);
-    }
-    let shards = args.parse_opt::<usize>("--shards")?;
-    let (mode, router_transport) = match mode_from(&args, shards)? {
-        // `mode_from` defaults to batch; a shard-less, router-less
-        // daemon runs the streaming engine.
-        (Mode::Batch, t) => (Mode::Streaming, t),
-        resolved => resolved,
-    };
     let kind = match args.opt("--format").map(String::as_str) {
         None | Some("auto") => SourceKind::Auto,
         Some("text") => SourceKind::Text,
@@ -640,12 +600,6 @@ fn serve_cmd(raw: &[String]) -> Result<(), String> {
             kind,
         })
         .collect();
-    let pipeline = PipelineConfig {
-        correlator: config,
-        mode,
-        ingest_threads: 1,
-        router_transport,
-    };
     let mut cfg = ServeConfig::new(pipeline, sources);
     if let Some(ms) = args.parse_opt::<u64>("--idle-end-ms")? {
         cfg.idle_end = (ms != 0).then(|| std::time::Duration::from_millis(ms));
@@ -797,9 +751,9 @@ fn peak_rss_bytes() -> Option<u64> {
 }
 
 fn correlate_cmd(raw: &[String]) -> Result<(), String> {
-    let args = ParsedArgs::parse(raw, CORRELATE_VALUE_OPTS, CORRELATE_BOOL_OPTS)?;
+    let args = parse_correlating(raw, &["--ingest-threads"], &["--stats"])?;
     let path = args.positional(0).ok_or("missing log file")?;
-    let (out, _) = correlate_file(path, &args)?;
+    let out = correlate_file(path, &correlator_from(&args)?)?;
     println!(
         "correlated {} causal paths ({} deformed/unfinished)",
         out.cags.len(),
@@ -867,9 +821,9 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
 }
 
 fn patterns_cmd(raw: &[String]) -> Result<(), String> {
-    let args = ParsedArgs::parse(raw, PATTERNS_VALUE_OPTS, ANALYSIS_BOOL_OPTS)?;
+    let args = parse_correlating(raw, &["--ingest-threads", "--dot"], &[])?;
     let path = args.positional(0).ok_or("missing log file")?;
-    let (out, _) = correlate_file(path, &args)?;
+    let out = correlate_file(path, &correlator_from(&args)?)?;
     let agg = PatternAggregator::from_cags(&out.cags);
     println!("{} patterns over {} paths:", agg.len(), out.cags.len());
     for p in agg.average_paths() {
@@ -892,11 +846,12 @@ fn patterns_cmd(raw: &[String]) -> Result<(), String> {
 }
 
 fn diff_cmd(raw: &[String]) -> Result<(), String> {
-    let args = ParsedArgs::parse(raw, CORRELATE_VALUE_OPTS, ANALYSIS_BOOL_OPTS)?;
+    let args = parse_correlating(raw, &["--ingest-threads"], &[])?;
     let base_path = args.positional(0).ok_or("missing baseline log")?;
     let cur_path = args.positional(1).ok_or("missing current log")?;
-    let (base, _) = correlate_file(base_path, &args)?;
-    let (cur, _) = correlate_file(cur_path, &args)?;
+    let config = correlator_from(&args)?;
+    let base = correlate_file(base_path, &config)?;
+    let cur = correlate_file(cur_path, &config)?;
     let b = BreakdownReport::dominant(&base.cags).ok_or("no patterns in baseline")?;
     let c = BreakdownReport::dominant(&cur.cags).ok_or("no patterns in current")?;
     let diff = DiffReport::between(&b, &c);

@@ -1147,6 +1147,40 @@ fn serve_follows_a_file_to_idle_end_and_reports() {
     assert!(stdout.contains("path: root_ts="), "{stdout}");
 }
 
+/// The routed modes select candidates by causal claims, not by a
+/// sliding window: every correlating subcommand says so when a window
+/// is given with `--shards`, `serve` included.
+#[test]
+fn routed_modes_note_that_the_window_is_unused() {
+    let log = TmpFile::new("window-note.log");
+    let out = pt()
+        .args(["simulate", "--clients", "4", "--seconds", "3"])
+        .args(["--out", log.as_str()])
+        .output()
+        .expect("run pt simulate");
+    assert!(out.status.success());
+    const NOTE: &str = "note: --shards/--routers do not use the sliding window";
+    let base = ["--port", "80", "--internal", INTERNAL, "--window-ms", "5"];
+    let serve = ["--idle-end-ms", "100", "--kpi-every", "0"];
+    for (args, noted) in [
+        (vec!["correlate", log.as_str(), "--shards", "2"], true),
+        (
+            [&["serve", log.as_str(), "--shards", "2"][..], &serve].concat(),
+            true,
+        ),
+        ([&["serve", log.as_str()][..], &serve].concat(), false),
+    ] {
+        let out = pt()
+            .args(&args)
+            .args(base)
+            .output()
+            .expect("run pt with a window");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert_eq!(stderr.contains(NOTE), noted, "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn serve_rejects_bad_flags_by_name() {
     let err = stderr_of(&["serve", "--port", "80", "--internal", INTERNAL]);

@@ -656,6 +656,68 @@ fn golden_distributed_matches_sharded_on_every_corpus() {
     assert!(cases >= 11, "expected the full golden corpus, got {cases}");
 }
 
+/// Ranker options are a single-instance matter: in the routed modes the
+/// session router selects every candidate and the workers only build
+/// CAGs, so `Mode::Sharded(2)` and `Mode::Distributed { 2, 2 }` give the
+/// same bytes — CAGs, patterns and every metric but wall time — under
+/// the default options, a 1 ms window, the adaptive window and the
+/// no-swap ablation. That is why a router's Hello ships no ranker
+/// options.
+#[test]
+fn routed_output_ignores_ranker_options() {
+    let full = |out: &CorrelationOutput| {
+        let mut m = out.metrics.clone();
+        m.wall = std::time::Duration::ZERO;
+        format!("{}{m:?}", render(out))
+    };
+    let mut cases = 0usize;
+    for entry in std::fs::read_dir(golden_dir()).expect("tests/golden") {
+        let log_path = entry.expect("dir entry").path();
+        if log_path.extension().map(|e| e != "log").unwrap_or(true) {
+            continue;
+        }
+        cases += 1;
+        let name = log_path.file_stem().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&log_path).unwrap();
+        let directive = parse_directive(&text, &log_path);
+        let base = PipelineConfig::new(directive.access).with_window(directive.window);
+        let no_swap = RankerOptions {
+            swap: false,
+            ..base.correlator.ranker
+        };
+        for mode in [
+            Mode::Sharded(2),
+            Mode::Distributed {
+                routers: 2,
+                workers_per_router: 2,
+            },
+        ] {
+            let run = |cfg: PipelineConfig| {
+                let out = Pipeline::new(cfg.with_mode(mode))
+                    .unwrap()
+                    .run(Source::text(&text))
+                    .unwrap();
+                full(&out)
+            };
+            let want = run(base.clone());
+            for (variant, cfg) in [
+                (
+                    "1 ms window",
+                    base.clone().with_window(Nanos::from_millis(1)),
+                ),
+                ("adaptive window", base.clone().with_adaptive_window()),
+                ("no swap", base.clone().with_ranker(no_swap)),
+            ] {
+                assert!(
+                    run(cfg) == want,
+                    "{name} {mode:?}: {variant} changed routed output"
+                );
+            }
+        }
+    }
+    assert!(cases >= 12, "expected the full golden corpus, got {cases}");
+}
+
 /// A budget tight enough to force actual page traffic must still give
 /// recall 1.00: the big simulated corpus correlates byte-identically
 /// under 4 KiB with a nonzero fault count — proof the spill tier was
