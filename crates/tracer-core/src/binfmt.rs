@@ -230,20 +230,6 @@ pub fn encode_refs(records: &[RawRecordRef<'_>]) -> Result<Vec<u8>, TraceError> 
     Ok(enc.finish())
 }
 
-/// Encodes owned records into a complete PTBIN stream.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Config`] when a string field exceeds the
-/// format's 65535-byte limit.
-pub fn encode_records(records: &[RawRecord]) -> Result<Vec<u8>, TraceError> {
-    let mut enc = Encoder::new();
-    for r in records {
-        enc.push(&r.as_record_ref())?;
-    }
-    Ok(enc.finish())
-}
-
 /// Parses `TCP_TRACE` text (with `threads` ingest workers) and encodes
 /// the records as PTBIN.
 ///
@@ -504,22 +490,6 @@ pub fn decode_refs_parallel(
     Ok(out)
 }
 
-/// Decodes a complete PTBIN stream into owned records, interning
-/// hostname/program strings.
-///
-/// # Errors
-///
-/// Returns [`TraceError::Config`] for any malformed stream.
-pub fn decode_records(buf: &[u8]) -> Result<Vec<RawRecord>, TraceError> {
-    let reader = Reader::new(buf)?;
-    let mut interner = Interner::new();
-    let mut out = Vec::with_capacity(reader.len());
-    for r in reader.iter() {
-        out.push(r?.to_owned_interned(&mut interner));
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Incremental decoding (live tails)
 // ---------------------------------------------------------------------------
@@ -737,19 +707,21 @@ mod tests {
         parse_log(SAMPLE).unwrap()
     }
 
+    fn sample_refs() -> Vec<RawRecordRef<'static>> {
+        parse_log_iter(SAMPLE).collect::<Result<_, _>>().unwrap()
+    }
+
     #[test]
     fn round_trips_v1_and_v2_records() {
-        let records = sample_records();
-        let bin = encode_records(&records).unwrap();
+        let refs = sample_refs();
+        let bin = encode_refs(&refs).unwrap();
         assert!(is_ptbin(&bin));
-        let decoded = decode_records(&bin).unwrap();
-        assert_eq!(records, decoded);
+        assert_eq!(decode_refs(&bin).unwrap(), refs);
     }
 
     #[test]
     fn round_trip_renders_byte_identical_text() {
-        let records = sample_records();
-        let bin = encode_records(&records).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
         let rendered: String = decode_refs(&bin)
             .unwrap()
             .iter()
@@ -759,17 +731,17 @@ mod tests {
     }
 
     #[test]
-    fn encode_text_matches_encode_records() {
+    fn encode_text_matches_encode_refs() {
         let via_text = encode_text(SAMPLE, 1).unwrap();
-        let via_records = encode_records(&sample_records()).unwrap();
-        assert_eq!(via_text, via_records);
+        let via_refs = encode_refs(&sample_refs()).unwrap();
+        assert_eq!(via_text, via_refs);
         // And the parallel ingest front-end produces the same stream.
-        assert_eq!(encode_text(SAMPLE, 3).unwrap(), via_records);
+        assert_eq!(encode_text(SAMPLE, 3).unwrap(), via_refs);
     }
 
     #[test]
     fn string_table_interns_duplicates() {
-        let bin = encode_records(&sample_records()).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
         let reader = Reader::new(&bin).unwrap();
         // web/httpd/app/java/db/mysqld — six distinct strings for four
         // records with eight string fields.
@@ -842,8 +814,7 @@ mod tests {
 
     #[test]
     fn parallel_decode_matches_sequential_for_every_thread_count() {
-        let records = sample_records();
-        let bin = encode_records(&records).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
         let seq = decode_refs(&bin).unwrap();
         for threads in [0, 1, 2, 3, 4, 7] {
             let par = decode_refs_parallel(&bin, threads).unwrap();
@@ -853,7 +824,7 @@ mod tests {
 
     #[test]
     fn empty_stream_round_trips() {
-        let bin = encode_records(&[]).unwrap();
+        let bin = encode_refs(&[]).unwrap();
         let reader = Reader::new(&bin).unwrap();
         assert!(reader.is_empty());
         assert_eq!(decode_refs(&bin).unwrap(), Vec::new());
@@ -861,7 +832,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_version_flags_and_truncation() {
-        let bin = encode_records(&sample_records()).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
 
         let mut bad_magic = bin.clone();
         bad_magic[0] = b'X';
@@ -898,8 +869,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_record_flags_and_string_indices() {
-        let records = sample_records();
-        let bin = encode_records(&records[..1]).unwrap();
+        let bin = encode_refs(&sample_refs()[..1]).unwrap();
         let record_at = bin.len() - RECORD_BYTES;
 
         let mut bad_flags = bin.clone();
@@ -944,9 +914,8 @@ mod tests {
         // mid-cell — and pushing the halves separately must decode the
         // exact records a one-shot parse yields, with no error at the
         // cut.
-        let records = sample_records();
-        let bin = encode_records(&records).unwrap();
-        let one_shot = decode_records(&bin).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
+        let one_shot = sample_records();
         for cut in 0..=bin.len() {
             let mut dec = StreamDecoder::new();
             let mut got = Vec::new();
@@ -969,8 +938,9 @@ mod tests {
         // and (different) string table — pushed one byte at a time,
         // decode as one record sequence.
         let records = sample_records();
-        let first = encode_records(&records[..2]).unwrap();
-        let second = encode_records(&records[2..]).unwrap();
+        let refs = sample_refs();
+        let first = encode_refs(&refs[..2]).unwrap();
+        let second = encode_refs(&refs[2..]).unwrap();
         let wire: Vec<u8> = [first, second].concat();
         let mut dec = StreamDecoder::new();
         let mut got = Vec::new();
@@ -986,7 +956,7 @@ mod tests {
 
     #[test]
     fn stream_decoder_reports_torn_final_record() {
-        let bin = encode_records(&sample_records()).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
         let mut dec = StreamDecoder::new();
         dec.push(&bin[..bin.len() - 1]);
         let got = dec.drain().unwrap();
@@ -997,7 +967,7 @@ mod tests {
 
     #[test]
     fn stream_decoder_still_rejects_malformation() {
-        let bin = encode_records(&sample_records()).unwrap();
+        let bin = encode_refs(&sample_refs()).unwrap();
         let mut bad_magic = bin.clone();
         bad_magic[0] = b'X';
         let mut dec = StreamDecoder::new();

@@ -2,7 +2,7 @@
 //! correlation pipeline.
 //!
 //! `StreamingCorrelator` is the one correlation path of the
-//! single-instance modes: records are pushed incrementally (`push` →
+//! single-instance modes: records are pushed incrementally (`push_ref` →
 //! `poll` → `finish`), candidates flow through the
 //! [`crate::ranker::Ranker`]/[`crate::engine::Engine`] loop, and
 //! completed CAGs stream out with bounded memory. The paper's offline
@@ -32,18 +32,17 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::access::{AccessPointSpec, Classifier};
-use crate::activity::{Activity, Channel, Nanos};
+use crate::access::AccessPointSpec;
+use crate::activity::{Activity, Nanos};
 use crate::cag::Cag;
 use crate::engine::Engine;
 use crate::error::TraceError;
-use crate::fasthash::FxHashMap;
 use crate::filter::FilterSet;
-use crate::intern::Interner;
+use crate::ingest::IngestStage;
 use crate::metrics::CorrelatorMetrics;
 use crate::ranker::{RankStep, Ranker};
-use crate::raw::{IngestDecision, RangeDedup, RawOp, RawRecord, RawRecordRef};
-use crate::spill::{PageExtent, SpillFile};
+use crate::raw::RawRecordRef;
+use crate::spill::SpillFile;
 
 pub use crate::engine::EngineOptions;
 pub use crate::ranker::{RankerOptions, WindowPolicy};
@@ -458,7 +457,7 @@ impl EngineRunner {
 /// see the module docs).
 ///
 /// After [`StreamingCorrelator::finish`] the correlator is spent:
-/// every further `push`/`push_ref`/`poll`/`finish` returns
+/// every further `push_ref`/`poll`/`finish` returns
 /// [`TraceError::Finished`].
 ///
 /// This is the engine behind [`crate::pipeline::Mode::Streaming`];
@@ -473,63 +472,12 @@ pub(crate) struct StreamingCorrelator {
     finished: bool,
 }
 
-/// What a [`StreamingCorrelator`] keeps in front of its engine: ingest
-/// (range dedup, filters, classification) and candidate selection.
+/// What a [`StreamingCorrelator`] keeps in front of its engine: the
+/// ingest stage and candidate selection.
 #[derive(Debug)]
 struct Front {
-    classifier: Classifier,
-    filters: FilterSet,
-    /// Shares the hostname and program strings of borrowed records.
-    interner: Interner,
+    ingest: IngestStage,
     ranker: Ranker,
-    /// Ingest-stage duplicate-range elimination: v2 `seq=` offset
-    /// arithmetic, v1 `retrans` marker fallback.
-    range_dedup: RangeDedup,
-    /// Range-dedup coverage entries currently paged out, by key.
-    spilled_dedup: FxHashMap<(Channel, RawOp), PageExtent>,
-    /// The runner's spill file, if any.
-    spill_file: Option<Arc<SpillFile>>,
-    /// Ingest and ranking counters; the runner's metrics hold the rest.
-    metrics: CorrelatorMetrics,
-}
-
-impl Front {
-    /// The ingest stage of both pushes: range dedup, then the attribute
-    /// filters. Returns the record's effective size, or `None` when it
-    /// is dropped.
-    fn admit(&mut self, r: &RawRecordRef<'_>) -> Option<u64> {
-        self.metrics.records_in += 1;
-        // Fault the channel's spilled dedup coverage back before the
-        // decision — a spilled entry is live state, and deciding
-        // without it would re-admit duplicate ranges.
-        if r.seq.is_some() && !self.spilled_dedup.is_empty() {
-            let key = (r.channel(), r.op);
-            if let Some(ext) = self.spilled_dedup.remove(&key) {
-                let file = self
-                    .spill_file
-                    .as_ref()
-                    .expect("spilled entries imply a file");
-                self.range_dedup.restore_entry(key, &file.get(ext));
-                self.metrics.spill_dedup_faults += 1;
-            }
-        }
-        let size = match self.range_dedup.decide(r) {
-            // A duplicate byte range (v2 `seq=` arithmetic, or the v1
-            // `retrans` marker): the kernel already delivered these
-            // bytes; admitting the record would break Rule 1's byte
-            // exactness on the channel.
-            IngestDecision::Drop => {
-                self.metrics.retrans_dropped += 1;
-                return None;
-            }
-            IngestDecision::Admit(size) => size,
-        };
-        if !self.filters.admits_raw(r) {
-            self.metrics.filtered_out += 1;
-            return None;
-        }
-        Some(size)
-    }
 }
 
 impl Beside for Front {
@@ -539,22 +487,11 @@ impl Beside for Front {
 
     /// The v2 range-dedup coverage (empty on v1 streams).
     fn spillable_bytes(&self) -> usize {
-        self.range_dedup.approx_bytes()
+        self.ingest.coverage_bytes()
     }
 
-    /// Pages the coldest range-dedup coverage entry out to the spill
-    /// file.
     fn spill_one(&mut self) -> bool {
-        let Some(file) = self.spill_file.as_ref() else {
-            return false;
-        };
-        let Some((key, bytes)) = self.range_dedup.take_coldest_entry() else {
-            return false;
-        };
-        let ext = file.put(bytes);
-        self.spilled_dedup.insert(key, ext);
-        self.metrics.spilled_dedup_entries += 1;
-        true
+        self.ingest.spill_one()
     }
 }
 
@@ -575,14 +512,8 @@ impl StreamingCorrelator {
         ranker.set_adaptive_budget(config.memory_budget);
         Ok(StreamingCorrelator {
             front: Front {
-                classifier: Classifier::new(config.access),
-                filters: config.filters,
-                interner: Interner::new(),
+                ingest: IngestStage::new(&config, runner.spill_file.clone()),
                 ranker,
-                range_dedup: RangeDedup::new(),
-                spilled_dedup: FxHashMap::default(),
-                spill_file: runner.spill_file.clone(),
-                metrics: CorrelatorMetrics::default(),
             },
             runner,
             noise_samples: Vec::new(),
@@ -599,35 +530,16 @@ impl StreamingCorrelator {
         }
     }
 
-    /// Pushes one raw record (routed to its node's queue).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push(&mut self, mut rec: RawRecord) -> Result<(), TraceError> {
-        self.guard()?;
-        if let Some(size) = self.front.admit(&rec.as_record_ref()) {
-            rec.size = size;
-            let act = self.front.classifier.classify(&rec);
-            self.front.ranker.push(act);
-        }
-        Ok(())
-    }
-
-    /// Zero-copy counterpart of [`Self::push`]: the borrowed record is
-    /// deduplicated and filtered before anything is allocated, and its
-    /// strings are interned.
+    /// Pushes one record through the ingest stage into its node's
+    /// queue.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
         self.guard()?;
-        let f = &mut self.front;
-        if let Some(size) = f.admit(r) {
-            let r = RawRecordRef { size, ..*r };
-            let act = f.classifier.classify_ref(&r, &mut f.interner);
-            f.ranker.push(act);
+        if let Some(act) = self.front.ingest.admit(r) {
+            self.front.ranker.push(act);
         }
         Ok(())
     }
@@ -675,10 +587,10 @@ impl StreamingCorrelator {
     /// carry the full breakdown.
     pub fn spill_counters(&self) -> (u64, u64) {
         let e = self.runner.engine.counters();
-        let m = &self.front.metrics;
+        let (spilled, faults) = self.front.ingest.spill_counters();
         (
-            e.spilled_cags + e.spilled_orphans + m.spilled_dedup_entries,
-            e.spill_faults + m.spill_dedup_faults,
+            e.spilled_cags + e.spilled_orphans + spilled,
+            e.spill_faults + faults,
         )
     }
 
@@ -702,15 +614,12 @@ impl StreamingCorrelator {
         self.finished = true;
         self.front.ranker.close_all();
         self.pump();
-        let f = &mut self.front;
-        let mut out = self.runner.finish(f);
-        f.metrics.seq_dedup_ranges = f.range_dedup.seq_dedup_ranges;
-        f.metrics.v2_records = f.range_dedup.v2_records;
-        f.metrics.seq_gaps = f.range_dedup.seq_gaps;
-        f.metrics.ranker = *f.ranker.counters();
+        let mut out = self.runner.finish(&self.front);
+        let mut front = self.front.ingest.metrics();
+        front.ranker = *self.front.ranker.counters();
         // The front's counters and the runner's are disjoint fields, so
         // folding one into the other is their union.
-        out.metrics.absorb(&f.metrics);
+        out.metrics.absorb(&front);
         out.noise_samples = std::mem::take(&mut self.noise_samples);
         Ok(out)
     }
@@ -720,7 +629,14 @@ impl StreamingCorrelator {
 mod tests {
     use super::*;
     use crate::pipeline::{Pipeline, Source};
-    use crate::raw::parse_log;
+    use crate::raw::{parse_log, RawRecord};
+
+    impl StreamingCorrelator {
+        /// Pushes an owned record as its borrowed view.
+        fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
+            self.push_ref(&rec.as_record_ref())
+        }
+    }
 
     /// A [`crate::pipeline::Mode::Batch`] run over owned records.
     fn batch(

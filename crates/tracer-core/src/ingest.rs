@@ -1,7 +1,8 @@
-//! Parallel chunked ingest: whole-buffer parsing of `TCP_TRACE` logs
-//! split across threads.
+//! Ingest: whole-buffer parsing of `TCP_TRACE` logs split across
+//! threads, and the one stage that turns the parsed records into
+//! activities (`IngestStage`: dedup → filter → classify).
 //!
-//! This module only chunks; every line is parsed by
+//! The scanner only chunks; every line is parsed by
 //! [`RawRecordRef::parse_line`], the one text parser, exactly as the
 //! sequential [`crate::raw::parse_log_iter`] parses it:
 //!
@@ -25,9 +26,18 @@
 //! than one thread.
 
 use std::path::Path;
+use std::sync::Arc;
 
+use crate::access::Classifier;
+use crate::activity::{Activity, Channel};
+use crate::correlator::CorrelatorConfig;
 use crate::error::TraceError;
-use crate::raw::{parse_log_iter, RawRecord, RawRecordRef};
+use crate::fasthash::FxHashMap;
+use crate::filter::FilterSet;
+use crate::intern::Interner;
+use crate::metrics::CorrelatorMetrics;
+use crate::raw::{parse_log_iter, IngestDecision, RangeDedup, RawOp, RawRecordRef};
+use crate::spill::{PageExtent, SpillFile};
 
 /// Upper bound on worker threads: beyond this the split overhead and
 /// memory bandwidth dominate any parse win.
@@ -209,19 +219,115 @@ pub fn parse_refs_parallel(
     }))
 }
 
-/// Parses a whole log into owned, interned [`RawRecord`]s using
-/// `threads` worker threads (`0` = one per core). Each worker interns
-/// into its own [`Interner`](crate::intern::Interner), so allocation
-/// stays proportional to `distinct strings × chunks`, not to the record
-/// count; the records are value-identical to
-/// [`parse_log`](crate::raw::parse_log)'s.
-///
-/// # Errors
-///
-/// Returns the first parse error encountered, identical to the
-/// sequential path's.
-pub fn parse_log_parallel(text: &str, threads: usize) -> Result<Vec<RawRecord>, TraceError> {
-    concat(map_chunks(text, threads, crate::raw::parse_log))
+/// The one ingest stage of every correlation path; the single-instance
+/// front and the routed reader each hold one. A borrowed record becomes
+/// an [`Activity`] in three steps: range dedup drops a duplicate byte
+/// range (v2 `seq=` arithmetic, the v1 `retrans` marker), which would
+/// break Rule 1's byte exactness; the attribute filters (§4.3) run on
+/// the borrowed record, so a filtered one allocates nothing; the §3.1
+/// classification interns the hostname and program. The stage also
+/// owns the coverage entries the spill tier paged out, and their file.
+#[derive(Debug)]
+pub(crate) struct IngestStage {
+    classifier: Classifier,
+    filters: FilterSet,
+    interner: Interner,
+    dedup: RangeDedup,
+    /// Coverage entries currently paged out, by key.
+    spilled: FxHashMap<(Channel, RawOp), PageExtent>,
+    spill_file: Option<Arc<SpillFile>>,
+    /// The stage's own counters; the dedup holds the v2 ones.
+    counts: CorrelatorMetrics,
+}
+
+impl IngestStage {
+    pub(crate) fn new(config: &CorrelatorConfig, spill_file: Option<Arc<SpillFile>>) -> Self {
+        IngestStage {
+            classifier: Classifier::new(config.access.clone()),
+            filters: config.filters.clone(),
+            interner: Interner::new(),
+            dedup: RangeDedup::new(),
+            spilled: FxHashMap::default(),
+            spill_file,
+            counts: CorrelatorMetrics::default(),
+        }
+    }
+
+    /// Dedups, filters and classifies one record: its activity, or
+    /// `None` when it is dropped.
+    pub(crate) fn admit(&mut self, r: &RawRecordRef<'_>) -> Option<Activity> {
+        self.counts.records_in += 1;
+        // Fault the channel's spilled coverage back before the decision
+        // — a spilled entry is live state, and deciding without it
+        // would re-admit duplicate ranges.
+        if r.seq.is_some() && !self.spilled.is_empty() {
+            let key = (r.channel(), r.op);
+            if let Some(ext) = self.spilled.remove(&key) {
+                let file = self
+                    .spill_file
+                    .as_ref()
+                    .expect("spilled entries imply a file");
+                self.dedup.restore_entry(key, &file.get(ext));
+                self.counts.spill_dedup_faults += 1;
+            }
+        }
+        let size = match self.dedup.decide(r) {
+            IngestDecision::Drop => {
+                self.counts.retrans_dropped += 1;
+                return None;
+            }
+            IngestDecision::Admit(size) => size,
+        };
+        if !self.filters.admits_raw(r) {
+            self.counts.filtered_out += 1;
+            return None;
+        }
+        let r = RawRecordRef { size, ..*r };
+        Some(self.classifier.classify_ref(&r, &mut self.interner))
+    }
+
+    /// Forgets both directions' coverage of `channel` (see
+    /// [`RangeDedup::evict_channel`]).
+    pub(crate) fn evict_channel(&mut self, channel: Channel) {
+        self.dedup.evict_channel(channel);
+    }
+
+    /// Resident bytes of the v2 coverage (0 on v1 streams).
+    pub(crate) fn coverage_bytes(&self) -> usize {
+        self.dedup.approx_bytes()
+    }
+
+    /// Pages the coldest coverage entry out to the spill file; `false`
+    /// when there is no file or no resident entry.
+    pub(crate) fn spill_one(&mut self) -> bool {
+        let Some(file) = self.spill_file.as_ref() else {
+            return false;
+        };
+        let Some((key, bytes)) = self.dedup.take_coldest_entry() else {
+            return false;
+        };
+        self.spilled.insert(key, file.put(bytes));
+        self.counts.spilled_dedup_entries += 1;
+        true
+    }
+
+    /// Live `(entries spilled, faults)` of the coverage.
+    pub(crate) fn spill_counters(&self) -> (u64, u64) {
+        (
+            self.counts.spilled_dedup_entries,
+            self.counts.spill_dedup_faults,
+        )
+    }
+
+    /// The stage's counters, every other field zero.
+    pub(crate) fn metrics(&self) -> CorrelatorMetrics {
+        CorrelatorMetrics {
+            seq_dedup_ranges: self.dedup.seq_dedup_ranges,
+            v2_records: self.dedup.v2_records,
+            seq_gaps: self.dedup.seq_gaps,
+            ..self.counts.clone()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -380,14 +486,6 @@ mod tests {
         ] {
             assert!(RawRecordRef::parse_canonical(line).is_some(), "{line:?}");
             assert_eq!(RawRecordRef::parse_line(line), RawRecordRef::parse_general(line));
-        }
-    }
-
-    #[test]
-    fn owned_parallel_parse_matches_parse_log() {
-        let want = crate::raw::parse_log(SAMPLE).unwrap();
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(parse_log_parallel(SAMPLE, threads).unwrap(), want);
         }
     }
 

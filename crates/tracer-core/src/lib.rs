@@ -106,7 +106,7 @@ pub use dist::{serve_router, RouterTransport, MAX_ROUTERS};
 pub use engine::Engine;
 pub use error::TraceError;
 pub use filter::{FilterRule, FilterSet};
-pub use ingest::{parse_log_parallel, parse_refs_parallel};
+pub use ingest::parse_refs_parallel;
 pub use intern::Interner;
 pub use metrics::CorrelatorMetrics;
 pub use pattern::{AveragePath, PatternAggregator, PatternKey};
@@ -135,7 +135,7 @@ pub mod prelude {
     pub use crate::dist::{serve_router, RouterTransport};
     pub use crate::error::TraceError;
     pub use crate::filter::{FilterRule, FilterSet};
-    pub use crate::ingest::{parse_log_parallel, parse_refs_parallel};
+    pub use crate::ingest::parse_refs_parallel;
     pub use crate::intern::Interner;
     pub use crate::metrics::CorrelatorMetrics;
     pub use crate::pattern::{AveragePath, PatternAggregator, PatternKey};

@@ -445,7 +445,9 @@ impl Input<'_> {
     /// `Vec`.
     fn stage_into(self, into: &mut SessionInner, threads: usize) -> Result<(), TraceError> {
         match self {
-            Input::Records(records) => records.into_iter().try_for_each(|r| into.stage(r)),
+            Input::Records(records) => records
+                .iter()
+                .try_for_each(|r| into.stage_ref(&r.as_record_ref())),
             Input::Text(t) if threads == 1 => {
                 parse_log_iter(t).try_for_each(|r| into.stage_ref(&r?))
             }
@@ -476,17 +478,6 @@ enum SessionInner {
 
 impl SessionInner {
     /// Takes one record without ranking or routing it yet.
-    fn stage(&mut self, rec: RawRecord) -> Result<(), TraceError> {
-        match self {
-            SessionInner::Single { sc, .. } => sc.push(rec),
-            SessionInner::Routed(rc) => {
-                rc.stage(rec);
-                Ok(())
-            }
-        }
-    }
-
-    /// Zero-copy counterpart of [`Self::stage`].
     fn stage_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
         match self {
             SessionInner::Single { sc, .. } => sc.push_ref(r),
@@ -513,10 +504,7 @@ impl PipelineSession {
     ///
     /// Returns [`TraceError::Finished`] after [`Self::finish`].
     pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
-        match &mut self.inner {
-            SessionInner::Routed(rc) => rc.push(rec),
-            single => single.stage(rec),
-        }
+        self.push_ref(&rec.as_record_ref())
     }
 
     /// Parses and pushes one TCP_TRACE log line (zero-copy).
@@ -526,9 +514,13 @@ impl PipelineSession {
     /// Returns a parse error for a malformed line, and
     /// [`TraceError::Finished`] after [`Self::finish`].
     pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
+        self.push_ref(&RawRecordRef::parse_line(line)?)
+    }
+
+    fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
         match &mut self.inner {
-            SessionInner::Routed(rc) => rc.push_line(line),
-            single => single.stage_ref(&RawRecordRef::parse_line(line)?),
+            SessionInner::Routed(rc) => rc.push_ref(r),
+            single => single.stage_ref(r),
         }
     }
 
@@ -645,22 +637,99 @@ mod tests {
         }
     }
 
+    /// A v2 capture of the three-tier request with what the ingest
+    /// stage decides: a v1 `retrans` duplicate of the client request, a
+    /// duplicate `seq=` range on the app tier, and `sshd` chatter whose
+    /// second record starts above the channel's covered bytes (a
+    /// capture gap) — dedup runs before the filter that drops it.
+    fn v2_ingest_log() -> &'static str {
+        "\
+        1000 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120\n\
+        1100 web httpd 7 7 RECEIVE 192.168.0.9:5000-10.0.0.1:80 120 retrans\n\
+        2000 web httpd 7 7 SEND 10.0.0.1:4001-10.0.0.2:8009 64 seq=0\n\
+        2500 web sshd 3 3 RECEIVE 192.168.7.7:6000-10.0.0.1:22 48 seq=0\n\
+        2600 web sshd 3 3 RECEIVE 192.168.7.7:6000-10.0.0.1:22 48 seq=96\n\
+        500900 app java 9 21 RECEIVE 10.0.0.1:4001-10.0.0.2:8009 64 seq=0\n\
+        501000 app java 9 21 RECEIVE 10.0.0.1:4001-10.0.0.2:8009 64 seq=0\n\
+        501500 app java 9 21 SEND 10.0.0.2:4101-10.0.0.3:3306 32 seq=0\n\
+        901900 db mysqld 5 55 RECEIVE 10.0.0.2:4101-10.0.0.3:3306 32 seq=0\n\
+        903000 db mysqld 5 55 SEND 10.0.0.3:3306-10.0.0.2:4101 800 seq=0\n\
+        503600 app java 9 21 RECEIVE 10.0.0.3:3306-10.0.0.2:4101 800 seq=0\n\
+        504000 app java 9 21 SEND 10.0.0.2:8009-10.0.0.1:4001 256 seq=0\n\
+        4500 web httpd 7 7 RECEIVE 10.0.0.2:8009-10.0.0.1:4001 256 seq=0\n\
+        5000 web httpd 7 7 SEND 10.0.0.1:80-192.168.0.9:5000 512\n\
+        "
+    }
+
+    /// The CAGs and the ingest stage's counters.
+    fn render_with_ingest(out: &CorrelationOutput) -> String {
+        let m = &out.metrics;
+        format!(
+            "{} in={} filtered={} retrans={} seq_dedup={} v2={} gaps={}",
+            render(out),
+            m.records_in,
+            m.filtered_out,
+            m.retrans_dropped,
+            m.seq_dedup_ranges,
+            m.v2_records,
+            m.seq_gaps
+        )
+    }
+
     #[test]
     fn source_shapes_are_equivalent() {
-        let records = parse_log(three_tier_log()).unwrap();
-        for mode in [
-            Mode::Batch,
-            Mode::Streaming,
-            Mode::Sharded(3),
-            Mode::Distributed {
-                routers: 3,
-                workers_per_router: 1,
-            },
-        ] {
-            let p = Pipeline::new(PipelineConfig::new(access()).with_mode(mode)).unwrap();
-            let from_text = p.run(Source::text(three_tier_log())).unwrap();
-            let from_records = p.run(Source::records(records.clone())).unwrap();
-            assert_eq!(render(&from_text), render(&from_records), "{mode:?}");
+        for log in [three_tier_log(), v2_ingest_log()] {
+            let records = parse_log(log).unwrap();
+            for mode in [
+                Mode::Batch,
+                Mode::Streaming,
+                Mode::Sharded(3),
+                Mode::Distributed {
+                    routers: 3,
+                    workers_per_router: 1,
+                },
+            ] {
+                let p = Pipeline::new(
+                    PipelineConfig::new(access())
+                        .with_mode(mode)
+                        .with_filters(FilterSet::new().drop_program("sshd")),
+                )
+                .unwrap();
+                let session = |push: &dyn Fn(&mut PipelineSession) -> Result<(), TraceError>| {
+                    let mut s = p.session().unwrap();
+                    push(&mut s).unwrap();
+                    let mut out = s.finish().unwrap();
+                    out.canonicalize();
+                    render_with_ingest(&out)
+                };
+                let from_text = p.run(Source::text(log)).unwrap();
+                assert_eq!(from_text.cags.len(), 1, "{mode:?}");
+                let want = render_with_ingest(&from_text);
+                let shapes = [
+                    (
+                        "records",
+                        render_with_ingest(&p.run(Source::records(records.clone())).unwrap()),
+                    ),
+                    (
+                        "push",
+                        session(&|s| records.iter().try_for_each(|r| s.push(r.clone()))),
+                    ),
+                    (
+                        "push_line",
+                        session(&|s| log.lines().try_for_each(|l| s.push_line(l.trim()))),
+                    ),
+                ];
+                for (shape, got) in shapes {
+                    assert_eq!(got, want, "{mode:?} {shape}");
+                }
+                if log == v2_ingest_log() {
+                    let m = &from_text.metrics;
+                    let counts = (m.records_in, m.filtered_out, m.retrans_dropped);
+                    assert_eq!(counts, (14, 2, 2), "{mode:?}");
+                    let v2 = (m.seq_dedup_ranges, m.v2_records, m.seq_gaps);
+                    assert_eq!(v2, (1, 11, 1), "{mode:?}");
+                }
+            }
         }
     }
 

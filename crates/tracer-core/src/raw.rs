@@ -716,25 +716,11 @@ impl RangeDedup {
         RangeDedup::default()
     }
 
-    /// Decides one borrowed record.
+    /// Decides one record (an owned one through
+    /// [`RawRecord::as_record_ref`]).
     pub fn decide(&mut self, rec: &RawRecordRef<'_>) -> IngestDecision {
-        self.decide_parts(rec.channel(), rec.op, rec.seq, rec.size, rec.retrans)
-    }
-
-    /// Decides one owned record.
-    pub fn decide_owned(&mut self, rec: &RawRecord) -> IngestDecision {
-        self.decide_parts(rec.channel(), rec.op, rec.seq, rec.size, rec.retrans)
-    }
-
-    fn decide_parts(
-        &mut self,
-        channel: Channel,
-        op: RawOp,
-        seq: Option<u64>,
-        size: u64,
-        retrans: bool,
-    ) -> IngestDecision {
-        match seq {
+        let (channel, op, size, retrans) = (rec.channel(), rec.op, rec.size, rec.retrans);
+        match rec.seq {
             Some(seq) => {
                 self.v2_records += 1;
                 self.ticks += 1;
@@ -884,7 +870,7 @@ pub fn dedup_retransmissions(records: impl IntoIterator<Item = RawRecord>) -> Ve
     let mut dedup = RangeDedup::new();
     records
         .into_iter()
-        .filter_map(|mut r| match dedup.decide_owned(&r) {
+        .filter_map(|mut r| match dedup.decide(&r.as_record_ref()) {
             IngestDecision::Drop => None,
             IngestDecision::Admit(size) => {
                 r.size = size;
@@ -1001,30 +987,30 @@ mod tests {
         };
         let mut d = RangeDedup::new();
         assert_eq!(
-            d.decide_owned(&parse(1, 100, " seq=0")),
+            d.decide(&parse(1, 100, " seq=0").as_record_ref()),
             IngestDecision::Admit(100)
         );
         // Exact duplicate range: dropped by arithmetic, marker ignored.
         assert_eq!(
-            d.decide_owned(&parse(2, 100, " seq=0 retrans")),
+            d.decide(&parse(2, 100, " seq=0 retrans").as_record_ref()),
             IngestDecision::Drop
         );
         assert_eq!(
-            d.decide_owned(&parse(3, 40, " seq=20")),
+            d.decide(&parse(3, 40, " seq=20").as_record_ref()),
             IngestDecision::Drop
         );
         // Partially fresh: admitted at its own size.
         assert_eq!(
-            d.decide_owned(&parse(4, 100, " seq=50")),
+            d.decide(&parse(4, 100, " seq=50").as_record_ref()),
             IngestDecision::Admit(100)
         );
         // v1 fallback: marker is authoritative when seq is absent.
         assert_eq!(
-            d.decide_owned(&parse(5, 100, " retrans")),
+            d.decide(&parse(5, 100, " retrans").as_record_ref()),
             IngestDecision::Drop
         );
         assert_eq!(
-            d.decide_owned(&parse(6, 100, "")),
+            d.decide(&parse(6, 100, "").as_record_ref()),
             IngestDecision::Admit(100)
         );
         assert_eq!(d.v2_records, 4);
@@ -1034,7 +1020,7 @@ mod tests {
         let send =
             RawRecord::parse_line("7 node1 java 1 2 SEND 10.0.0.1:33000-10.0.0.2:8009 100 seq=0")
                 .unwrap();
-        assert_eq!(d.decide_owned(&send), IngestDecision::Admit(100));
+        assert_eq!(d.decide(&send.as_record_ref()), IngestDecision::Admit(100));
         assert!(d.approx_bytes() > 0);
     }
 
@@ -1046,24 +1032,24 @@ mod tests {
         };
         let mut d = RangeDedup::new();
         assert_eq!(
-            d.decide_owned(&parse(1, 100, " seq=0")),
+            d.decide(&parse(1, 100, " seq=0").as_record_ref()),
             IngestDecision::Admit(100)
         );
         // A capture gap: the record for [100, 150) was missed by the
         // sniffer. The record is admitted unchanged; the gap is counted
         // (the router resolves it by range arithmetic downstream).
         assert_eq!(
-            d.decide_owned(&parse(2, 100, " seq=150")),
+            d.decide(&parse(2, 100, " seq=150").as_record_ref()),
             IngestDecision::Admit(100)
         );
         assert_eq!(d.seq_gaps, 1);
         // The held range is dedup-visible despite the gap.
         assert_eq!(
-            d.decide_owned(&parse(3, 50, " seq=150 retrans")),
+            d.decide(&parse(3, 50, " seq=150 retrans").as_record_ref()),
             IngestDecision::Drop
         );
         assert_eq!(
-            d.decide_owned(&parse(4, 50, " seq=250")),
+            d.decide(&parse(4, 50, " seq=250").as_record_ref()),
             IngestDecision::Admit(50)
         );
         assert_eq!(d.seq_gaps, 1);
@@ -1071,6 +1057,24 @@ mod tests {
 
     /// The linear victim scan `take_coldest_entry` used before it had an
     /// index: the reference the index must agree with.
+    /// A v2 record of `key` covering `[seq, seq + size)`.
+    fn v2(key: (Channel, RawOp), seq: u64, size: u64) -> RawRecordRef<'static> {
+        RawRecordRef {
+            ts: LocalTime::from_nanos(0),
+            hostname: "h",
+            program: "p",
+            pid: 1,
+            tid: 1,
+            op: key.1,
+            src: key.0.src,
+            dst: key.0.dst,
+            size,
+            tag: 0,
+            retrans: false,
+            seq: Some(seq),
+        }
+    }
+
     fn coldest_by_scan(d: &RangeDedup) -> Option<(Channel, RawOp)> {
         fn sort_key(ch: &Channel, op: RawOp) -> (u32, u16, u32, u16, u8) {
             (
@@ -1126,7 +1130,7 @@ mod tests {
                 let key = key_of(c);
                 match kind {
                     // A record; its spilled coverage faults back first,
-                    // as in `StreamingCorrelator::push` (now and then
+                    // as in the ingest stage (now and then
                     // not, so that a later restore replaces an entry).
                     0..=4 => {
                         let at = spilled.iter().position(|(k, _)| *k == key);
@@ -1134,7 +1138,7 @@ mod tests {
                             let (k, bytes) = spilled.swap_remove(i);
                             d.restore_entry(k, &bytes);
                         }
-                        d.decide_parts(key.0, key.1, Some(seq), size, false);
+                        d.decide(&v2(key, seq, size));
                     }
                     5..=7 => {
                         take(&mut d, &mut spilled);
@@ -1162,13 +1166,11 @@ mod tests {
         };
         let mut d = RangeDedup::new();
         for i in 0..100u16 {
-            d.decide_parts(
-                Channel::new(ep(80), ep(5000 + i)),
-                RawOp::Send,
-                Some(0),
+            d.decide(&v2(
+                (Channel::new(ep(80), ep(5000 + i)), RawOp::Send),
+                0,
                 10,
-                false,
-            );
+            ));
         }
         assert!(d.coldest.is_none());
         assert!(d.take_coldest_entry().is_some());

@@ -54,7 +54,7 @@ use crate::ingest::split_complete_lines;
 use crate::intern::Interner;
 use crate::pattern::PatternAggregator;
 use crate::pipeline::{Mode, Pipeline, PipelineConfig};
-use crate::raw::{RawRecord, RawRecordRef};
+use crate::raw::{parse_log_iter, RawRecord};
 
 /// How a source's byte stream is decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,7 +404,7 @@ impl SealLag {
 }
 
 enum Event {
-    Batch(usize, Vec<RawRecord>),
+    Batch(Vec<RawRecord>),
     Ended,
     Fatal(usize, String),
 }
@@ -492,9 +492,8 @@ impl Server {
                     break;
                 }
                 match rx.recv_timeout(self.config.poll_interval) {
-                    Ok(Event::Batch(idx, records)) => {
-                        if let Err(e) =
-                            live.ingest(&mut session, &counters, idx, records, &self.config)
+                    Ok(Event::Batch(records)) => {
+                        if let Err(e) = live.ingest(&mut session, &counters, records, &self.config)
                         {
                             first_error = Some(e);
                             break;
@@ -522,10 +521,9 @@ impl Server {
             // Drain whatever the tailers already queued, then hang up
             // (unblocks tailers waiting on a full queue).
             while let Ok(ev) = rx.try_recv() {
-                if let Event::Batch(idx, records) = ev {
+                if let Event::Batch(records) = ev {
                     if first_error.is_none() {
-                        if let Err(e) =
-                            live.ingest(&mut session, &counters, idx, records, &self.config)
+                        if let Err(e) = live.ingest(&mut session, &counters, records, &self.config)
                         {
                             first_error = Some(e);
                         }
@@ -593,11 +591,9 @@ impl LiveState<'_> {
         &mut self,
         session: &mut crate::pipeline::PipelineSession,
         counters: &[SourceCounters],
-        idx: usize,
         records: Vec<RawRecord>,
         cfg: &ServeConfig,
     ) -> Result<(), TraceError> {
-        let _ = idx;
         for rec in records {
             self.records_in += 1;
             let ts = rec.ts.as_nanos();
@@ -699,12 +695,8 @@ impl Decode {
                 };
                 let mut out = Vec::new();
                 let mut parse = |text: &str| {
-                    for line in text.lines() {
-                        let line = line.trim();
-                        if line.is_empty() || line.starts_with('#') {
-                            continue;
-                        }
-                        match RawRecordRef::parse_line(line) {
+                    for r in parse_log_iter(text) {
+                        match r {
                             Ok(r) => out.push(r.to_owned_interned(interner)),
                             Err(_) => {
                                 c.malformed_lines.fetch_add(1, Ordering::Relaxed);
@@ -754,7 +746,6 @@ impl Decode {
 
 /// Sends one decoded batch subject to the shed policy.
 fn send_batch(
-    idx: usize,
     batch: Vec<RawRecord>,
     tx: &SyncSender<Event>,
     shed: ShedPolicy,
@@ -764,10 +755,10 @@ fn send_batch(
         return true;
     }
     match shed {
-        ShedPolicy::Block => tx.send(Event::Batch(idx, batch)).is_ok(),
-        ShedPolicy::Drop => match tx.try_send(Event::Batch(idx, batch)) {
+        ShedPolicy::Block => tx.send(Event::Batch(batch)).is_ok(),
+        ShedPolicy::Drop => match tx.try_send(Event::Batch(batch)) {
             Ok(()) => true,
-            Err(TrySendError::Full(Event::Batch(_, b))) => {
+            Err(TrySendError::Full(Event::Batch(b))) => {
                 c.shed_records.fetch_add(b.len() as u64, Ordering::Relaxed);
                 true
             }
@@ -843,11 +834,11 @@ fn tail_source(
             Ok(0) => {
                 if is_fifo {
                     // Writer hung up: a FIFO's EOF is final.
-                    finish_source(idx, &mut decode, c, &tx, cfg.shed);
+                    finish_source(&mut decode, c, &tx, cfg.shed);
                     return;
                 }
                 if cfg.idle_end.is_some_and(|d| quiet.elapsed() >= d) {
-                    finish_source(idx, &mut decode, c, &tx, cfg.shed);
+                    finish_source(&mut decode, c, &tx, cfg.shed);
                     return;
                 }
                 std::thread::sleep(cfg.poll_interval);
@@ -858,7 +849,7 @@ fn tail_source(
                 c.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
                 match decode.feed(&buf[..n], false, c) {
                     Ok(batch) => {
-                        if !send_batch(idx, batch, &tx, cfg.shed, c) {
+                        if !send_batch(batch, &tx, cfg.shed, c) {
                             return; // consumer hung up
                         }
                     }
@@ -880,13 +871,12 @@ fn tail_source(
     }
     // Stopped: settle the carry so a complete unterminated final line
     // still counts, then report.
-    finish_source(idx, &mut decode, c, &tx, cfg.shed);
+    finish_source(&mut decode, c, &tx, cfg.shed);
 }
 
 /// Settles a source's carried state at its end and sends the final
 /// batch + `Ended`.
 fn finish_source(
-    idx: usize,
     decode: &mut Decode,
     c: &SourceCounters,
     tx: &SyncSender<Event>,
@@ -894,7 +884,7 @@ fn finish_source(
 ) {
     match decode.feed(&[], true, c) {
         Ok(batch) => {
-            send_batch(idx, batch, tx, shed, c);
+            send_batch(batch, tx, shed, c);
         }
         Err(_) => {
             c.decode_errors.fetch_add(1, Ordering::Relaxed);

@@ -73,16 +73,13 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::access::Classifier;
 use crate::activity::{Activity, ActivityType, ContextId, EndpointV4};
 use crate::cag::Cag;
 use crate::correlator::{CorrelationOutput, CorrelatorConfig, EngineRunner, WorkerConfig};
 use crate::error::TraceError;
 use crate::fasthash::{FxBuildHasher, FxHashMap};
-use crate::filter::FilterSet;
-use crate::intern::Interner;
-use crate::metrics::CorrelatorMetrics;
-use crate::raw::{RangeDedup, RawRecord, RawRecordRef};
+use crate::ingest::IngestStage;
+use crate::raw::{RawRecord, RawRecordRef};
 
 /// Activities per shard batch — one channel message or one Claim frame
 /// (amortizes synchronization and framing).
@@ -1173,25 +1170,17 @@ impl SessionRouter {
     }
 }
 
-/// The reader-side core of the routed front-end: dedup → classify →
-/// filter → route through the one sequential [`SessionRouter`], plus
-/// the canonical merge. Everything the correlation algorithm needs
-/// exactly **once** per run lives here, whatever [`ShardSink`] sits
-/// behind it: the routing/dispatch sequence — and therefore the merged
-/// output — is a pure function of the input, not of the execution
-/// topology.
+/// The reader-side core of the routed front-end: the ingest stage
+/// (dedup → filter → classify), then routing through the one sequential
+/// [`SessionRouter`], plus the canonical merge. Everything the
+/// correlation algorithm needs exactly **once** per run lives here,
+/// whatever [`ShardSink`] sits behind it: the routing/dispatch sequence
+/// — and therefore the merged output — is a pure function of the input,
+/// not of the execution topology.
 #[derive(Debug)]
 struct ReaderCore {
-    classifier: Classifier,
-    filters: FilterSet,
-    interner: Interner,
-    /// Reader-side duplicate-range elimination (v2 `seq=` arithmetic,
-    /// v1 `retrans` marker fallback) — runs before classification.
-    range_dedup: RangeDedup,
+    ingest: IngestStage,
     router: SessionRouter,
-    records_in: u64,
-    filtered_out: u64,
-    retrans_dropped: u64,
 }
 
 impl ReaderCore {
@@ -1199,84 +1188,35 @@ impl ReaderCore {
     /// The config must already be validated.
     fn new(config: &CorrelatorConfig, shards: u32) -> Self {
         ReaderCore {
-            classifier: Classifier::new(config.access.clone()),
-            filters: config.filters.clone(),
-            interner: Interner::new(),
-            range_dedup: RangeDedup::new(),
+            ingest: IngestStage::new(config, None),
             router: SessionRouter::new(shards),
-            records_in: 0,
-            filtered_out: 0,
-            retrans_dropped: 0,
         }
     }
 
-    /// Classifies, filters and stages one record without routing yet.
-    fn ingest(&mut self, mut rec: RawRecord) {
-        self.records_in += 1;
-        match self.range_dedup.decide_owned(&rec) {
-            crate::raw::IngestDecision::Drop => {
-                self.retrans_dropped += 1;
-                return;
-            }
-            crate::raw::IngestDecision::Admit(size) => rec.size = size,
-        }
-        let act = self.classifier.classify(&rec);
-        if !self.filters.admits(&act) {
-            self.filtered_out += 1;
-            return;
-        }
-        self.router.stage(act);
-        self.evict_dedup();
-    }
-
-    /// Zero-copy counterpart of [`Self::ingest`]: filters the borrowed
-    /// record before any allocation, then interns and stages it.
+    /// Admits one record and stages its activity without routing yet.
     fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
-        self.records_in += 1;
-        let mut r = *r;
-        match self.range_dedup.decide(&r) {
-            crate::raw::IngestDecision::Drop => {
-                self.retrans_dropped += 1;
-                return;
-            }
-            crate::raw::IngestDecision::Admit(size) => r.size = size,
+        if let Some(act) = self.ingest.admit(r) {
+            self.router.stage(act);
+            self.evict_dedup();
         }
-        if !self.filters.admits_raw(&r) {
-            self.filtered_out += 1;
-            return;
-        }
-        let act = self.classifier.classify_ref(&r, &mut self.interner);
-        self.router.stage(act);
-        self.evict_dedup();
     }
 
-    /// Sheds [`RangeDedup`] coverage for channels the router's idle GC
+    /// Sheds range-dedup coverage for channels the router's idle GC
     /// just evicted, so dedup state obeys the same horizon as router
     /// claims instead of growing for the stream's lifetime.
     fn evict_dedup(&mut self) {
         if !self.router.evicted.is_empty() {
             for ch in self.router.take_evicted() {
-                self.range_dedup.evict_channel(ch);
+                self.ingest.evict_channel(ch);
             }
         }
-    }
-
-    /// Routes everything currently routable through `dispatch`.
-    /// `final_input` additionally breaks stuck states so the staging
-    /// area fully drains.
-    fn pump(
-        &mut self,
-        final_input: bool,
-        dispatch: &mut dyn FnMut(ShardMsg, u32) -> Result<(), TraceError>,
-    ) -> Result<(), TraceError> {
-        self.router.pump(final_input, dispatch)
     }
 
     /// Approximate resident bytes of the reader-side routing state:
     /// deferred/noise lanes, per-channel claim FIFOs, waiter lists and
     /// dedup coverage.
     fn approx_bytes(&self) -> usize {
-        self.router.approx_bytes() + self.range_dedup.approx_bytes()
+        self.router.approx_bytes() + self.ingest.coverage_bytes()
     }
 
     /// Canonical deterministic merge: the union of all shards' CAGs,
@@ -1288,15 +1228,7 @@ impl ReaderCore {
     /// samples) truncate identically for every topology.
     fn merge(&mut self, outputs: Vec<CorrelationOutput>, started: Instant) -> CorrelationOutput {
         let mut all: Vec<Cag> = Vec::new();
-        let mut metrics = CorrelatorMetrics {
-            records_in: self.records_in,
-            filtered_out: self.filtered_out,
-            retrans_dropped: self.retrans_dropped,
-            seq_dedup_ranges: self.range_dedup.seq_dedup_ranges,
-            v2_records: self.range_dedup.v2_records,
-            seq_gaps: self.range_dedup.seq_gaps,
-            ..CorrelatorMetrics::default()
-        };
+        let mut metrics = self.ingest.metrics();
         // Reader-side noise discards join the ranker count so the
         // merged total matches a single-shard run.
         metrics.ranker.noise_discards = self.router.noise_discards;
@@ -1538,7 +1470,7 @@ impl RoutedCorrelator {
             sink,
             ..
         } = self;
-        core.pump(final_input, &mut |m, shard| {
+        core.router.pump(final_input, &mut |m, shard| {
             let shard = shard as usize;
             pending[shard].push(m);
             if pending[shard].len() >= BATCH_RECORDS {
@@ -1561,27 +1493,21 @@ impl RoutedCorrelator {
         Ok(())
     }
 
-    /// Classifies, filters and stages one owned record without routing
-    /// yet. Staging a complete record set before [`Self::finish`]
-    /// accepts it in **any** order: the router's per-entity lanes
-    /// re-sort it by local time, like the ranker's per-node sort.
-    pub(crate) fn stage(&mut self, rec: RawRecord) {
-        self.core.ingest(rec);
-    }
-
-    /// Zero-copy counterpart of [`Self::stage`]: filters the borrowed
-    /// record before any allocation, then interns and stages it.
+    /// Admits and stages one record without routing yet. Staging a
+    /// complete record set before [`Self::finish`] accepts it in **any**
+    /// order: the router's per-entity lanes re-sort it by local time,
+    /// like the ranker's per-node sort.
     pub(crate) fn stage_ref(&mut self, r: &RawRecordRef<'_>) {
         self.core.stage_ref(r);
     }
 
-    /// Routes one owned raw record into the pipeline, streaming
-    /// everything currently routable to the workers.
+    /// Routes one record into the pipeline, streaming everything
+    /// currently routable to the workers.
     ///
     /// Records of one host must arrive in local-timestamp order (small
     /// inversions are re-sorted, like the ranker's staging queues);
     /// cross-host interleaving is free. For wholly unordered input
-    /// [`Self::stage`] the complete set first.
+    /// [`Self::stage_ref`] the complete set first.
     ///
     /// Mid-stream, a RECEIVE whose channel has no known send yet
     /// defers inside the router — including untraced-peer noise,
@@ -1594,23 +1520,9 @@ impl RoutedCorrelator {
     ///
     /// Returns [`TraceError::Finished`] after [`Self::finish`], or the
     /// sink's error when a worker or router peer died.
-    pub fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
+    pub(crate) fn push_ref(&mut self, r: &RawRecordRef<'_>) -> Result<(), TraceError> {
         self.guard()?;
-        self.stage(rec);
-        self.pump(false)
-    }
-
-    /// Parses and routes one TCP_TRACE log line through the zero-copy
-    /// ingest path: the record is filtered before any allocation and
-    /// its strings are interned.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error for a malformed line, and
-    /// [`TraceError::Finished`] after [`Self::finish`].
-    pub fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
-        self.guard()?;
-        self.stage_ref(&RawRecordRef::parse_line(line)?);
+        self.stage_ref(r);
         self.pump(false)
     }
 
@@ -1656,7 +1568,7 @@ pub fn route_records(
     shards: usize,
     records: Vec<RawRecord>,
 ) -> Result<Vec<(Activity, u32)>, TraceError> {
-    route(config, shards, records, false)
+    route(config, shards, &records, false)
 }
 
 /// [`route_records`]; with `pump_each_record` the router pumps after
@@ -1665,7 +1577,7 @@ pub fn route_records(
 fn route(
     config: &CorrelatorConfig,
     shards: usize,
-    records: Vec<RawRecord>,
+    records: &[RawRecord],
     pump_each_record: bool,
 ) -> Result<Vec<(Activity, u32)>, TraceError> {
     config.validate()?;
@@ -1679,21 +1591,37 @@ fn route(
         Ok(())
     };
     for rec in records {
-        core.ingest(rec);
+        core.stage_ref(&rec.as_record_ref());
         if pump_each_record {
-            core.pump(false, &mut dispatch)?;
+            core.router.pump(false, &mut dispatch)?;
         }
     }
-    core.pump(true, &mut dispatch)?;
+    core.router.pump(true, &mut dispatch)?;
     Ok(out)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::access::AccessPointSpec;
+    use crate::access::{AccessPointSpec, Classifier};
+    use crate::filter::FilterSet;
     use crate::pipeline::{Mode, Pipeline, PipelineConfig, Source};
     use crate::raw::parse_log;
+
+    /// Owned records and lines enter as borrowed views.
+    impl RoutedCorrelator {
+        fn stage(&mut self, rec: RawRecord) {
+            self.stage_ref(&rec.as_record_ref());
+        }
+
+        fn push(&mut self, rec: RawRecord) -> Result<(), TraceError> {
+            self.push_ref(&rec.as_record_ref())
+        }
+
+        fn push_line(&mut self, line: &str) -> Result<(), TraceError> {
+            self.push_ref(&RawRecordRef::parse_line(line)?)
+        }
+    }
 
     pub(crate) fn access() -> AccessPointSpec {
         AccessPointSpec::new(
@@ -2038,7 +1966,7 @@ pub(crate) mod tests {
         let config = CorrelatorConfig::new(access());
         let records = parse_log(&log).unwrap();
         let batch = route_records(&config, 4, records.clone()).unwrap();
-        let streaming = route(&config, 4, records, true).unwrap();
+        let streaming = route(&config, 4, &records, true).unwrap();
         assert_eq!(fmt_routed(&batch), fmt_routed(&streaming));
     }
 

@@ -18,6 +18,7 @@
 //! (direction is sniffed from the input's magic bytes); `correlate`,
 //! `patterns` and `diff` accept either form transparently.
 
+use std::io::Write as _;
 use std::net::Ipv4Addr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,10 +45,7 @@ fn main() -> ExitCode {
         "convert" => convert_cmd(rest),
         "serve" => serve_cmd(rest),
         "router" => router_cmd(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "--help" | "-h" | "help" => help(),
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
     };
     match result {
@@ -57,6 +55,27 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `println!` for a command's output. A closed stdout (its reader went
+/// away, as `| head` does) ends the command quietly with exit 0; any
+/// other write error is the command's error.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_failed)?
+    };
+}
+
+fn stdout_failed(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    format!("stdout: {e}")
+}
+
+fn help() -> Result<(), String> {
+    outln!("{USAGE}");
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -407,7 +426,6 @@ fn convert_cmd(raw: &[String]) -> Result<(), String> {
     let threads = args.parse_opt::<usize>("--ingest-threads")?.unwrap_or(1);
     if sniff_ptbin(in_path)? {
         // Binary -> text: stream one rendered line per record.
-        use std::io::Write as _;
         let buf = binfmt::read_binary_file(in_path).map_err(|e| format!("{in_path}: {e}"))?;
         let reader = binfmt::Reader::new(&buf).map_err(|e| format!("{in_path}: {e}"))?;
         let file = std::fs::File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?;
@@ -419,7 +437,7 @@ fn convert_cmd(raw: &[String]) -> Result<(), String> {
             n += 1;
         }
         w.flush().map_err(|e| format!("{out_path}: {e}"))?;
-        println!("wrote {n} records to {out_path} (TCP_TRACE text)");
+        outln!("wrote {n} records to {out_path} (TCP_TRACE text)");
     } else {
         // Text -> binary: parallel borrowed parse, then one interning
         // encode pass (single-threaded parse streams record-by-record).
@@ -442,7 +460,7 @@ fn convert_cmd(raw: &[String]) -> Result<(), String> {
             )
         };
         std::fs::write(out_path, &bin).map_err(|e| format!("{out_path}: {e}"))?;
-        println!(
+        outln!(
             "wrote {n} records to {out_path} (PTBIN, {} bytes)",
             bin.len()
         );
@@ -530,6 +548,14 @@ struct StdoutSink {
     print_paths: bool,
 }
 
+/// Prints one line of `pt serve`'s stream. A closed stdout raises
+/// [`STOP`], so the daemon still drains and removes its spill files.
+fn serve_line(args: std::fmt::Arguments<'_>) {
+    if writeln!(std::io::stdout(), "{args}").is_err() {
+        STOP.store(true, Ordering::Relaxed);
+    }
+}
+
 impl ServeSink for StdoutSink {
     fn on_sealed(&mut self, cags: &[Cag]) {
         if !self.print_paths {
@@ -540,16 +566,16 @@ impl ServeSink for StdoutSink {
                 .total_latency()
                 .map(|n| format!("{:.3}ms", n.as_nanos() as f64 / 1e6))
                 .unwrap_or_else(|| "unfinished".into());
-            println!(
+            serve_line(format_args!(
                 "path: root_ts={} vertices={} latency={lat}",
                 cag.root().ts.as_nanos(),
                 cag.vertices.len()
-            );
+            ));
         }
     }
 
     fn on_kpi(&mut self, k: &ServeKpi) {
-        println!(
+        serve_line(format_args!(
             "kpi: records={} sealed={} patterns={} p99_seal_lag={} state={}B rss={}B shed={} \
              spilled={} spill_faults={}",
             k.records_in,
@@ -561,7 +587,7 @@ impl ServeSink for StdoutSink {
             k.shed_records,
             k.spilled,
             k.spill_faults
-        );
+        ));
     }
 }
 
@@ -624,7 +650,7 @@ fn serve_cmd(raw: &[String]) -> Result<(), String> {
         print_paths: args.flag("--print-paths"),
     };
     let report = server.run(&mut sink, &STOP).map_err(|e| e.to_string())?;
-    println!("{}", report.stats_line());
+    outln!("{}", report.stats_line());
     Ok(())
 }
 
@@ -725,7 +751,7 @@ fn simulate(raw: &[String]) -> Result<(), String> {
         .iter()
         .map(|ip| ip.to_string())
         .collect();
-    println!(
+    outln!(
         "wrote {} records to {out_path} ({} requests completed, frontend port {}, internal {})",
         out.records.len(),
         out.service.completed,
@@ -733,7 +759,7 @@ fn simulate(raw: &[String]) -> Result<(), String> {
         internal.join(","),
     );
     if out.capture_dropped > 0 {
-        println!(
+        outln!(
             "partial capture: the sniffer missed {} records entirely",
             out.capture_dropped
         );
@@ -754,17 +780,17 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
     let args = parse_correlating(raw, &["--ingest-threads"], &["--stats"])?;
     let path = args.positional(0).ok_or("missing log file")?;
     let out = correlate_file(path, &correlator_from(&args)?)?;
-    println!(
+    outln!(
         "correlated {} causal paths ({} deformed/unfinished)",
         out.cags.len(),
         out.unfinished.len()
     );
-    println!("{}", out.metrics.summary());
+    outln!("{}", out.metrics.summary());
     if args.flag("--stats") {
         // Ingest counters: how duplicate byte ranges were eliminated
         // (v1 `retrans` marker vs v2 `seq=` range arithmetic), and the
         // process's peak resident set so far (0 where unknown).
-        println!(
+        outln!(
             "ingest: retrans_dropped={} seq_dedup_ranges={} v2_records={} peak_rss={}B",
             out.metrics.retrans_dropped,
             out.metrics.seq_dedup_ranges,
@@ -773,19 +799,20 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
         );
     }
     if out.metrics.orphan_dropped > 0 {
-        println!(
+        outln!(
             "router: dropped {} orphan-chain records reader-side",
             out.metrics.orphan_dropped
         );
     }
     if out.metrics.ranker.rtt_samples > 0 {
-        println!(
+        outln!(
             "adaptive window: {} updates over {} rtt samples",
-            out.metrics.ranker.window_updates, out.metrics.ranker.rtt_samples
+            out.metrics.ranker.window_updates,
+            out.metrics.ranker.rtt_samples
         );
     }
     if out.metrics.engine.spilled_cags > 0 || out.metrics.spilled_dedup_entries > 0 {
-        println!(
+        outln!(
             "spill: cags={} orphans={} dedup={} faults={} bytes={} \
              pages_written={} pages_read={} queue_hits={}",
             out.metrics.engine.spilled_cags,
@@ -799,9 +826,9 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
         );
     }
     if !out.noise_samples.is_empty() {
-        println!("sample noise discards:");
+        outln!("sample noise discards:");
         for a in out.noise_samples.iter().take(5) {
-            println!("  {a}");
+            outln!("  {a}");
         }
     }
     let latencies: Vec<f64> = out
@@ -812,7 +839,7 @@ fn correlate_cmd(raw: &[String]) -> Result<(), String> {
         .collect();
     if !latencies.is_empty() {
         let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-        println!(
+        outln!(
             "mean request latency: {mean:.2} ms over {} paths",
             latencies.len()
         );
@@ -825,14 +852,16 @@ fn patterns_cmd(raw: &[String]) -> Result<(), String> {
     let path = args.positional(0).ok_or("missing log file")?;
     let out = correlate_file(path, &correlator_from(&args)?)?;
     let agg = PatternAggregator::from_cags(&out.cags);
-    println!("{} patterns over {} paths:", agg.len(), out.cags.len());
+    outln!("{} patterns over {} paths:", agg.len(), out.cags.len());
     for p in agg.average_paths() {
-        println!(
+        outln!(
             "\npattern {} — {} requests, mean total {}",
-            p.key, p.count, p.mean_total
+            p.key,
+            p.count,
+            p.mean_total
         );
         for (c, pct) in &p.percentages {
-            println!("  {:<22} {:>6.1}%", c.to_string(), pct);
+            outln!("  {:<22} {:>6.1}%", c.to_string(), pct);
         }
     }
     if let Some(dot_path) = args.opt("--dot") {
@@ -840,7 +869,7 @@ fn patterns_cmd(raw: &[String]) -> Result<(), String> {
         let dom = paths.first().ok_or("no pattern to render")?;
         std::fs::write(dot_path, average_path_to_dot(dom))
             .map_err(|e| format!("{dot_path}: {e}"))?;
-        println!("\nwrote dominant average path to {dot_path}");
+        outln!("\nwrote dominant average path to {dot_path}");
     }
     Ok(())
 }
@@ -855,10 +884,10 @@ fn diff_cmd(raw: &[String]) -> Result<(), String> {
     let b = BreakdownReport::dominant(&base.cags).ok_or("no patterns in baseline")?;
     let c = BreakdownReport::dominant(&cur.cags).ok_or("no patterns in current")?;
     let diff = DiffReport::between(&b, &c);
-    print!("{}", diff.format_table());
+    write!(std::io::stdout(), "{}", diff.format_table()).map_err(stdout_failed)?;
     match Diagnosis::localize(&diff, 8.0) {
-        Some(d) => println!("\ndiagnosis: {} — {}", d.suspect, d.explanation),
-        None => println!("\ndiagnosis: no significant change"),
+        Some(d) => outln!("\ndiagnosis: {} — {}", d.suspect, d.explanation),
+        None => outln!("\ndiagnosis: no significant change"),
     }
     Ok(())
 }

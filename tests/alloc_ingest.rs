@@ -161,26 +161,6 @@ fn per_line_owned_parse_allocates_per_record_as_baseline() {
 }
 
 #[test]
-fn parallel_ingest_allocation_count_is_sublinear() {
-    let _serial = serial();
-    // The chunked parallel scanner inherits the sequential path's
-    // allocation discipline: per-chunk Vec growth, one interner per
-    // chunk (few distinct strings each), thread spawns, and the final
-    // concatenation — never a per-record allocation.
-    let text = synthetic_log();
-    let (allocs, records) =
-        process_allocs_during(|| parse_log_parallel(&text, 4).expect("valid log"));
-    assert_eq!(records.len(), LINES);
-    assert!(
-        allocs < LINES / 10,
-        "parallel parse of {LINES} records performed {allocs} allocations \
-         — the hot path must not allocate per record"
-    );
-    // Chunk results must splice in input order.
-    assert!(records.windows(2).all(|w| w[0].ts <= w[1].ts));
-}
-
-#[test]
 fn parallel_borrowed_scan_allocates_no_strings() {
     let _serial = serial();
     // The borrowed variant allocates only the per-chunk record vectors

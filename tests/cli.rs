@@ -821,6 +821,27 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // The read end of stdout is dropped right after spawn, so every
+    // write the command makes finds the pipe closed (`| true`).
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/gap_heavy.log");
+    let correlate = ["correlate", golden, "--port", "80", "--internal", INTERNAL];
+    for args in [&correlate[..], &["--help"]] {
+        let mut child = pt()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn pt");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for pt");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn capture_drop_simulates_v2_log_and_stats_report_ingest_counters() {
     let log = TmpFile::new("partial.log");
     // Sniffer-based v2 capture with a 2% per-segment drop.

@@ -625,7 +625,8 @@ proptest! {
     /// Parallel ingest is observationally identical to the sequential
     /// parser for arbitrary generated corpora, thread counts and v1/v2
     /// mixes: the chunked scanner must agree record-for-record with
-    /// `parse_log`, including when records straddle chunk boundaries.
+    /// `parse_log_iter`, including when records straddle chunk
+    /// boundaries.
     #[test]
     fn parallel_ingest_equals_sequential_parse(
         seed in any::<u64>(),
@@ -642,10 +643,6 @@ proptest! {
             text.push_str(&r.to_string());
             text.push('\n');
         }
-        let sequential = parse_log(&text).unwrap();
-        let parallel = parse_log_parallel(&text, threads).unwrap();
-        prop_assert_eq!(parallel, sequential);
-        // Borrowed scan agrees too.
         let refs = parse_refs_parallel(&text, threads).unwrap();
         let seq_refs: Vec<RawRecordRef<'_>> =
             parse_log_iter(&text).collect::<Result<_, _>>().unwrap();
@@ -685,12 +682,6 @@ proptest! {
             back.push('\n');
         }
         prop_assert_eq!(back, text);
-        // And the owned decode path agrees with the borrowed one.
-        let owned = binfmt::decode_records(&bin).unwrap();
-        prop_assert_eq!(owned.len(), decoded.len());
-        for (o, d) in owned.iter().zip(&decoded) {
-            prop_assert_eq!(&o.as_record_ref(), d);
-        }
     }
 
     /// Isomorphic classification is stable: every CAG of the same request
@@ -861,7 +852,6 @@ fn incremental_reparse_equals_one_shot_for_arbitrary_chunkings() {
     let text: String = out.records.iter().map(|r| format!("{r}\n")).collect();
     let bin = binfmt::encode_text(&text, 1).unwrap();
     let want_text = parse_log(&text).unwrap();
-    let want_bin = binfmt::decode_records(&bin).unwrap();
 
     let mut lcg = 0x9e37_79b9_7f4a_7c15u64;
     let mut next_chunk = |max: usize| {
@@ -895,7 +885,7 @@ fn incremental_reparse_equals_one_shot_for_arbitrary_chunkings() {
             got.extend(dec.drain().unwrap());
             i += n;
         }
-        assert_eq!(got, want_bin, "binary max_chunk={max_chunk}");
+        assert_eq!(got, want_text, "binary max_chunk={max_chunk}");
         assert!(dec.is_clean(), "binary max_chunk={max_chunk}");
     }
 }
